@@ -31,16 +31,15 @@ def frobenius_matrix(ext) -> np.ndarray:
     return linear_map_matrix(ext.frobenius, ext)
 
 
-def scalar_mult_matrices(ext) -> list[np.ndarray]:
-    """Matrices of multiplication by each F_p-basis scalar of ext's base
-    field.  For a prime base this is just [identity]."""
-    base = ext.base
+def basis_scalar_matrices(field) -> list[np.ndarray]:
+    """The k x k matrices of multiplication by each F_p-basis scalar of a
+    field of order p^k; for a prime field this is just [identity]."""
     mats = []
-    for t in range(base.prime_dim):
-        unit = [0] * base.prime_dim
+    for t in range(field.prime_dim):
+        unit = [0] * field.prime_dim
         unit[t] = 1
-        s = ext.embed(base.from_prime_coords(tuple(unit)))
-        mats.append(linear_map_matrix(lambda a: ext.mul(a, s), ext))
+        s = field.from_prime_coords(tuple(unit))
+        mats.append(linear_map_matrix(lambda a: field.mul(a, s), field))
     return mats
 
 
@@ -50,6 +49,15 @@ def apply_map(vectors: np.ndarray, mat: np.ndarray, p: int) -> np.ndarray:
     return (prod % p).astype(np.uint8)
 
 
+def scale_coords(vectors: np.ndarray, mat: np.ndarray, p: int) -> np.ndarray:
+    """Prime coordinates (..., n*k) of elements of an extension of F_q,
+    q = p^k, multiplied by the scalar of F_q whose k x k matrix is mat.
+    A scalar of F_q acts on each F_q coordinate separately."""
+    k = mat.shape[0]
+    blocks = vectors.reshape(vectors.shape[:-1] + (-1, k))
+    return apply_map(blocks, mat, p).reshape(vectors.shape)
+
+
 def all_vectors(p: int, dim: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     """Base-p digit rows for indices [start, stop), most significant digit
     first.  Row i equals prime_coords(from_index(start + i)) of a field of
@@ -57,7 +65,7 @@ def all_vectors(p: int, dim: int, start: int = 0, stop: int | None = None) -> np
     if stop is None:
         stop = p**dim
     idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((len(idx), dim), dtype=np.uint8)
+    out = np.empty((len(idx), dim), dtype=np.min_scalar_type(p - 1))
     for j in range(dim):
         out[:, j] = (idx // p ** (dim - 1 - j)) % p
     return out

@@ -168,6 +168,15 @@ def cmd_factor_xn1(args) -> int:
     return EXIT_OK
 
 
+def _report_normality(a, ext) -> int:
+    if oracle.is_normal(a, ext):
+        sys.stdout.write("true\n")
+    else:
+        rank = oracle.rank_over_field(oracle.conjugate_matrix(a, ext), ext.base)
+        sys.stdout.write(f"false (conjugate rank {rank} < {ext.degree})\n")
+    return EXIT_OK
+
+
 def cmd_test(args) -> int:
     field = _prime_field_arg(parse_q_token(args.q))
     if args.kind == "npoly":
@@ -184,12 +193,7 @@ def cmd_test(args) -> int:
             sys.stdout.write("false (zero trace)\n")
             return EXIT_OK
         ext = gf.ExtensionField(field, f.coeffs)
-        if oracle.is_normal(ext.gen, ext):
-            sys.stdout.write("true\n")
-        else:
-            rank = oracle.rank_over_field(oracle.conjugate_matrix(ext.gen, ext), field)
-            sys.stdout.write(f"false (conjugate rank {rank} < {n})\n")
-        return EXIT_OK
+        return _report_normality(ext.gen, ext)
     # kind == "normal": an element of F_{q^n} given by modulus + coordinates
     if args.modulus is None or args.element is None:
         raise UsageError("test normal needs --modulus and --element")
@@ -203,12 +207,7 @@ def cmd_test(args) -> int:
     if ext.trace(a) == field.zero:
         sys.stdout.write("false (zero trace)\n")
         return EXIT_OK
-    if oracle.is_normal(a, ext):
-        sys.stdout.write("true\n")
-    else:
-        rank = oracle.rank_over_field(oracle.conjugate_matrix(a, ext), field)
-        sys.stdout.write(f"false (conjugate rank {rank} < {ext.degree})\n")
-    return EXIT_OK
+    return _report_normality(a, ext)
 
 
 def cmd_witness(args) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import os
 
+from . import counting
 from .errors import BudgetExceeded, VerificationError
 
 ELEMENT_BUDGET_DEFAULT = 2**20
@@ -36,26 +37,20 @@ def resolve_budget(budget, default):
     return default
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+def check_element_budget(order: int, budget=None) -> int:
+    """The resolved element budget, or BudgetExceeded when a field of the
+    given order has more elements than it allows."""
+    cap = resolve_budget(budget, ELEMENT_BUDGET_DEFAULT)
+    if order > cap:
+        raise BudgetExceeded(f"field has {order} elements, budget is {cap}")
+    return cap
 
 
 class PrimeField:
     """The prime field F_p with elements represented as integers in [0, p)."""
 
     def __init__(self, p: int):
-        if not _is_prime(p):
+        if not counting.is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.char = p
@@ -96,6 +91,7 @@ class PrimeField:
         return pow(a, e, self.p)
 
     def elements(self, budget=None):
+        check_element_budget(self.p, budget)
         return iter(range(self.p))
 
     def index(self, a) -> int:
@@ -280,20 +276,6 @@ def pinv_mod(F, a, mod):
     return pmod(F, pscale(F, s0, F.inv(r0[0])), mod)
 
 
-def _prime_factors(n: int):
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def pirreducible(F, f) -> bool:
     """Rabin's test: x^(q^d) == x mod f, and for every prime r | d the
     polynomial x^(q^(d/r)) - x is coprime to f."""
@@ -305,7 +287,7 @@ def pirreducible(F, f) -> bool:
     f = pmonic(F, f)
     q = F.order
     x = (F.zero, F.one)
-    for r in _prime_factors(d):
+    for r in counting.factorize(d):
         h = psub(F, ppow_mod(F, x, q ** (d // r), f), x)
         if pdeg(pgcd(F, h, f)) != 0:
             return False
@@ -318,6 +300,31 @@ def peval(F, coeffs, a):
     for c in reversed(coeffs):
         acc = F.add(F.mul(acc, a), c)
     return acc
+
+
+def row_reduce(rows, F):
+    """Gauss-Jordan elimination over F with first-nonzero pivots.
+
+    Returns (rank, pivot columns, reduced rows): row r < rank is the one
+    with a one in pivot column r and zeros in every other pivot column;
+    the rows from rank on are zero."""
+    work = [list(r) for r in rows]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][c] != F.zero), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = F.inv(work[r][c])
+        work[r] = [F.mul(x, inv) for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != F.zero:
+                fac = work[i][c]
+                work[i] = [F.sub(x, F.mul(fac, y)) for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+    return len(pivots), pivots, work
 
 
 def first_irreducible(F, degree: int):
@@ -445,11 +452,7 @@ class ExtensionField:
 
     def elements(self, budget=None):
         """Every element exactly once, in lexicographic coefficient order."""
-        cap = resolve_budget(budget, ELEMENT_BUDGET_DEFAULT)
-        if self.order > cap:
-            raise BudgetExceeded(
-                f"field has {self.order} elements, budget is {cap}"
-            )
+        check_element_budget(self.order, budget)
         base_elems = [self.base.from_index(i) for i in range(self.base.order)]
         return itertools.product(base_elems, repeat=self.degree)
 
@@ -528,7 +531,5 @@ def extension(field, n: int, modulus=None) -> ExtensionField:
 
 def field_of_order(q: int):
     """F_q for a prime power q, built from deterministic moduli."""
-    from . import counting
-
     p, k = counting.prime_power_split(q)
     return base_field(p, k)

@@ -11,6 +11,7 @@ the operators' F_p matrices.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -74,17 +75,11 @@ def evaluate(l: QPoly, a, ext):
     return acc
 
 
-_OP_TABLES: dict = {}
-
-
+@functools.lru_cache(maxsize=128)
 def _op_tables(ext):
-    tabs = _OP_TABLES.get(ext)
-    if tabs is None:
-        dim = ext.prime_dim
-        frob = _linalg.frobenius_matrix(ext).astype(np.int64)
-        tabs = {"fpows": [np.eye(dim, dtype=np.int64), frob], "smats": {}}
-        _OP_TABLES[ext] = tabs
-    return tabs
+    dim = ext.prime_dim
+    frob = _linalg.frobenius_matrix(ext).astype(np.int64)
+    return {"fpows": [np.eye(dim, dtype=np.int64), frob], "smats": {}}
 
 
 def _scalar_matrix(ext, c):
@@ -239,9 +234,7 @@ def _survivor_mask(fact: SymbolicFactorization, ext, budget=None):
     fact.validate()
     if ext.base != fact.field:
         raise ValueError("factorization does not live over ext's base field")
-    cap = gf.resolve_budget(budget, gf.ELEMENT_BUDGET_DEFAULT)
-    if ext.order > cap:
-        raise BudgetExceeded(f"field has {ext.order} elements, budget is {cap}")
+    gf.check_element_budget(ext.order, budget)
     full = fact.associate()
     if not (x_pow_minus_one(ext.degree, fact.field) % full).is_zero():
         raise ValueError(

@@ -4,10 +4,11 @@ Everything here counts by looking at actual elements and actual polynomials.
 The per-element normality test runs two independent criteria and insists
 they agree: the definitional one (the conjugates' coordinate matrix has full
 rank over F_q) and the gcd one (x^n - 1 is coprime to the polynomial whose
-coefficients are the conjugates).  Whole-field and whole-degree scans use
-the same predicates expressed as batched F_p linear algebra so that budgets
-up to 2^20 elements stay practical; the batched paths are cross-checked
-against the per-element ones in the test suite.
+coefficients are the conjugates).  Whole-field counts and whole-degree
+scans use the rank predicate expressed as batched F_p linear algebra, at
+every field size, so that budgets up to 2^20 elements stay practical.  The
+per-element count (count_normal_elements with method="pure") is kept as
+the reference the batched count is tested against.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from . import _linalg, counting, gf, polyring
 from .errors import BudgetExceeded, VerificationError
 from .polyring import Poly
 
-PURE_SCAN_LIMIT = 2**9
 _RANK_CHUNK = 2**15
 
 
@@ -37,30 +37,8 @@ def conjugate_matrix(a, ext) -> list:
 
 
 def rank_over_field(rows, field) -> int:
-    """Gaussian elimination over an arbitrary field, first-nonzero pivots."""
-    work = [list(r) for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for c in range(ncols):
-        piv = next(
-            (i for i in range(rank, len(work)) if work[i][c] != field.zero), None
-        )
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = field.inv(work[rank][c])
-        work[rank] = [field.mul(x, inv) for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][c] != field.zero:
-                fac = work[i][c]
-                work[i] = [
-                    field.sub(x, field.mul(fac, y))
-                    for x, y in zip(work[i], work[rank])
-                ]
-        rank += 1
-    return rank
+    """Rank of a list of rows over an arbitrary field (gf.row_reduce)."""
+    return gf.row_reduce(rows, field)[0]
 
 
 def is_normal(a, ext) -> bool:
@@ -118,17 +96,14 @@ def extension_for(q: int, n: int):
     return gf.extension(gf.field_of_order(q), n)
 
 
-def count_normal_elements(ext, budget=None, method: str = "auto") -> int:
+def count_normal_elements(ext, budget=None, method: str = "batched") -> int:
     """Exhaustive count of normal elements.
 
-    method="pure" walks elements through the dual-path is_normal;
-    method="batched" evaluates the same rank criterion as chunked batched
-    elimination over F_p.  "auto" picks pure for small fields."""
-    cap = gf.resolve_budget(budget, gf.ELEMENT_BUDGET_DEFAULT)
-    if ext.order > cap:
-        raise BudgetExceeded(f"field has {ext.order} elements, budget is {cap}")
-    if method == "auto":
-        method = "pure" if ext.order <= PURE_SCAN_LIMIT else "batched"
+    method="batched" (the default) evaluates the rank criterion as chunked
+    batched elimination over F_p; method="pure" walks every element through
+    the dual-path is_normal and is the reference the batched count is
+    tested against."""
+    cap = gf.check_element_budget(ext.order, budget)
     if method == "pure":
         return sum(1 for a in ext.elements(budget=cap) if is_normal(a, ext))
     if method != "batched":
@@ -141,19 +116,19 @@ def _batched_normal_count(ext) -> int:
     dim = ext.prime_dim
     k = ext.base.prime_dim
     frob = _linalg.frobenius_matrix(ext)
-    smats = _linalg.scalar_mult_matrices(ext) if k > 1 else None
+    smats = _linalg.basis_scalar_matrices(ext.base)
     total = 0
     for start in range(0, ext.order, _RANK_CHUNK):
         vecs = _linalg.all_vectors(p, dim, start, min(start + _RANK_CHUNK, ext.order))
         conj = [vecs]
         for _ in range(ext.degree - 1):
             conj.append(_linalg.apply_map(conj[-1], frob, p))
-        if smats is None:
+        if k == 1:
             rows = conj
         else:
             # Independence over F_q == full F_p-rank of the conjugates
             # scaled by every F_p-basis scalar of F_q.
-            rows = [_linalg.apply_map(c, s, p) for s in smats for c in conj]
+            rows = [_linalg.scale_coords(c, s, p) for s in smats for c in conj]
         mats = np.stack(rows, axis=1)
         total += int(_linalg.batched_rank_full(mats, p).sum())
     return total
@@ -184,12 +159,6 @@ class IrreducibleScan:
     def polys(self) -> list[Poly]:
         return [self._decode(row) for row in self.coeff_rows]
 
-    def npolys(self) -> list[Poly]:
-        return [self._decode(row) for row in self.coeff_rows[self.npoly]]
-
-    def nonzero_trace_polys(self) -> list[Poly]:
-        return [self._decode(row) for row in self.coeff_rows[self.trace_nonzero]]
-
     @property
     def count(self) -> int:
         return len(self.coeff_rows)
@@ -212,8 +181,6 @@ def _vec_ops(field):
             return ((p - x.astype(np.int16)) % p).astype(np.uint8)
 
         return vadd, vmul, vneg
-    if q > 256:
-        raise BudgetExceeded(f"scan tables are limited to field order <= 256, got {q}")
     elems = [field.from_index(i) for i in range(q)]
     add_t = np.array(
         [[field.index(field.add(a, b)) for b in elems] for a in elems], dtype=np.uint8
@@ -315,24 +282,19 @@ def _scan_impl(n: int, q: int) -> IrreducibleScan:
     irr = np.array(keep, dtype=np.int64)
 
     # Normality of the canonical root: its conjugate coordinate rows are
-    # exactly conj[0..n-1], so stack them and rank-test over F_p (scaling
-    # by the base field's F_p-basis when q is not prime).
+    # exactly conj[0..n-1], so stack them, expand each coefficient into its
+    # prime coordinates scaled by every F_p-basis scalar of F_q, and
+    # rank-test over F_p.
     mats_q = np.stack([c[irr] for c in conj[:n]], axis=1)  # (S, n, n)
     p = field.char
-    k = field.prime_dim
-    if k == 1:
-        mats_p = mats_q
-    else:
-        elems = [field.from_index(i) for i in range(q)]
-        coord_t = np.array([field.prime_coords(a) for a in elems], dtype=np.uint8)
-        blocks = []
-        for t in range(k):
-            unit = [0] * k
-            unit[t] = 1
-            s_idx = np.uint8(field.index(field.from_prime_coords(tuple(unit))))
-            scaled = vmul(s_idx, mats_q)
-            blocks.append(coord_t[scaled].reshape(len(irr), n, n * k))
-        mats_p = np.concatenate(blocks, axis=1)
+    coord_t = np.array(
+        [field.prime_coords(field.from_index(i)) for i in range(q)], dtype=np.uint8
+    )
+    coords = coord_t[mats_q].reshape(len(irr), n, n * field.prime_dim)
+    mats_p = np.concatenate(
+        [_linalg.scale_coords(coords, s, p) for s in _linalg.basis_scalar_matrices(field)],
+        axis=1,
+    )
     normal = _linalg.batched_rank_full(mats_p, p)
 
     trace_col = coeffs[irr, n - 1]

@@ -80,9 +80,6 @@ class Poly:
     def monic(self) -> "Poly":
         return Poly(self.field, gf.pmonic(self.field, self.coeffs))
 
-    def coeff(self, i: int):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero
-
     def scale(self, c) -> "Poly":
         return Poly(self.field, gf.pscale(self.field, self.coeffs, c))
 
@@ -140,10 +137,7 @@ class Poly:
 
     def evaluate(self, a):
         """Horner evaluation at a point of the coefficient field."""
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = self.field.add(self.field.mul(acc, a), c)
-        return acc
+        return gf.peval(self.field, self.coeffs, a)
 
     def derivative(self) -> "Poly":
         F = self.field
@@ -377,38 +371,6 @@ def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def _kernel_basis(rows, F):
-    """Basis of the null space of the matrix (list of row lists) over F,
-    with deterministic first-nonzero pivoting."""
-    rows = [list(r) for r in rows]
-    nvars = len(rows[0]) if rows else 0
-    pivots: dict[int, int] = {}
-    r = 0
-    for c in range(nvars):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != F.zero), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(x, inv) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != F.zero:
-                fac = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(fac, y)) for x, y in zip(rows[i], rows[r])]
-        pivots[c] = r
-        r += 1
-    basis = []
-    for free in range(nvars):
-        if free in pivots:
-            continue
-        v = [F.zero] * nvars
-        v[free] = F.one
-        for c, rr in pivots.items():
-            v[c] = F.neg(rows[rr][free])
-        basis.append(tuple(v))
-    return basis
-
-
 def _berlekamp_split(f: Poly) -> list[Poly]:
     """Deterministic full splitting of a squarefree monic f; intended for
     tiny fields where random equal-degree splitting degenerates."""
@@ -424,7 +386,15 @@ def _berlekamp_split(f: Poly) -> list[Poly]:
         cur = (cur * xq) % f
     # v(x)^q == v(x) mod f  <=>  v * (Q - I) = 0; transpose for column solve.
     a = [[F.sub(rows[i][j], F.one if i == j else F.zero) for i in range(nn)] for j in range(nn)]
-    basis = _kernel_basis(a, F)
+    # Each non-pivot column of the reduced matrix gives one null vector.
+    _, pivots, reduced = gf.row_reduce(a, F)
+    basis = []
+    for free in sorted(set(range(nn)) - set(pivots)):
+        v = [F.zero] * nn
+        v[free] = F.one
+        for r, c in enumerate(pivots):
+            v[c] = F.neg(reduced[r][free])
+        basis.append(tuple(v))
     target = len(basis)
     factors = [f]
     consts = [F.from_index(i) for i in range(F.order)]

@@ -8,6 +8,7 @@ import multiprocessing
 import random
 from fractions import Fraction
 from math import gcd as int_gcd
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +31,9 @@ from conftest import criterion
 ELEMENT_BUDGET = 2**20
 POLY_BUDGET = 2**16
 SWEEP_Q = counting.prime_powers_up_to(16)
+# `normbase verify --q 2,3,5 --n 1..12 --oracle`, recorded once so that the
+# sweep's bytes are pinned across changes to the code, not just across runs.
+GOLDEN_VERIFY_Q235 = Path(__file__).parent / "data" / "verify_q235_n1-12.csv"
 
 
 def pairs_within(qs, cap):
@@ -336,5 +340,6 @@ def test_criterion_10_determinism(tmp_path):
         assert cli.main(args + ["--out", str(first)]) == 0
         assert cli.main(args + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+        assert first.read_bytes() == GOLDEN_VERIFY_Q235.read_bytes()
         rows = first.read_text().strip().split("\n")
         assert len(rows) == 1 + 36

@@ -146,6 +146,10 @@ def test_elements_budget():
     with pytest.raises(BudgetExceeded):
         F8.elements(budget=4)
     assert len(list(F8.elements(budget=8))) == 8
+    F7 = gf.prime_field(7)
+    with pytest.raises(BudgetExceeded):
+        F7.elements(budget=6)
+    assert list(F7.elements(budget=7)) == list(range(7))
 
 
 def test_budget_env_override(monkeypatch):
@@ -244,6 +248,31 @@ def test_prime_kernel_fast_paths_match_naive_convolution(rng):
                 back = gf.padd(F, gf.pmul(F, q, bt), r)
                 assert back == gf.ptrim(F, a)
                 assert gf.pdeg(r) < gf.pdeg(bt)
+
+
+def test_row_reduce_pivots_and_null_space(rng):
+    # Every reduced row r < rank has a one at pivot r and zeros at the other
+    # pivots; each non-pivot column yields a null vector of the input.
+    for F in (gf.prime_field(2), gf.prime_field(5), gf.base_field(2, 2)):
+        for _ in range(20):
+            rows = [[F.random(rng) for _ in range(4)] for _ in range(rng.randrange(1, 5))]
+            rank, pivots, reduced = gf.row_reduce(rows, F)
+            assert rank == len(pivots) and pivots == sorted(pivots)
+            for r, c in enumerate(pivots):
+                assert [reduced[i][c] for i in range(len(rows))] == [
+                    F.one if i == r else F.zero for i in range(len(rows))
+                ]
+            assert all(x == F.zero for row in reduced[rank:] for x in row)
+            for free in sorted(set(range(4)) - set(pivots)):
+                v = [F.zero] * 4
+                v[free] = F.one
+                for r, c in enumerate(pivots):
+                    v[c] = F.neg(reduced[r][free])
+                for row in rows:
+                    acc = F.zero
+                    for x, y in zip(row, v):
+                        acc = F.add(acc, F.mul(x, y))
+                    assert acc == F.zero
 
 
 def test_field_of_order():
