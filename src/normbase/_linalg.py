@@ -11,6 +11,28 @@ from __future__ import annotations
 
 import numpy as np
 
+_UNSIGNED = (np.uint8, np.uint16, np.uint32, np.uint64)
+_SIGNED = (np.int16, np.int32, np.int64)
+
+
+def dtype_for(p: int, terms: int = 0) -> np.dtype:
+    """The numpy dtype for arithmetic mod p; every dtype of the scans is
+    chosen here, so that none of them can wrap around.
+
+    terms=0 gives the narrowest unsigned type storing residues in [0, p).
+    terms=t >= 1 gives the narrowest signed type, int16 at least, holding
+    every value of magnitude up to (p-1) + t*(p-1)^2: the largest
+    intermediate of a length-t dot product of residues, or of one
+    elimination step x - fac*y (t = 1)."""
+    if terms == 0:
+        bound, ladder = p - 1, _UNSIGNED
+    else:
+        bound, ladder = (p - 1) + terms * (p - 1) ** 2, _SIGNED
+    for dt in ladder:
+        if bound <= np.iinfo(dt).max:
+            return np.dtype(dt)
+    raise ValueError(f"arithmetic mod {p} over {terms} terms does not fit in 64 bits")
+
 
 def linear_map_matrix(func, ext) -> np.ndarray:
     """Matrix over F_p of an F_p-linear map on ext, from a plain callable.
@@ -24,7 +46,7 @@ def linear_map_matrix(func, ext) -> np.ndarray:
         unit[j] = 1
         e = ext.from_prime_coords(tuple(unit))
         cols.append(ext.prime_coords(func(e)))
-    return (np.array(cols, dtype=np.int64).T % ext.char).astype(np.uint8)
+    return (np.array(cols, dtype=np.int64).T % ext.char).astype(dtype_for(ext.char))
 
 
 def frobenius_matrix(ext) -> np.ndarray:
@@ -45,8 +67,10 @@ def basis_scalar_matrices(field) -> list[np.ndarray]:
 
 def apply_map(vectors: np.ndarray, mat: np.ndarray, p: int) -> np.ndarray:
     """(N, D) coordinate rows through a (D, D) map, reduced mod p."""
-    prod = vectors.astype(np.int32) @ mat.T.astype(np.int32)
-    return (prod % p).astype(np.uint8)
+    # int32 at least: int16 was no faster overall for these shapes.
+    wide = np.promote_types(dtype_for(p, mat.shape[1]), np.int32)
+    prod = vectors.astype(wide) @ mat.T.astype(wide)
+    return (prod % p).astype(dtype_for(p))
 
 
 def scale_coords(vectors: np.ndarray, mat: np.ndarray, p: int) -> np.ndarray:
@@ -65,14 +89,14 @@ def all_vectors(p: int, dim: int, start: int = 0, stop: int | None = None) -> np
     if stop is None:
         stop = p**dim
     idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((len(idx), dim), dtype=np.min_scalar_type(p - 1))
+    out = np.empty((len(idx), dim), dtype=dtype_for(p))
     for j in range(dim):
         out[:, j] = (idx // p ** (dim - 1 - j)) % p
     return out
 
 
-def inverse_table(p: int) -> np.ndarray:
-    return np.array([0] + [pow(i, -1, p) for i in range(1, p)], dtype=np.int16)
+def inverse_table(p: int, dtype) -> np.ndarray:
+    return np.array([0] + [pow(i, -1, p) for i in range(1, p)], dtype=dtype)
 
 
 def _batched_rank_full_gf2(mats: np.ndarray) -> np.ndarray:
@@ -109,10 +133,11 @@ def batched_rank_full(mats: np.ndarray, p: int) -> np.ndarray:
         raise ValueError("expected a (B, m, m) batch")
     if p == 2 and mats.shape[1] <= 32:
         return _batched_rank_full_gf2(mats % 2)
-    work = (mats.astype(np.int16)) % p
+    wide = dtype_for(p, 1)
+    work = mats.astype(wide) % p
     nbatch, m, _ = work.shape
     ok = np.ones(nbatch, dtype=bool)
-    inv = inverse_table(p)
+    inv = inverse_table(p, wide)
     bidx = np.arange(nbatch)
     for c in range(m):
         col = work[:, c:, c]

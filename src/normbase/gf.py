@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
+from array import array
 
 from . import counting
 from .errors import BudgetExceeded, VerificationError
@@ -44,6 +46,14 @@ def check_element_budget(order: int, budget=None) -> int:
     if order > cap:
         raise BudgetExceeded(f"field has {order} elements, budget is {cap}")
     return cap
+
+
+def check_poly_budget(q: int, n: int, budget=None) -> None:
+    """BudgetExceeded when the q^n monic candidates of degree n over F_q
+    are more than the resolved polynomial-scan budget allows."""
+    cap = resolve_budget(budget, POLY_BUDGET_DEFAULT)
+    if q**n > cap:
+        raise BudgetExceeded(f"scanning {q}^{n} candidates exceeds the budget {cap}")
 
 
 class PrimeField:
@@ -132,6 +142,44 @@ class PrimeField:
 # ---------------------------------------------------------------------------
 
 
+# Prime-field coefficient vectors are packed into one Python int with one
+# fixed-width slot per coefficient (constant coefficient lowest), so that
+# the O(n^2) coefficient loops of pmul, pdivmod and row_reduce run inside
+# CPython's big-int arithmetic.  A slot is sized from the largest sum it
+# will hold, so no slot ever carries into the next.
+_SLOT_CODES = tuple((code, 8 * array(code).itemsize) for code in "BHIQ")
+
+# Below this much work per call (coefficient products of pmul and pdivmod,
+# matrix entries of row_reduce) packing costs more than it saves; the many
+# tiny calls of ExtensionField.mul over small fields live there.
+_PACK_MIN_WORK = 64
+
+
+def _slot(bound: int):
+    """(array typecode, bit width) of the narrowest slot holding values up
+    to bound, or None when no 8-byte slot is wide enough."""
+    for code, w in _SLOT_CODES:
+        if bound >> w == 0:
+            return code, w
+    return None
+
+
+def _pack(coeffs, slot) -> int:
+    words = array(slot[0], coeffs)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return int.from_bytes(words.tobytes(), "little")
+
+
+def _unpack(x: int, n: int, slot) -> array:
+    """The n slots of x, lowest first, as unreduced integers."""
+    words = array(slot[0])
+    words.frombytes(x.to_bytes(n * slot[1] // 8, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
 def ptrim(F, c):
     c = tuple(c)
     end = len(c)
@@ -172,9 +220,13 @@ def pmul(F, a, b):
     if not a or not b:
         return ()
     if isinstance(F, PrimeField):
-        # Hot path: integer convolution with one reduction per coefficient.
         p = F.p
         la, lb = len(a), len(b)
+        if la * lb >= _PACK_MIN_WORK and (slot := _slot(min(la, lb) * (p - 1) ** 2)):
+            # Kronecker substitution: each product slot holds an exact
+            # convolution sum, so one big-int product does every step.
+            prod = _pack(a, slot) * _pack(b, slot)
+            return ptrim(F, [c % p for c in _unpack(prod, la + lb - 1, slot)])
         out = []
         for k in range(la + lb - 1):
             s = 0
@@ -214,10 +266,29 @@ def pdivmod(F, a, b):
     if isinstance(F, PrimeField):
         p = F.p
         inv_lead = pow(b[-1], -1, p)
+        la, lb = len(a), len(b)
+        steps = la - lb + 1
+        quo = [0] * steps
+        if steps * lb >= _PACK_MIN_WORK and (
+            slot := _slot((p - 1) + min(steps, lb) * (p - 1) ** 2)
+        ):
+            # Lazy reduction: add (p - fac) * b instead of subtracting
+            # fac * b, so slots never borrow, and reduce a slot mod p only
+            # when it is read.
+            w = slot[1]
+            mask = (1 << w) - 1
+            rem = _pack(a, slot)
+            bb = _pack(b, slot)
+            for shift in range(steps - 1, -1, -1):
+                coef = (rem >> (shift + lb - 1) * w & mask) % p
+                if coef:
+                    fac = coef * inv_lead % p
+                    quo[shift] = fac
+                    rem += (p - fac) * bb << shift * w
+            low = _unpack(rem & (1 << (lb - 1) * w) - 1, lb - 1, slot)
+            return ptrim(F, quo), ptrim(F, [c % p for c in low])
         rem = list(a)
-        lb = len(b)
-        quo = [0] * (len(a) - lb + 1)
-        for shift in range(len(a) - lb, -1, -1):
+        for shift in range(steps - 1, -1, -1):
             coef = rem[shift + lb - 1]
             if coef:
                 fac = coef * inv_lead % p
@@ -308,8 +379,14 @@ def row_reduce(rows, F):
     Returns (rank, pivot columns, reduced rows): row r < rank is the one
     with a one in pivot column r and zeros in every other pivot column;
     the rows from rank on are zero."""
+    ncols = len(rows[0]) if rows else 0
+    if isinstance(F, PrimeField):
+        p = F.p
+        if len(rows) * ncols >= _PACK_MIN_WORK and (
+            slot := _slot((p - 1) + len(rows) * (p - 1) ** 2)
+        ):
+            return _row_reduce_packed(rows, p, ncols, slot)
     work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
     pivots = []
     for c in range(ncols):
         r = len(pivots)
@@ -325,6 +402,33 @@ def row_reduce(rows, F):
                 work[i] = [F.sub(x, F.mul(fac, y)) for x, y in zip(work[i], work[r])]
         pivots.append(c)
     return len(pivots), pivots, work
+
+
+def _row_reduce_packed(rows, p, ncols, slot):
+    """row_reduce over F_p on packed rows, lazily reduced as in pdivmod:
+    a row gains (p - fac) * pivot row at each of at most len(rows) steps,
+    and an entry is reduced mod p only when it is read."""
+    w = slot[1]
+    mask = (1 << w) - 1
+    work = [_pack(r, slot) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        at = c * w
+        piv = next((i for i in range(r, len(work)) if (work[i] >> at & mask) % p), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        row = _unpack(work[r], ncols, slot)
+        inv = pow(row[c], -1, p)
+        work[r] = pivot = _pack([x * inv % p for x in row], slot)
+        for i in range(len(work)):
+            if i != r:
+                fac = (work[i] >> at & mask) % p
+                if fac:
+                    work[i] += (p - fac) * pivot
+        pivots.append(c)
+    return len(pivots), pivots, [[x % p for x in _unpack(v, ncols, slot)] for v in work]
 
 
 def first_irreducible(F, degree: int):
@@ -358,6 +462,9 @@ class ExtensionField:
 
     def __init__(self, base, modulus):
         modulus = ptrim(base, tuple(modulus))
+        for c in modulus:
+            # the kernel's packed slots are sized for canonical coefficients
+            base.validate(c)
         degree = pdeg(modulus)
         if degree < 1:
             raise ValueError("modulus must have degree >= 1")

@@ -110,7 +110,7 @@ def operator_matrix(l: QPoly, ext):
     for i, c in enumerate(coeffs):
         if c != F.zero:
             acc += _scalar_matrix(ext, c) @ fpows[i]
-    return (acc % p).astype(np.uint8)
+    return (acc % p).astype(_linalg.dtype_for(p))
 
 
 @dataclasses.dataclass

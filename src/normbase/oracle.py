@@ -90,7 +90,7 @@ def degree_of(a, ext) -> int:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def extension_for(q: int, n: int):
     """F_{q^n} over F_q with the deterministic default moduli."""
     return gf.extension(gf.field_of_order(q), n)
@@ -168,27 +168,29 @@ def _vec_ops(field):
     """Elementwise encoded-coefficient arithmetic on numpy arrays: plain
     mod-p for prime fields, lookup tables for small extensions."""
     q = field.order
+    enc = _linalg.dtype_for(q)
     if isinstance(field, gf.PrimeField):
         p = field.p
+        wide = _linalg.dtype_for(p, 1)
 
         def vadd(x, y):
-            return ((x.astype(np.int16) + y) % p).astype(np.uint8)
+            return ((x.astype(wide) + y) % p).astype(enc)
 
         def vmul(x, y):
-            return ((x.astype(np.int16) * y) % p).astype(np.uint8)
+            return ((x.astype(wide) * y) % p).astype(enc)
 
         def vneg(x):
-            return ((p - x.astype(np.int16)) % p).astype(np.uint8)
+            return ((p - x.astype(wide)) % p).astype(enc)
 
         return vadd, vmul, vneg
     elems = [field.from_index(i) for i in range(q)]
     add_t = np.array(
-        [[field.index(field.add(a, b)) for b in elems] for a in elems], dtype=np.uint8
+        [[field.index(field.add(a, b)) for b in elems] for a in elems], dtype=enc
     )
     mul_t = np.array(
-        [[field.index(field.mul(a, b)) for b in elems] for a in elems], dtype=np.uint8
+        [[field.index(field.mul(a, b)) for b in elems] for a in elems], dtype=enc
     )
-    neg_t = np.array([field.index(field.neg(a)) for a in elems], dtype=np.uint8)
+    neg_t = np.array([field.index(field.neg(a)) for a in elems], dtype=enc)
     return (
         lambda x, y: add_t[x, y],
         lambda x, y: mul_t[x, y],
@@ -215,11 +217,12 @@ def _scan_impl(n: int, q: int) -> IrreducibleScan:
         raise BudgetExceeded(f"degree scans support field order <= 256, got {q}")
 
     vadd, vmul, vneg = _vec_ops(field)
+    enc = _linalg.dtype_for(q)
     count = q**n
     one_idx = field.index(field.one)
     # Row i holds the encoded low coefficients (a_0 .. a_{n-1}) of the i-th
     # monic candidate in lexicographic order.
-    coeffs = np.empty((count, n), dtype=np.uint8)
+    coeffs = np.empty((count, n), dtype=enc)
     idx = np.arange(count, dtype=np.int64)
     for j in range(n):
         coeffs[:, j] = (idx // q ** (n - 1 - j)) % q
@@ -231,11 +234,11 @@ def _scan_impl(n: int, q: int) -> IrreducibleScan:
         return vadd(out, vmul(x[:, n - 1 : n], neg_f))
 
     # powers[j] = x^(j*q) mod f
-    xq = np.zeros((count, n), dtype=np.uint8)
+    xq = np.zeros((count, n), dtype=enc)
     xq[:, 1] = one_idx
     for _ in range(q - 1):
         xq = shift(xq)
-    powers = [np.zeros((count, n), dtype=np.uint8)]
+    powers = [np.zeros((count, n), dtype=enc)]
     powers[0][:, 0] = one_idx
     cur = xq
     for _ in range(n - 1):
@@ -252,7 +255,7 @@ def _scan_impl(n: int, q: int) -> IrreducibleScan:
         return out
 
     # conj[i] = x^(q^i) mod f; conj[n] drives the fixed-point test.
-    conj = [np.zeros((count, n), dtype=np.uint8)]
+    conj = [np.zeros((count, n), dtype=enc)]
     conj[0][:, 1] = one_idx
     for _ in range(n):
         conj.append(frobenius_step(conj[-1]))
@@ -288,7 +291,8 @@ def _scan_impl(n: int, q: int) -> IrreducibleScan:
     mats_q = np.stack([c[irr] for c in conj[:n]], axis=1)  # (S, n, n)
     p = field.char
     coord_t = np.array(
-        [field.prime_coords(field.from_index(i)) for i in range(q)], dtype=np.uint8
+        [field.prime_coords(field.from_index(i)) for i in range(q)],
+        dtype=_linalg.dtype_for(p),
     )
     coords = coord_t[mats_q].reshape(len(irr), n, n * field.prime_dim)
     mats_p = np.concatenate(
@@ -318,9 +322,7 @@ def scan_irreducibles(n: int, q: int, budget=None) -> IrreducibleScan:
     monic candidates (so q^n is held to the polynomial-scan budget)."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    cap = gf.resolve_budget(budget, gf.POLY_BUDGET_DEFAULT)
-    if q**n > cap:
-        raise BudgetExceeded(f"scanning {q}^{n} candidates exceeds the budget {cap}")
+    gf.check_poly_budget(q, n, budget)
     return _scan_cached(n, q)
 
 

@@ -20,7 +20,7 @@ import itertools
 import random
 
 from . import counting, gf
-from .errors import BudgetExceeded, VerificationError
+from .errors import VerificationError
 
 NEG_INF = float("-inf")
 
@@ -236,11 +236,7 @@ def monic_polys(field, degree: int):
 def enumerate_monic_irreducibles(n: int, field, budget=None):
     """Every monic irreducible of degree n, in lexicographic order.  Scans
     all q^n monic candidates, so q^n must fit the polynomial-scan budget."""
-    cap = gf.resolve_budget(budget, gf.POLY_BUDGET_DEFAULT)
-    if field.order**n > cap:
-        raise BudgetExceeded(
-            f"scanning {field.order}^{n} candidates exceeds the budget {cap}"
-        )
+    gf.check_poly_budget(field.order, n, budget)
     for f in monic_polys(field, n):
         if n == 1 or is_irreducible(f):
             yield f

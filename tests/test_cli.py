@@ -86,6 +86,12 @@ def test_count_with_oracle(capsys):
     assert code == EXIT_USAGE
 
 
+def test_verify_oracle_past_the_int16_ceiling(capsys):
+    code, out, _ = run(capsys, "verify", "--q", "251", "--n", "2", "--oracle")
+    assert code == EXIT_OK
+    assert out.splitlines()[1].endswith(",62500,31250,31250")
+
+
 def test_count_budget_exceeded(capsys):
     code, _, err = run(capsys, "count", "v", "--n", "8", "--q", "2", "--oracle", "--budget", "16")
     assert code == EXIT_BUDGET

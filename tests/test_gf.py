@@ -1,6 +1,8 @@
 """Field tower arithmetic: axioms, Frobenius, trace, enumeration order."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normbase import gf
 from normbase.errors import BudgetExceeded
@@ -218,6 +220,8 @@ def test_bad_constructions_rejected():
     with pytest.raises(ValueError):
         gf.extension(gf.prime_field(3), 2, modulus=(1, 0, 2))  # not monic
     with pytest.raises(ValueError):
+        gf.extension(gf.prime_field(3), 2, modulus=(4, 0, 1))  # 4 is not in F_3
+    with pytest.raises(ValueError):
         gf.base_field(2, 1, modulus=(1, 1))
 
 
@@ -229,25 +233,88 @@ def test_field_equality_and_hash():
     assert a != c
 
 
+# One prime per slot width of the packed kernel (1, 2, 4 and 8 bytes, by
+# operand length) and 2^32 + 15, whose products fit no 8-byte slot.
+KERNEL_PRIMES = (2, 3, 181, 251, 257, 65521, 2**32 + 15)
+
+
+def naive_convolution(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def check_prime_kernel(F, a, b):
+    p = F.p
+    a, b = gf.ptrim(F, a), gf.ptrim(F, b)
+    if a and b:
+        assert gf.pmul(F, a, b) == gf.ptrim(F, naive_convolution(a, b, p))
+    if b:
+        q, r = gf.pdivmod(F, a, b)
+        assert all(0 <= c < p for c in q + r)
+        assert gf.padd(F, gf.pmul(F, q, b), r) == a
+        assert gf.pdeg(r) < gf.pdeg(b)
+
+
 def test_prime_kernel_fast_paths_match_naive_convolution(rng):
-    # pmul/pdivmod take an integer-specialized branch for prime fields; pin
-    # it against a naive in-test schoolbook reference
-    for p in (2, 3, 5, 13):
+    # pmul/pdivmod take an integer-specialized branch for prime fields,
+    # packed above a work crossover; pin both sides of it against a naive
+    # in-test schoolbook reference
+    shapes = [(1, 1), (3, 5), (8, 8), (9, 7), (12, 5), (64, 64), (70, 200), (300, 260), (257, 3)]
+    for p in KERNEL_PRIMES:
         F = gf.prime_field(p)
-        for _ in range(40):
-            a = tuple(rng.randrange(p) for _ in range(rng.randrange(1, 8)))
-            b = tuple(rng.randrange(p) for _ in range(rng.randrange(1, 6)))
-            naive = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                for j, y in enumerate(b):
-                    naive[i + j] = (naive[i + j] + x * y) % p
-            assert gf.pmul(F, gf.ptrim(F, a), gf.ptrim(F, b)) == gf.ptrim(F, naive)
-            bt = gf.ptrim(F, b)
-            if bt:
-                q, r = gf.pdivmod(F, gf.ptrim(F, a), bt)
-                back = gf.padd(F, gf.pmul(F, q, bt), r)
-                assert back == gf.ptrim(F, a)
-                assert gf.pdeg(r) < gf.pdeg(bt)
+        for la, lb in shapes + [(rng.randrange(1, 300), rng.randrange(1, 300)) for _ in range(4)]:
+            a = [rng.randrange(p) for _ in range(la - 1)] + [rng.randrange(1, p)]
+            b = [rng.randrange(p) for _ in range(lb - 1)] + [rng.randrange(1, p)]
+            check_prime_kernel(F, a, b)
+            check_prime_kernel(F, b, a)
+            # all-maximal coefficients fill every slot to its bound
+            check_prime_kernel(F, [p - 1] * la, [p - 1] * lb)
+
+
+@st.composite
+def prime_kernel_operands(draw):
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    coeffs = st.lists(st.integers(0, p - 1), max_size=120)
+    return p, draw(coeffs), draw(coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(prime_kernel_operands())
+def test_prime_kernel_property(operands):
+    p, a, b = operands
+    check_prime_kernel(gf.prime_field(p), a, b)
+
+
+class OpaqueField:
+    """A prime field behind an object that is not a PrimeField, so that
+    row_reduce runs its generic loop on it."""
+
+    def __init__(self, F):
+        self.F = F
+        self.zero, self.one = F.zero, F.one
+
+    def __getattr__(self, name):
+        return getattr(self.F, name)
+
+
+def test_row_reduce_packed_matches_generic_loop(rng):
+    # Rank-deficient products (nrows x r) @ (r x ncols), reduced by the
+    # packed prime-field path and by the generic loop.
+    for p in (2, 3, 251):
+        F = gf.prime_field(p)
+        for nrows, ncols, r in ((60, 60, 45), (60, 40, 12), (25, 60, 20), (9, 8, 5), (3, 3, 2), (1, 70, 1)):
+            left = [[rng.randrange(p) for _ in range(r)] for _ in range(nrows)]
+            right = [[rng.randrange(p) for _ in range(ncols)] for _ in range(r)]
+            rows = [
+                [sum(x * right[k][j] for k, x in enumerate(row)) % p for j in range(ncols)]
+                for row in left
+            ]
+            got = gf.row_reduce(rows, F)
+            assert got == gf.row_reduce(rows, OpaqueField(F)), (p, nrows, ncols)
+            assert got[0] <= r
 
 
 def test_row_reduce_pivots_and_null_space(rng):

@@ -98,6 +98,31 @@ def test_count_normal_elements_examples(f2):
         assert count_normal_elements(ext) == q - 1
 
 
+def test_counts_past_the_int16_ceiling():
+    # (p-1)^2 overflows int16 from p = 191 on, and residues overflow uint8
+    # at p = 257
+    for q in (241, 251, 257):
+        ext = extension_for(q, 2)
+        assert count_normal_elements(ext) == counting.normal_element_count(2, q), q
+    for q in (241, 251):
+        scan = scan_irreducibles(2, q)
+        assert scan.count == counting.total_irr_count(2, q), q
+        report = counting.build_report(q, 2)
+        assert int(scan.trace_nonzero.sum()) == report.irr_nonzero_trace, q
+        assert int(scan.npoly.sum()) == report.nb_count, q
+    assert scan.count == 31375
+
+
+def test_dtype_for_keeps_small_primes_narrow():
+    assert _linalg.dtype_for(2) == np.uint8 and _linalg.dtype_for(251) == np.uint8
+    assert _linalg.dtype_for(257) == np.uint16
+    assert _linalg.dtype_for(181, 1) == np.int16
+    assert _linalg.dtype_for(191, 1) == np.int32
+    assert _linalg.dtype_for(2**20 - 3, 20) == np.int64
+    with pytest.raises(ValueError):
+        _linalg.dtype_for(2**32 + 15, 1)
+
+
 def test_count_methods_agree():
     for q, n in SMALL_EXTENSIONS:
         ext = extension_for(q, n)
@@ -298,14 +323,14 @@ def test_survivor_claims_exhaustive_to_spec_scale(rng):
 
 
 def test_linalg_kernels_agree_with_pure_rank(rng):
-    for p in (2, 3, 5, 7):
+    for p in (2, 3, 5, 7, 181, 191, 251, 257):
         field = gf.prime_field(p)
         mats = np.array(
             [
                 [[rng.randrange(p) for _ in range(5)] for _ in range(5)]
                 for _ in range(64)
             ],
-            dtype=np.uint8,
+            dtype=_linalg.dtype_for(p),
         )
         got = _linalg.batched_rank_full(mats, p)
         for i in range(64):
