@@ -82,10 +82,22 @@ def scale_coords(vectors: np.ndarray, mat: np.ndarray, p: int) -> np.ndarray:
     return apply_map(blocks, mat, p).reshape(vectors.shape)
 
 
+def independent_over_base(coords: np.ndarray, smats: list[np.ndarray], p: int) -> np.ndarray:
+    """For a (B, n, n*k) batch of n elements each of a degree-n extension of
+    F_q, q = p^k, given by prime coordinates, whether each member's n
+    elements are independent over F_q.  That is full F_p-rank of the
+    elements scaled by every F_p-basis scalar of F_q (smats, from
+    basis_scalar_matrices); over a prime field it is the rank of coords."""
+    if len(smats) > 1:
+        coords = np.concatenate([scale_coords(coords, s, p) for s in smats], axis=1)
+    return batched_rank_full(coords, p)
+
+
 def all_vectors(p: int, dim: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     """Base-p digit rows for indices [start, stop), most significant digit
     first.  Row i equals prime_coords(from_index(start + i)) of a field of
-    order p^dim, so numpy scans walk elements in the canonical order."""
+    order p^dim, so numpy scans walk elements in the canonical order.  The
+    degree scan passes a prime power q to enumerate encoded F_q vectors."""
     if stop is None:
         stop = p**dim
     idx = np.arange(start, stop, dtype=np.int64)

@@ -15,18 +15,39 @@ import math
 from .errors import VerificationError
 
 
+# Miller-Rabin bases: the first 13 primes.  Every composite below
+# _MR_EXACT_BELOW has a witness among them (Sorenson & Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 2017); the first twelve
+# alone miss 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin.  "Composite" is proven at every size by
+    a witness; "prime" is proven below _MR_EXACT_BELOW, and a larger n that
+    no base witnesses raises ValueError instead of being guessed prime."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"cannot prove {n} prime: it is a strong probable prime above 3.3e24")
     return True
 
 
@@ -72,26 +93,40 @@ def euler_phi(d: int) -> int:
     return out
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by integer Newton iteration from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _prime_power_root(q: int) -> tuple[int, int] | None:
+    """(p, k) with q = p^k and p prime, or None; ValueError from is_prime
+    (a probable prime too large to prove) passes through."""
+    if q < 2:
+        return None
+    if is_prime(q):
+        return q, 1
+    for k in range(2, q.bit_length()):
+        r = _iroot(q, k)
+        if r**k == q and is_prime(r):
+            return r, k
+    return None
+
+
 def prime_power_split(q: int) -> tuple[int, int]:
     """q = p^k with p prime, or ValueError."""
-    if q < 2:
+    split = _prime_power_root(q)
+    if split is None:
         raise ValueError(f"{q} is not a prime power")
-    p = min(factorize(q))
-    k = 0
-    while q % p == 0:
-        q //= p
-        k += 1
-    if q != 1:
-        raise ValueError(f"{q * p**k} is not a prime power")
-    return p, k
+    return split
 
 
 def is_prime_power(q: int) -> bool:
-    try:
-        prime_power_split(q)
-        return True
-    except ValueError:
-        return False
+    return _prime_power_root(q) is not None
 
 
 def prime_powers_up_to(limit: int) -> list[int]:

@@ -7,8 +7,10 @@ rank over F_q) and the gcd one (x^n - 1 is coprime to the polynomial whose
 coefficients are the conjugates).  Whole-field counts and whole-degree
 scans use the rank predicate expressed as batched F_p linear algebra, at
 every field size, so that budgets up to 2^20 elements stay practical.  The
-per-element count (count_normal_elements with method="pure") is kept as
-the reference the batched count is tested against.
+degree scan runs in numpy from end to end: a fixed-point screen, Rabin's
+coprimality conditions as batched invertibility tests, and the normality
+test.  The per-element count (count_normal_elements with method="pure")
+is kept as the reference the batched count is tested against.
 """
 
 from __future__ import annotations
@@ -113,24 +115,15 @@ def count_normal_elements(ext, budget=None, method: str = "batched") -> int:
 
 def _batched_normal_count(ext) -> int:
     p = ext.char
-    dim = ext.prime_dim
-    k = ext.base.prime_dim
     frob = _linalg.frobenius_matrix(ext)
     smats = _linalg.basis_scalar_matrices(ext.base)
     total = 0
     for start in range(0, ext.order, _RANK_CHUNK):
-        vecs = _linalg.all_vectors(p, dim, start, min(start + _RANK_CHUNK, ext.order))
+        vecs = _linalg.all_vectors(p, ext.prime_dim, start, min(start + _RANK_CHUNK, ext.order))
         conj = [vecs]
         for _ in range(ext.degree - 1):
             conj.append(_linalg.apply_map(conj[-1], frob, p))
-        if k == 1:
-            rows = conj
-        else:
-            # Independence over F_q == full F_p-rank of the conjugates
-            # scaled by every F_p-basis scalar of F_q.
-            rows = [_linalg.scale_coords(c, s, p) for s in smats for c in conj]
-        mats = np.stack(rows, axis=1)
-        total += int(_linalg.batched_rank_full(mats, p).sum())
+        total += int(_linalg.independent_over_base(np.stack(conj, axis=1), smats, p).sum())
     return total
 
 
@@ -217,35 +210,30 @@ def _scan_impl(n: int, q: int) -> IrreducibleScan:
         raise BudgetExceeded(f"degree scans support field order <= 256, got {q}")
 
     vadd, vmul, vneg = _vec_ops(field)
-    enc = _linalg.dtype_for(q)
-    count = q**n
     one_idx = field.index(field.one)
     # Row i holds the encoded low coefficients (a_0 .. a_{n-1}) of the i-th
     # monic candidate in lexicographic order.
-    coeffs = np.empty((count, n), dtype=enc)
-    idx = np.arange(count, dtype=np.int64)
-    for j in range(n):
-        coeffs[:, j] = (idx // q ** (n - 1 - j)) % q
+    coeffs = _linalg.all_vectors(q, n)
     neg_f = vneg(coeffs)  # x^n mod f, per candidate
 
-    def shift(x):
+    def shift(x, neg_f):
         out = np.zeros_like(x)
         out[:, 1:] = x[:, :-1]
         return vadd(out, vmul(x[:, n - 1 : n], neg_f))
 
     # powers[j] = x^(j*q) mod f
-    xq = np.zeros((count, n), dtype=enc)
+    xq = np.zeros_like(coeffs)
     xq[:, 1] = one_idx
     for _ in range(q - 1):
-        xq = shift(xq)
-    powers = [np.zeros((count, n), dtype=enc)]
+        xq = shift(xq, neg_f)
+    powers = [np.zeros_like(coeffs)]
     powers[0][:, 0] = one_idx
     cur = xq
     for _ in range(n - 1):
         powers.append(cur)
         nxt = cur
         for _ in range(q):
-            nxt = shift(nxt)
+            nxt = shift(nxt, neg_f)
         cur = nxt
 
     def frobenius_step(c):
@@ -255,57 +243,49 @@ def _scan_impl(n: int, q: int) -> IrreducibleScan:
         return out
 
     # conj[i] = x^(q^i) mod f; conj[n] drives the fixed-point test.
-    conj = [np.zeros((count, n), dtype=enc)]
+    conj = [np.zeros_like(coeffs)]
     conj[0][:, 1] = one_idx
     for _ in range(n):
         conj.append(frobenius_step(conj[-1]))
 
-    fixed = (conj[n] == conj[0]).all(axis=1)
-    candidates = np.nonzero(fixed)[0]
+    surv = np.nonzero((conj[n] == conj[0]).all(axis=1))[0]
+    coeffs, neg_f = coeffs[surv], neg_f[surv]
+    conj = [c[surv] for c in conj[:n]]
 
-    # Exact completion on the few fixed-point survivors: for each prime
-    # r | n the polynomial x^(q^(n/r)) - x must be coprime to f.
-    x_coeffs = (field.zero, field.one)
-    sub_degrees = [n // r for r in counting.factorize(n)]
-    keep = []
-    for i in candidates.tolist():
-        f_coeffs = tuple(field.from_index(int(v)) for v in coeffs[i]) + (field.one,)
-        good = True
-        for nd in sub_degrees:
-            g = gf.psub(
-                field,
-                tuple(field.from_index(int(v)) for v in conj[nd][i]),
-                x_coeffs,
-            )
-            if gf.pdeg(gf.pgcd(field, g, f_coeffs)) != 0:
-                good = False
-                break
-        if good:
-            keep.append(i)
-    irr = np.array(keep, dtype=np.int64)
-
-    # Normality of the canonical root: its conjugate coordinate rows are
-    # exactly conj[0..n-1], so stack them, expand each coefficient into its
-    # prime coordinates scaled by every F_p-basis scalar of F_q, and
-    # rank-test over F_p.
-    mats_q = np.stack([c[irr] for c in conj[:n]], axis=1)  # (S, n, n)
+    # Rank tests over F_p: n encoded F_q-vectors of length n per candidate
+    # are expanded into prime coordinates and tested for F_q-independence.
     p = field.char
     coord_t = np.array(
         [field.prime_coords(field.from_index(i)) for i in range(q)],
         dtype=_linalg.dtype_for(p),
     )
-    coords = coord_t[mats_q].reshape(len(irr), n, n * field.prime_dim)
-    mats_p = np.concatenate(
-        [_linalg.scale_coords(coords, s, p) for s in _linalg.basis_scalar_matrices(field)],
-        axis=1,
-    )
-    normal = _linalg.batched_rank_full(mats_p, p)
+    smats = _linalg.basis_scalar_matrices(field)
 
-    trace_col = coeffs[irr, n - 1]
+    def independent(rows):
+        coords = coord_t[np.stack(rows, axis=1)].reshape(len(rows[0]), n, n * field.prime_dim)
+        return _linalg.independent_over_base(coords, smats, p)
+
+    # Rabin's completion on the survivors: for each prime r | n the
+    # polynomial g = x^(q^(n/r)) - x must be coprime to f, i.e.
+    # multiplication by g mod f, whose rows are g*x^j mod f, is invertible.
+    irreducible = np.ones(len(surv), dtype=bool)
+    neg_one = field.index(field.neg(field.one))
+    for r in counting.factorize(n):
+        g = conj[n // r].copy()
+        g[:, 1] = vadd(g[:, 1], neg_one)
+        rows = [g]
+        for _ in range(n - 1):
+            rows.append(shift(rows[-1], neg_f))
+        irreducible &= independent(rows)
+
+    # Normality of the canonical root: its conjugates are conj[0..n-1].
+    normal = independent([c[irreducible] for c in conj])
+
+    trace_col = coeffs[irreducible, n - 1]
     return IrreducibleScan(
         n=n,
         field=field,
-        coeff_rows=coeffs[irr],
+        coeff_rows=coeffs[irreducible],
         trace_nonzero=trace_col != 0,
         npoly=normal,
         trace_counts=np.bincount(trace_col, minlength=q).astype(np.int64),

@@ -75,6 +75,8 @@ def test_count_values(capsys):
     assert run(capsys, "count", "nb", "--n", "4", "--q", "2") == (EXIT_OK, "2\n", "")
     assert run(capsys, "count", "irr-trace", "--n", "7", "--q", "2") == (EXIT_OK, "9\n", "")
     assert run(capsys, "count", "irr-total", "--n", "3", "--q", "2") == (EXIT_OK, "2\n", "")
+    # a large prime q is recognised at once (Miller-Rabin, not trial division)
+    assert run(capsys, "count", "v", "--n", "1", "--q", str(2**61 - 1)) == (EXIT_OK, f"{2**61 - 2}\n", "")
 
 
 def test_count_with_oracle(capsys):

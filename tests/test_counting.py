@@ -1,11 +1,12 @@
 """Closed-form counts, the inequality, and its equality classification."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
-from normbase import counting
+from normbase import counting, gf
 from normbase.counting import (
     CSV_COLUMNS,
     build_report,
@@ -14,6 +15,7 @@ from normbase.counting import (
     euler_phi,
     inequality_sides,
     irr_count_trace,
+    is_prime,
     is_prime_power,
     is_primitive_root,
     moebius,
@@ -64,6 +66,31 @@ def test_prime_power_split():
             prime_power_split(bad)
     assert prime_powers_up_to(16) == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
     assert is_prime_power(27) and not is_prime_power(10)
+
+
+def test_is_prime_matches_sieve():
+    limit = 10**5
+    sieve = [False, False] + [True] * (limit - 2)
+    for i in range(2, 317):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(range(i * i, limit, i))
+    assert [is_prime(n) for n in range(limit)] == sieve
+
+
+def test_primality_of_large_inputs():
+    # Miller-Rabin answers these at once; trial division ran for minutes
+    start = time.perf_counter()
+    assert gf.prime_field(2**61 - 1).p == 2**61 - 1
+    assert prime_power_split((2**31 - 1) ** 2) == (2**31 - 1, 2)
+    assert prime_power_split(3**40) == (3, 40)
+    assert time.perf_counter() - start < 2
+    # strong pseudoprime to the bases 2..37, caught by base 41
+    assert not is_prime(318665857834031151167461)
+    # strong pseudoprime to the bases 2..41: unprovable, so an error,
+    # which is_prime_power must not read as "not a prime power"
+    for q in (3317044064679887385961981, 3317044064679887385961981**2):
+        with pytest.raises(ValueError, match="cannot prove"):
+            is_prime_power(q)
 
 
 def test_mult_order():

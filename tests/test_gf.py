@@ -234,8 +234,9 @@ def test_field_equality_and_hash():
 
 
 # One prime per slot width of the packed kernel (1, 2, 4 and 8 bytes, by
-# operand length) and 2^32 + 15, whose products fit no 8-byte slot.
-KERNEL_PRIMES = (2, 3, 181, 251, 257, 65521, 2**32 + 15)
+# operand length) and 2^32 + 15 and 2^61 - 1, whose products fit no 8-byte
+# slot.
+KERNEL_PRIMES = (2, 3, 181, 251, 257, 65521, 2**32 + 15, 2**61 - 1)
 
 
 def naive_convolution(a, b, p):

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normbase import _linalg, counting, gf, polyring
 from normbase.errors import BudgetExceeded
@@ -194,8 +196,11 @@ def test_count_npolys_and_traces_examples():
 
 def test_scan_matches_pure_enumeration():
     # the vectorized scan must reproduce the lazy scanner and the
-    # per-polynomial N-test exactly, including order
-    for q, n in [(2, 2), (2, 3), (2, 4), (2, 6), (2, 8), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2), (7, 2), (8, 2), (9, 2)]:
+    # per-polynomial N-test exactly, including order; the composite degrees
+    # 10, 6 and 4 have reducible survivors of the fixed-point screen (at
+    # n = 6, a product of two distinct cubics) for Rabin's completion to reject
+    cases = [(2, 2), (2, 3), (2, 4), (2, 6), (2, 8), (2, 10), (3, 2), (3, 3), (3, 4), (3, 6), (4, 2), (4, 3), (4, 4), (5, 2), (7, 2), (8, 2), (9, 2)]
+    for q, n in cases:
         field = gf.field_of_order(q)
         scan = scan_irreducibles(n, q)
         slow = list(enumerate_monic_irreducibles(n, field))
@@ -323,19 +328,26 @@ def test_survivor_claims_exhaustive_to_spec_scale(rng):
 
 
 def test_linalg_kernels_agree_with_pure_rank(rng):
-    for p in (2, 3, 5, 7, 181, 191, 251, 257):
+    # Every odd batch member is singular, one row a combination of the
+    # others, so the singular path is hit at large p too.  p = 65521
+    # eliminates in int64, and 33 columns are past the packed GF(2) kernel.
+    cases = [(p, 5, 64) for p in (2, 3, 5, 7, 181, 191, 251, 257, 65521)] + [(2, 33, 16)]
+    for p, m, batch in cases:
         field = gf.prime_field(p)
-        mats = np.array(
-            [
-                [[rng.randrange(p) for _ in range(5)] for _ in range(5)]
-                for _ in range(64)
-            ],
-            dtype=_linalg.dtype_for(p),
-        )
+        mats = []
+        for i in range(batch):
+            rows = [[rng.randrange(p) for _ in range(m)] for _ in range(m)]
+            if i % 2:
+                r = rng.randrange(m)
+                mix = [rng.randrange(p) if s != r else 0 for s in range(m)]
+                rows[r] = [sum(c * row[j] for c, row in zip(mix, rows)) % p for j in range(m)]
+            mats.append(rows)
+        mats = np.array(mats, dtype=_linalg.dtype_for(p))
         got = _linalg.batched_rank_full(mats, p)
-        for i in range(64):
-            rows = [tuple(int(x) for x in mats[i, r]) for r in range(5)]
-            assert got[i] == (rank_over_field(rows, field) == 5)
+        assert not got[1::2].any(), p
+        for i in range(batch):
+            rows = [tuple(int(x) for x in mats[i, r]) for r in range(m)]
+            assert got[i] == (rank_over_field(rows, field) == m), (p, m, i)
 
 
 def test_all_vectors_matches_field_index_order():
@@ -344,3 +356,23 @@ def test_all_vectors_matches_field_index_order():
         vecs = _linalg.all_vectors(ext.char, ext.prime_dim)
         for i in (0, 1, ext.order // 2, ext.order - 1):
             assert tuple(int(v) for v in vecs[i]) == ext.prime_coords(ext.from_index(i))
+
+
+@st.composite
+def small_extensions(draw):
+    # the degree first, so that n = 1 does not crowd out the rest
+    n = draw(st.integers(1, 9))
+    qs = [q for q in range(2, 513) if counting.is_prime_power(q) and q**n <= 512]
+    return draw(st.sampled_from(qs)), n
+
+
+@settings(max_examples=12, deadline=None)
+@given(small_extensions())
+def test_batched_oracles_match_pure_paths(qn):
+    q, n = qn
+    ext = extension_for(q, n)
+    assert count_normal_elements(ext) == count_normal_elements(ext, method="pure")
+    scan = scan_irreducibles(n, q)
+    slow = list(enumerate_monic_irreducibles(n, gf.field_of_order(q)))
+    assert scan.polys() == slow
+    assert list(scan.npoly) == [is_n_polynomial(f) for f in slow]
