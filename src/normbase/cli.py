@@ -117,6 +117,8 @@ def cmd_verify(args) -> int:
 
 def cmd_count(args) -> int:
     q, n = parse_q_token(args.q), args.n
+    # names the stage and the point in a mismatch message
+    stage = f"count {args.kind} q={q} n={n}"
     if args.kind == "v":
         value = counting.normal_element_count(n, q)
         if args.oracle:
@@ -124,28 +126,29 @@ def cmd_count(args) -> int:
                 oracle.extension_for(q, n), budget=args.budget
             )
             if got != value:
-                raise VerificationError(f"enumeration {got} != closed form {value}")
+                raise VerificationError(f"{stage}: enumeration {got} != closed form {value}")
     elif args.kind == "nb":
         value = counting.normal_basis_count(n, q)
         if args.oracle:
             got = oracle.count_npolys_and_traces(n, q, budget=args.budget)[0]
             if got != value:
-                raise VerificationError(f"N-polynomial scan {got} != closed form {value}")
+                raise VerificationError(f"{stage}: N-polynomial scan {got} != closed form {value}")
     elif args.kind == "irr-trace":
         if args.t % q == 0:
             raise UsageError("the trace value t must be nonzero")
+        stage += f" t={args.t}"
         value = counting.irr_count_trace(n, q, args.t)
         if args.oracle:
             scan = oracle.scan_irreducibles(n, q, budget=args.budget)
             got = int(scan.trace_counts[args.t % q])
             if got != value:
-                raise VerificationError(f"trace scan {got} != closed form {value}")
+                raise VerificationError(f"{stage}: trace scan {got} != closed form {value}")
     else:  # irr-total
         value = counting.total_irr_count(n, q)
         if args.oracle:
             got = oracle.scan_irreducibles(n, q, budget=args.budget).count
             if got != value:
-                raise VerificationError(f"irreducible scan {got} != closed form {value}")
+                raise VerificationError(f"{stage}: irreducible scan {got} != closed form {value}")
     sys.stdout.write(f"{value}\n")
     return EXIT_OK
 

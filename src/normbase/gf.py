@@ -15,10 +15,13 @@ an element *is* its position in the enumeration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import sys
 from array import array
+
+import numpy as np
 
 from . import counting
 from .errors import BudgetExceeded, VerificationError
@@ -68,6 +71,10 @@ class PrimeField:
         self.degree = 1
         self.base = None
         self.prime_dim = 1
+        # packed-kernel layout: slots per element (see _slots), and the
+        # slot of one product of two elements
+        self._stride = 1
+        self._read_slot = _slot((p - 1) ** 2)
         self.zero = 0
         self.one = 1
 
@@ -142,17 +149,36 @@ class PrimeField:
 # ---------------------------------------------------------------------------
 
 
-# Prime-field coefficient vectors are packed into one Python int with one
-# fixed-width slot per coefficient (constant coefficient lowest), so that
-# the O(n^2) coefficient loops of pmul, pdivmod and row_reduce run inside
-# CPython's big-int arithmetic.  A slot is sized from the largest sum it
-# will hold, so no slot ever carries into the next.
+# Coefficient vectors over F_p, F_q = F_p[y]/(m) or any tower above them
+# are packed into one Python int of fixed-width slots, one slot per prime
+# coordinate (Kronecker substitution), so that the O(n^2) coefficient
+# loops of pmul and pdivmod (and of row_reduce, over F_p) run inside
+# CPython's big-int arithmetic.  An element of F_p takes one slot; an
+# element of a degree-k extension takes (2k - 1) times its base field's
+# stride, its k base coordinates at the first k base strides and the
+# rest zero, so the product of two canonical elements (y-degree up to
+# 2k - 2) fits in place without reduction.  Polynomial coefficient i
+# starts at slot i * stride.
+# A slot is sized from the largest sum it will hold, so no slot ever
+# carries into the next.  A raw coefficient is brought back to canonical
+# form only when it is read: its slots mod p, then the F_p-linear map
+# ExtensionField._fold, which reduces mod every modulus of the tower.
 _SLOT_CODES = tuple((code, 8 * array(code).itemsize) for code in "BHIQ")
 
-# Below this much work per call (coefficient products of pmul and pdivmod,
-# matrix entries of row_reduce) packing costs more than it saves; the many
-# tiny calls of ExtensionField.mul over small fields live there.
-_PACK_MIN_WORK = 64
+# Crossovers of the packed kernel, measured with timeit (the table is in
+# CHANGES.md).  Over F_p the schoolbook loops are plain integer code, so
+# packing pays only on larger operands; over an extension field every
+# loop step is a field multiplication, and packing pays almost at once.
+# pmul packs from _PMUL_MIN[D == 1] coefficient products; pdivmod packs
+# when lb * D and steps * lb * D reach _PDIVMOD_MIN[D == 1], D being the
+# coefficient field's prime_dim.  row_reduce packs from
+# _ROW_REDUCE_MIN_ENTRIES matrix entries.
+_PMUL_MIN = {True: 12, False: 4}
+_PDIVMOD_MIN = {True: (9, 128), False: (6, 24)}
+_ROW_REDUCE_MIN_ENTRIES = 64
+# ExtensionField.mul packs its operands from this many prime coordinates;
+# below it, pmul and pmod over the base field are faster.
+_PACKED_MUL_MIN_DIM = 4
 
 
 def _slot(bound: int):
@@ -162,6 +188,16 @@ def _slot(bound: int):
         if bound >> w == 0:
             return code, w
     return None
+
+
+def _packed_slot(F, terms: int, extra: int = 0):
+    """The slot of a packed pmul or pdivmod over F whose slots sum up to
+    terms products of prime coordinates per y-power of every level, plus
+    extra; or None when the schoolbook loop runs instead: when no 8-byte
+    slot fits, and for field objects the kernel does not know."""
+    if not isinstance(F, (PrimeField, ExtensionField)) or F._read_slot is None:
+        return None
+    return _slot(extra + terms * F.prime_dim * (F.char - 1) ** 2)
 
 
 def _pack(coeffs, slot) -> int:
@@ -178,6 +214,60 @@ def _unpack(x: int, n: int, slot) -> array:
     if sys.byteorder == "big":
         words.byteswap()
     return words
+
+
+def _slots(F, coeffs):
+    """The packed layout of canonical elements of F, one slot per entry."""
+    if isinstance(F, PrimeField):
+        return coeffs
+    base = F.base
+    pad = (0,) * ((F.degree - 1) * base._stride)
+    out = []
+    for c in coeffs:
+        out += _slots(base, c)
+        out += pad
+    return out
+
+
+def _canon(F, raw, count: int) -> list:
+    """The canonical elements of F that count raw packed elements stand
+    for (raw: their count * F._stride unreduced slots, an array)."""
+    p = F.char
+    if isinstance(F, PrimeField):
+        return [c % p for c in raw]
+    # Reduction is F_p-linear on the slots mod p, so one matrix product
+    # reduces every element at once.
+    slots = np.frombuffer(raw, dtype=raw.typecode).reshape(count, F._stride)
+    return _elements(F, (slots % p @ F._fold[0] % p).tolist())
+
+
+def _elements(F, rows) -> list:
+    """Elements of F from their prime coordinate rows."""
+    base = F.base
+    if isinstance(base, PrimeField):
+        return [tuple(r) for r in rows]
+    k = base.prime_dim
+    return [tuple(_elements(base, [r[i : i + k] for i in range(0, len(r), k)])) for r in rows]
+
+
+def _read(F, x: int, slot):
+    """The canonical element of an extension field F held raw in the low
+    slots of x: _canon for one element, summing packed rows of F._fold."""
+    p = F.char
+    acc = 0
+    for c, row in zip(_unpack(x, F._stride, slot), F._fold[1]):
+        c %= p
+        if c:
+            acc += c * row
+    coords = [c % p for c in _unpack(acc, F.prime_dim, F._read_slot)]
+    return tuple(coords) if isinstance(F.base, PrimeField) else _elements(F, [coords])[0]
+
+
+def _packed_neg(F, a, slot) -> int:
+    """-a for an element a of an extension field F, packed as one element
+    with every slot in [0, p)."""
+    p = F.char
+    return _pack([-c % p for c in _slots(F, (a,))], slot)
 
 
 def ptrim(F, c):
@@ -219,14 +309,15 @@ def pneg(F, a):
 def pmul(F, a, b):
     if not a or not b:
         return ()
+    la, lb = len(a), len(b)
+    if la * lb >= _PMUL_MIN[F.prime_dim == 1] and (slot := _packed_slot(F, min(la, lb))):
+        # Kronecker substitution: each product slot holds an exact
+        # convolution sum, so one big-int product does every step.
+        prod = _pack(_slots(F, a), slot) * _pack(_slots(F, b), slot)
+        n = la + lb - 1
+        return ptrim(F, _canon(F, _unpack(prod, n * F._stride, slot), n))
     if isinstance(F, PrimeField):
         p = F.p
-        la, lb = len(a), len(b)
-        if la * lb >= _PACK_MIN_WORK and (slot := _slot(min(la, lb) * (p - 1) ** 2)):
-            # Kronecker substitution: each product slot holds an exact
-            # convolution sum, so one big-int product does every step.
-            prod = _pack(a, slot) * _pack(b, slot)
-            return ptrim(F, [c % p for c in _unpack(prod, la + lb - 1, slot)])
         out = []
         for k in range(la + lb - 1):
             s = 0
@@ -234,7 +325,7 @@ def pmul(F, a, b):
                 s += a[i] * b[k - i]
             out.append(s % p)
         return ptrim(F, out)
-    out = [F.zero] * (len(a) + len(b) - 1)
+    out = [F.zero] * (la + lb - 1)
     for i, x in enumerate(a):
         if x == F.zero:
             continue
@@ -263,30 +354,17 @@ def pdivmod(F, a, b):
         raise ZeroDivisionError("polynomial division by zero")
     if len(a) < len(b):
         return (), a
+    la, lb = len(a), len(b)
+    steps = la - lb + 1
+    D, p = F.prime_dim, F.char
+    min_width, min_work = _PDIVMOD_MIN[D == 1]
+    if lb * D >= min_width and steps * lb * D >= min_work and (
+        slot := _packed_slot(F, min(steps, lb), p - 1)
+    ):
+        return _pdivmod_packed(F, a, b, steps, slot)
     if isinstance(F, PrimeField):
-        p = F.p
         inv_lead = pow(b[-1], -1, p)
-        la, lb = len(a), len(b)
-        steps = la - lb + 1
         quo = [0] * steps
-        if steps * lb >= _PACK_MIN_WORK and (
-            slot := _slot((p - 1) + min(steps, lb) * (p - 1) ** 2)
-        ):
-            # Lazy reduction: add (p - fac) * b instead of subtracting
-            # fac * b, so slots never borrow, and reduce a slot mod p only
-            # when it is read.
-            w = slot[1]
-            mask = (1 << w) - 1
-            rem = _pack(a, slot)
-            bb = _pack(b, slot)
-            for shift in range(steps - 1, -1, -1):
-                coef = (rem >> (shift + lb - 1) * w & mask) % p
-                if coef:
-                    fac = coef * inv_lead % p
-                    quo[shift] = fac
-                    rem += (p - fac) * bb << shift * w
-            low = _unpack(rem & (1 << (lb - 1) * w) - 1, lb - 1, slot)
-            return ptrim(F, quo), ptrim(F, [c % p for c in low])
         rem = list(a)
         for shift in range(steps - 1, -1, -1):
             coef = rem[shift + lb - 1]
@@ -298,9 +376,9 @@ def pdivmod(F, a, b):
         return ptrim(F, quo), ptrim(F, rem)
     inv_lead = F.inv(b[-1])
     rem = list(a)
-    quo = [F.zero] * (len(a) - len(b) + 1)
-    for shift in range(len(a) - len(b), -1, -1):
-        coef = rem[shift + len(b) - 1]
+    quo = [F.zero] * steps
+    for shift in range(steps - 1, -1, -1):
+        coef = rem[shift + lb - 1]
         if coef == F.zero:
             continue
         fac = F.mul(coef, inv_lead)
@@ -308,6 +386,35 @@ def pdivmod(F, a, b):
         for i, y in enumerate(b):
             rem[shift + i] = F.sub(rem[shift + i], F.mul(fac, y))
     return ptrim(F, quo), ptrim(F, rem)
+
+
+def _pdivmod_packed(F, a, b, steps, slot):
+    """pdivmod on packed operands with lazy reduction: for each quotient
+    coefficient c add (-c) * b instead of subtracting c * b, so slots
+    never borrow, and reduce a coefficient only when it is read (the
+    leading one at each step, the remainder at the end)."""
+    lb = len(b)
+    stride = F._stride
+    width = stride * slot[1]
+    mask = (1 << width) - 1
+    p, zero, one, mul = F.char, F.zero, F.one, F.mul
+    # F_p coefficients are read, scaled and negated inline: a helper call
+    # per step cost F_2 a fifth of its time
+    prime = isinstance(F, PrimeField)
+    inv_lead = F.inv(b[-1])
+    quo = [zero] * steps
+    rem = _pack(_slots(F, a), slot)
+    bb = _pack(_slots(F, b), slot)
+    for shift in range(steps - 1, -1, -1):
+        raw = rem >> (shift + lb - 1) * width & mask
+        coef = raw % p if prime else _read(F, raw, slot)
+        if coef != zero:
+            if inv_lead != one:
+                coef = coef * inv_lead % p if prime else mul(coef, inv_lead)
+            quo[shift] = coef
+            rem += (p - coef if prime else _packed_neg(F, coef, slot)) * bb << shift * width
+    low = _unpack(rem & (1 << (lb - 1) * width) - 1, (lb - 1) * stride, slot)
+    return ptrim(F, quo), ptrim(F, _canon(F, low, lb - 1))
 
 
 def pmod(F, a, b):
@@ -382,7 +489,7 @@ def row_reduce(rows, F):
     ncols = len(rows[0]) if rows else 0
     if isinstance(F, PrimeField):
         p = F.p
-        if len(rows) * ncols >= _PACK_MIN_WORK and (
+        if len(rows) * ncols >= _ROW_REDUCE_MIN_ENTRIES and (
             slot := _slot((p - 1) + len(rows) * (p - 1) ** 2)
         ):
             return _row_reduce_packed(rows, p, ncols, slot)
@@ -478,12 +585,38 @@ class ExtensionField:
         self.char = base.char
         self.order = base.order**degree
         self.prime_dim = degree * base.prime_dim
+        # packed-kernel layout: slots per element (see _slots), and the
+        # slot of one product of two elements, summed by _read; None when
+        # the kernel cannot pack over this field (p too large for 8-byte
+        # slots, or a base field of another kind)
+        self._stride = (2 * degree - 1) * base._stride
+        known = isinstance(base, (PrimeField, ExtensionField)) and base._read_slot
+        self._read_slot = _slot(self._stride * (self.char - 1) ** 2) if known else None
         self.zero = (base.zero,) * degree
         self.one = self._pad((base.one,))
         self.gen = self._pad(pmod(base, (base.zero, base.one), modulus))
 
     def _pad(self, coeffs):
         return tuple(coeffs) + (self.base.zero,) * (self.degree - len(coeffs))
+
+    @functools.cached_property
+    def _fold(self):
+        """The packed kernel's reduction, which is F_p-linear on the raw
+        slots taken mod p: row s of this (_stride x prime_dim) matrix holds
+        the prime coordinates of the element that a one in raw slot s
+        stands for.  Returned as a numpy matrix (for _canon) and as one
+        int per row packed in _read_slot (for _read)."""
+        base = self.base
+        if isinstance(base, PrimeField):
+            units = [base.one]
+        else:
+            units = _elements(base, base._fold[0].tolist())
+        rows = []
+        for j in range(2 * self.degree - 1):
+            yj = self._pad(pmod(base, (base.zero,) * j + (base.one,), self.modulus))
+            for u in units:
+                rows.append(self.prime_coords(tuple(base.mul(u, c) for c in yj)))
+        return np.array(rows, dtype=np.uint64), [_pack(r, self._read_slot) for r in rows]
 
     def validate(self, a) -> None:
         if not isinstance(a, tuple) or len(a) != self.degree:
@@ -516,8 +649,13 @@ class ExtensionField:
         return tuple(base.neg(x) for x in a)
 
     def mul(self, a, b):
-        prod = pmul(self.base, ptrim(self.base, a), ptrim(self.base, b))
-        return self._pad(pmod(self.base, prod, self.modulus))
+        slot = self._read_slot
+        if self.prime_dim < _PACKED_MUL_MIN_DIM or slot is None:
+            prod = pmul(self.base, ptrim(self.base, a), ptrim(self.base, b))
+            return self._pad(pmod(self.base, prod, self.modulus))
+        # one packed product, reduced by the kernel's fold
+        prod = _pack(_slots(self, (a,)), slot) * _pack(_slots(self, (b,)), slot)
+        return _read(self, prod, slot)
 
     def inv(self, a):
         t = ptrim(self.base, a)

@@ -193,6 +193,8 @@ def test_violation_exit_code_is_reachable(capsys, monkeypatch):
     code, _, err = run(capsys, "count", "v", "--n", "5", "--q", "2", "--oracle")
     assert code == 1
     assert "verification failure" in err
+    # the message names the stage and the (q, n) point
+    assert "count v q=2 n=5: enumeration" in err
     code, _, err = run(capsys, "verify", "--q", "2", "--n", "5..5", "--oracle")
     assert code == 1
 

@@ -1,5 +1,7 @@
 """Field tower arithmetic: axioms, Frobenius, trace, enumeration order."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -290,8 +292,8 @@ def test_prime_kernel_property(operands):
 
 
 class OpaqueField:
-    """A prime field behind an object that is not a PrimeField, so that
-    row_reduce runs its generic loop on it."""
+    """A field behind an object that is neither a PrimeField nor an
+    ExtensionField, so that the kernel runs its generic loops on it."""
 
     def __init__(self, F):
         self.F = F
@@ -316,6 +318,114 @@ def test_row_reduce_packed_matches_generic_loop(rng):
             got = gf.row_reduce(rows, F)
             assert got == gf.row_reduce(rows, OpaqueField(F)), (p, nrows, ncols)
             assert got[0] <= r
+
+
+def loop_field(F):
+    """F rebuilt with an opaque field at every level of its tower, so that
+    pmul and pdivmod over it, and its own multiplications, all run the
+    schoolbook loops."""
+    if isinstance(F, gf.PrimeField):
+        return OpaqueField(F)
+    return OpaqueField(gf.ExtensionField(loop_field(F.base), F.modulus))
+
+
+@functools.lru_cache(maxsize=None)
+def kernel_fields():
+    """Extension fields for the packed kernel: 1-, 2-, 4- and 8-byte slots,
+    towers of depth 2 and 3, and F_{(2^61-1)^2}, whose slots fit in no 8
+    bytes (loop fallback).  Each is paired with its loop_field."""
+    F4 = gf.base_field(2, 2)
+    F64 = gf.extension(F4, 3)
+    fields = [
+        F4,
+        gf.base_field(2, 3),
+        gf.base_field(3, 2),
+        gf.base_field(2, 4),
+        gf.base_field(251, 2),
+        gf.base_field(65521, 2),
+        F64,
+        gf.extension(F64, 2),
+        # x^2 + 1 is irreducible as 2^61 - 1 = 3 mod 4; the default modulus
+        # search would first store every element of the base in a tuple
+        gf.extension(gf.prime_field(2**61 - 1), 2, modulus=(1, 0, 1)),
+    ]
+    return [(F, loop_field(F)) for F in fields]
+
+
+def check_extension_kernel(F, L, a, b):
+    """pmul and pdivmod over F against the loops over L (the same field)."""
+    a, b = gf.ptrim(F, a), gf.ptrim(F, b)
+    assert gf.pmul(F, a, b) == gf.pmul(L, a, b)
+    if b:
+        q, r = gf.pdivmod(F, a, b)
+        assert (q, r) == gf.pdivmod(L, a, b)
+        for c in q + r:
+            F.validate(c)
+        assert gf.pdeg(r) < gf.pdeg(b)
+        assert gf.padd(L, gf.pmul(L, q, b), r) == a
+
+
+def max_element(F):
+    """The element whose prime coordinates are all p - 1."""
+    return F.from_prime_coords([F.char - 1] * F.prime_dim)
+
+
+def test_extension_kernel_matches_schoolbook_loop(rng):
+    # Shapes on both sides of the crossovers, and well above them, with
+    # random and with all-maximal operands, which fill every slot to its
+    # bound.
+    shapes = [(1, 1), (2, 2), (1, 4), (3, 2), (5, 5), (6, 5), (9, 9), (10, 3), (12, 8), (30, 17), (40, 40)]
+    for F, L in kernel_fields():
+        for la, lb in shapes + [(rng.randrange(1, 40), rng.randrange(1, 40))]:
+            if la * lb * F.prime_dim > 2400:
+                continue  # the loop reference is slow on the larger fields
+            a = [F.random(rng) for _ in range(la - 1)] + [max_element(F)]
+            b = [F.random(rng) for _ in range(lb - 1)] + [F.random(rng)]
+            check_extension_kernel(F, L, a, b)
+            check_extension_kernel(F, L, b, a)
+            top = max_element(F)
+            check_extension_kernel(F, L, [top] * la, [top] * lb)
+
+
+def test_extension_kernel_at_slot_boundaries():
+    # Slot sums that reach the bound a slot is sized from, at the largest
+    # operand length a 1-byte slot holds and one past it.  pmul: all-
+    # maximal factors; (sum of top x^i)^2 has coefficient m * top^2 at x^k,
+    # m being the number of ways to write k = i + j.  pdivmod: a dividend
+    # q * b + r with maximal low coefficients, divided by a maximal b one
+    # longer than q, so that the last remainder coefficient holds p - 1 plus
+    # one product of two maximal elements for every quotient step.
+    for F, L in kernel_fields()[:4]:  # F_4, F_8, F_9, F_16
+        p, top = F.char, max_element(F)
+        square = F.prime_coords(L.mul(top, top))
+        per_term = F.prime_dim * (p - 1) ** 2
+        for n in (255 // per_term, 255 // per_term + 1):
+            want = [
+                F.from_prime_coords([min(k + 1, 2 * n - 1 - k) * c % p for c in square])
+                for k in range(2 * n - 1)
+            ]
+            assert gf.pmul(F, (top,) * n, (top,) * n) == gf.ptrim(F, want), (F, n)
+        for n in ((255 - (p - 1)) // per_term, (255 - (p - 1)) // per_term + 1):
+            b, q = (top,) * (n + 1), (F.neg(top),) * n
+            qb = gf.pmul(L, q, b)
+            a = (top,) * n + qb[n:]
+            want = (q, gf.psub(L, a[:n], qb[:n]))
+            assert gf.pdivmod(F, a, b) == want, (F, n)
+
+
+@st.composite
+def extension_kernel_operands(draw):
+    F, L = draw(st.sampled_from(kernel_fields()))
+    index = st.integers(0, F.order - 1).map(F.from_index)
+    size = 24 if F.prime_dim <= 4 else 8
+    coeffs = st.lists(st.one_of(index, st.just(max_element(F))), max_size=size)
+    return F, L, draw(coeffs), draw(coeffs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(extension_kernel_operands())
+def test_extension_kernel_property(operands):
+    check_extension_kernel(*operands)
 
 
 def test_row_reduce_pivots_and_null_space(rng):
