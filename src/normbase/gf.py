@@ -552,10 +552,10 @@ def first_irreducible(F, degree: int):
     screen = (
         [F.from_index(i) for i in range(F.order)] if F.order <= 256 else None
     )
-    head = range(1, F.order)
-    rest = [range(F.order)] * (degree - 1)
-    for tail in itertools.product(head, *rest):
-        cand = tuple(F.from_index(i) for i in tail) + (F.one,)
+    # candidates counted lazily as base-q numbers, constant coefficient first
+    weights = [F.order**i for i in reversed(range(degree))]
+    for num in range(weights[0], F.order * weights[0]):
+        cand = tuple(F.from_index(num // w % F.order) for w in weights) + (F.one,)
         if screen is not None and any(peval(F, cand, a) == F.zero for a in screen):
             continue
         if pirreducible(F, cand):

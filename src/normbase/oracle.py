@@ -7,10 +7,12 @@ rank over F_q) and the gcd one (x^n - 1 is coprime to the polynomial whose
 coefficients are the conjugates).  Whole-field counts and whole-degree
 scans use the rank predicate expressed as batched F_p linear algebra, at
 every field size, so that budgets up to 2^20 elements stay practical.  The
-degree scan runs in numpy from end to end: a fixed-point screen, Rabin's
-coprimality conditions as batched invertibility tests, and the normality
-test.  The per-element count (count_normal_elements with method="pure")
-is kept as the reference the batched count is tested against.
+degree scan holds residues mod f in F_p coordinates, so that each conjugate
+of the root is one batched product with a per-candidate Frobenius matrix;
+a fixed-point screen, Rabin's coprimality conditions as batched
+invertibility tests and the normality test run on those conjugates.  The
+per-element count (count_normal_elements with method="pure") is kept as
+the reference the batched count is tested against.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ import functools
 import numpy as np
 
 from . import _linalg, counting, gf, polyring
-from .errors import BudgetExceeded, VerificationError
+from .errors import VerificationError
 from .polyring import Poly
 
 _RANK_CHUNK = 2**15
+# entries of per-candidate (nk x nk) matrices one degree-scan chunk may hold
+_SCAN_ENTRIES = 2**19
 
 
 def conjugate_matrix(a, ext) -> list:
@@ -157,139 +161,115 @@ class IrreducibleScan:
         return len(self.coeff_rows)
 
 
-def _vec_ops(field):
-    """Elementwise encoded-coefficient arithmetic on numpy arrays: plain
-    mod-p for prime fields, lookup tables for small extensions."""
-    q = field.order
-    enc = _linalg.dtype_for(q)
-    if isinstance(field, gf.PrimeField):
-        p = field.p
-        wide = _linalg.dtype_for(p, 1)
-
-        def vadd(x, y):
-            return ((x.astype(wide) + y) % p).astype(enc)
-
-        def vmul(x, y):
-            return ((x.astype(wide) * y) % p).astype(enc)
-
-        def vneg(x):
-            return ((p - x.astype(wide)) % p).astype(enc)
-
-        return vadd, vmul, vneg
-    elems = [field.from_index(i) for i in range(q)]
-    add_t = np.array(
-        [[field.index(field.add(a, b)) for b in elems] for a in elems], dtype=enc
-    )
-    mul_t = np.array(
-        [[field.index(field.mul(a, b)) for b in elems] for a in elems], dtype=enc
-    )
-    neg_t = np.array([field.index(field.neg(a)) for a in elems], dtype=enc)
-    return (
-        lambda x, y: add_t[x, y],
-        lambda x, y: mul_t[x, y],
-        lambda x: neg_t[x],
-    )
-
-
 def _scan_impl(n: int, q: int) -> IrreducibleScan:
     field = gf.field_of_order(q)
     if n == 1:
         # Every monic linear is irreducible; x - c is an N-polynomial
         # exactly when its root c is nonzero, i.e. the constant is nonzero.
-        rows = np.arange(q, dtype=np.int64).reshape(q, 1)
-        nonzero = rows[:, 0] != 0
-        return IrreducibleScan(
-            n=1,
-            field=field,
-            coeff_rows=rows,
-            trace_nonzero=nonzero.copy(),
-            npoly=nonzero.copy(),
-            trace_counts=np.ones(q, dtype=np.int64),
-        )
-    if q > 256:
-        raise BudgetExceeded(f"degree scans support field order <= 256, got {q}")
+        parts = [(np.arange(q, dtype=np.int64).reshape(q, 1), np.arange(q) != 0)]
+    else:
+        chunk = max(1, _SCAN_ENTRIES // (n * field.prime_dim) ** 2)
+        parts = [
+            _scan_chunk(field, n, start, min(start + chunk, q**n))
+            for start in range(0, q**n, chunk)
+        ]
+    coeff_rows = np.concatenate([rows for rows, _ in parts])
+    trace_col = coeff_rows[:, n - 1]
+    return IrreducibleScan(
+        n=n,
+        field=field,
+        coeff_rows=coeff_rows,
+        trace_nonzero=trace_col != 0,
+        npoly=np.concatenate([npoly for _, npoly in parts]),
+        trace_counts=np.bincount(trace_col, minlength=q).astype(np.int64),
+    )
 
-    vadd, vmul, vneg = _vec_ops(field)
-    one_idx = field.index(field.one)
-    # Row i holds the encoded low coefficients (a_0 .. a_{n-1}) of the i-th
-    # monic candidate in lexicographic order.
-    coeffs = _linalg.all_vectors(q, n)
-    neg_f = vneg(coeffs)  # x^n mod f, per candidate
 
-    def shift(x, neg_f):
-        out = np.zeros_like(x)
-        out[:, 1:] = x[:, :-1]
-        return vadd(out, vmul(x[:, n - 1 : n], neg_f))
+def _scan_chunk(field, n: int, start: int, stop: int):
+    """(encoded coefficient rows, N-polynomial flags) of the irreducibles
+    among the monic candidates of indices [start, stop).
 
-    # powers[j] = x^(j*q) mod f
-    xq = np.zeros_like(coeffs)
-    xq[:, 1] = one_idx
-    for _ in range(q - 1):
-        xq = shift(xq, neg_f)
-    powers = [np.zeros_like(coeffs)]
-    powers[0][:, 0] = one_idx
-    cur = xq
-    for _ in range(n - 1):
-        powers.append(cur)
-        nxt = cur
-        for _ in range(q):
-            nxt = shift(nxt, neg_f)
-        cur = nxt
+    A residue mod f is held by its prime coordinates: F_q = F_p[y]/(m) has
+    the F_p-basis 1, y, .., y^(k-1), and the coefficient of x^j takes
+    coordinates j*k .. j*k + k - 1.  Arrays put the candidate axis last, so
+    that every step is a few long vector operations, and each F_p-linear
+    map on F_q[x]/(f) is a per-candidate matrix applied by one einsum."""
+    p, k = field.char, field.prime_dim
+    dim = n * k
+    wide = _linalg.dtype_for(p, dim)
+    mod = functools.partial(_linalg.reduce_mod, p=p)
+    if k > 1:
+        y_k = np.array(field.prime_coords(field.pow(field.gen, k)), dtype=wide)[:, None]
 
-    def frobenius_step(c):
-        out = vmul(c[:, 0:1], powers[0])
-        for j in range(1, n):
-            out = vadd(out, vmul(c[:, j : j + 1], powers[j]))
+    def times_y(z):
+        """Every F_q coordinate of z (..., dim, B) times y: a roll within
+        each block plus its top digit times y^k = -m_low."""
+        blocks = z.reshape(z.shape[:-2] + (n, k, z.shape[-1]))
+        out = blocks[..., k - 1 : k, :] * y_k
+        out[..., 1:, :] += blocks[..., :-1, :]
+        return mod(out).reshape(z.shape)
+
+    def times_x(v):
+        """x*v mod f: a roll plus the top coefficient times x^n = -f_low."""
+        out = np.einsum("ab,adb->db", v[dim - k :], neg_f, dtype=wide)
+        out[k:] += v[: dim - k]
+        return mod(out)
+
+    def apply(v, mat):
+        """(..., dim, B) through per-candidate matrices (dim, dim, B)."""
+        return mod(np.einsum("...ib,ijb->...jb", v, mat, dtype=wide))
+
+    def multiples(z, times, count, step=1):
+        """(..., dim, B) -> (..., count, dim, B): g^(i*step)*z for i < count,
+        where times multiplies by g; with g = y and count = k, row (j, a)
+        of the stack over residues z_j is y^(a*step)*z_j."""
+        out = np.empty(z.shape[:-2] + (count,) + z.shape[-2:], dtype=wide)
+        out[..., 0, :, :] = z
+        for i in range(1, count):
+            nxt = out[..., i - 1, :, :]
+            for _ in range(step):
+                nxt = times(nxt)
+            out[..., i, :, :] = nxt
         return out
 
+    # Row i: prime coordinates of the low coefficients (a_0 .. a_{n-1}) of
+    # the (start + i)-th monic candidate in lexicographic order.
+    coeffs = _linalg.all_vectors(p, dim, start, stop)
+    neg_f = multiples(mod(-coeffs.T.astype(wide)), times_y, k)
+    one, x = np.zeros((2, dim, len(coeffs)), dtype=wide)
+    one[0] = x[k] = 1
+    pows = multiples(one, times_x, n, p)  # x^(j*p) mod f
+    if k > 1:
+        # The p-th power map has rows (y^a*x^j)^p = y^(a*p)*x^(j*p); k - 1
+        # more applications take x^(j*p) to x^(j*q).
+        frob_p = multiples(pows, times_y, k, p).reshape(dim, dim, -1)
+        for _ in range(k - 1):
+            pows = apply(pows, frob_p)
+        del frob_p
+    # The q-th power map, F_q-linear: row (j, a) is y^a*x^(j*q).
+    frob = multiples(pows, times_y, k).reshape(dim, dim, -1)
+
     # conj[i] = x^(q^i) mod f; conj[n] drives the fixed-point test.
-    conj = [np.zeros_like(coeffs)]
-    conj[0][:, 1] = one_idx
-    for _ in range(n):
-        conj.append(frobenius_step(conj[-1]))
-
-    surv = np.nonzero((conj[n] == conj[0]).all(axis=1))[0]
-    coeffs, neg_f = coeffs[surv], neg_f[surv]
-    conj = [c[surv] for c in conj[:n]]
-
-    # Rank tests over F_p: n encoded F_q-vectors of length n per candidate
-    # are expanded into prime coordinates and tested for F_q-independence.
-    p = field.char
-    coord_t = np.array(
-        [field.prime_coords(field.from_index(i)) for i in range(q)],
-        dtype=_linalg.dtype_for(p),
-    )
+    conj = multiples(x, lambda v: apply(v, frob), n + 1)
+    surv = np.nonzero((conj[n] == conj[0]).all(axis=0))[0]
+    coeffs, neg_f, conj = coeffs[surv], neg_f[..., surv], conj[:n, :, surv]
     smats = _linalg.basis_scalar_matrices(field)
-
-    def independent(rows):
-        coords = coord_t[np.stack(rows, axis=1)].reshape(len(rows[0]), n, n * field.prime_dim)
-        return _linalg.independent_over_base(coords, smats, p)
 
     # Rabin's completion on the survivors: for each prime r | n the
     # polynomial g = x^(q^(n/r)) - x must be coprime to f, i.e.
     # multiplication by g mod f, whose rows are g*x^j mod f, is invertible.
     irreducible = np.ones(len(surv), dtype=bool)
-    neg_one = field.index(field.neg(field.one))
     for r in counting.factorize(n):
-        g = conj[n // r].copy()
-        g[:, 1] = vadd(g[:, 1], neg_one)
-        rows = [g]
-        for _ in range(n - 1):
-            rows.append(shift(rows[-1], neg_f))
-        irreducible &= independent(rows)
+        g = mod(conj[n // r] - conj[0])
+        rows = multiples(g, times_x, n).transpose(2, 0, 1)
+        irreducible &= _linalg.independent_over_base(rows, smats, p)
 
     # Normality of the canonical root: its conjugates are conj[0..n-1].
-    normal = independent([c[irreducible] for c in conj])
-
-    trace_col = coeffs[irreducible, n - 1]
-    return IrreducibleScan(
-        n=n,
-        field=field,
-        coeff_rows=coeffs[irreducible],
-        trace_nonzero=trace_col != 0,
-        npoly=normal,
-        trace_counts=np.bincount(trace_col, minlength=q).astype(np.int64),
-    )
+    rows = conj[..., irreducible].transpose(2, 0, 1)
+    normal = _linalg.independent_over_base(rows, smats, p)
+    digits = coeffs[irreducible].reshape(-1, n, k).astype(np.int64)
+    encoded = digits @ (p ** np.arange(k - 1, -1, -1, dtype=np.int64))
+    return encoded.astype(_linalg.dtype_for(field.order)), normal
 
 
 @functools.lru_cache(maxsize=128)

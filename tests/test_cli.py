@@ -94,6 +94,11 @@ def test_verify_oracle_past_the_int16_ceiling(capsys):
     assert out.splitlines()[1].endswith(",62500,31250,31250")
 
 
+def test_count_oracle_past_field_order_256(capsys):
+    code, out, _ = run(capsys, "count", "irr-total", "--q", "257", "--n", "2", "--oracle", "--budget", "70000")
+    assert code == EXIT_OK and out == "32896\n"
+
+
 def test_count_budget_exceeded(capsys):
     code, _, err = run(capsys, "count", "v", "--n", "8", "--q", "2", "--oracle", "--budget", "16")
     assert code == EXIT_BUDGET

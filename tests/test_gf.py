@@ -345,9 +345,8 @@ def kernel_fields():
         gf.base_field(65521, 2),
         F64,
         gf.extension(F64, 2),
-        # x^2 + 1 is irreducible as 2^61 - 1 = 3 mod 4; the default modulus
-        # search would first store every element of the base in a tuple
-        gf.extension(gf.prime_field(2**61 - 1), 2, modulus=(1, 0, 1)),
+        # modulus x^2 + 1 (see test_default_modulus_over_a_huge_prime)
+        gf.base_field(2**61 - 1, 2),
     ]
     return [(F, loop_field(F)) for F in fields]
 
@@ -451,6 +450,13 @@ def test_row_reduce_pivots_and_null_space(rng):
                     for x, y in zip(row, v):
                         acc = F.add(acc, F.mul(x, y))
                     assert acc == F.zero
+
+
+def test_default_modulus_over_a_huge_prime():
+    # x^2 + 1 is irreducible as 2^61 - 1 = 3 mod 4, and it is the first
+    # candidate; the search counts its candidates lazily, so it never lists
+    # the base field's elements
+    assert gf.base_field(2**61 - 1, 2).modulus == (1, 0, 1)
 
 
 def test_field_of_order():

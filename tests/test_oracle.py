@@ -115,6 +115,14 @@ def test_counts_past_the_int16_ceiling():
     assert scan.count == 31375
 
 
+def test_scan_past_field_order_256():
+    # residues of F_257 no longer fit in uint8; the scan takes every dtype
+    # from dtype_for and is bounded only by its candidate budget
+    scan = scan_irreducibles(2, 257, budget=2**17)
+    assert scan.count == counting.total_irr_count(2, 257)
+    assert (scan.trace_counts[1:] == counting.irr_count_trace(2, 257)).all()
+
+
 def test_dtype_for_keeps_small_primes_narrow():
     assert _linalg.dtype_for(2) == np.uint8 and _linalg.dtype_for(251) == np.uint8
     assert _linalg.dtype_for(257) == np.uint16
@@ -198,8 +206,9 @@ def test_scan_matches_pure_enumeration():
     # the vectorized scan must reproduce the lazy scanner and the
     # per-polynomial N-test exactly, including order; the composite degrees
     # 10, 6 and 4 have reducible survivors of the fixed-point screen (at
-    # n = 6, a product of two distinct cubics) for Rabin's completion to reject
-    cases = [(2, 2), (2, 3), (2, 4), (2, 6), (2, 8), (2, 10), (3, 2), (3, 3), (3, 4), (3, 6), (4, 2), (4, 3), (4, 4), (5, 2), (7, 2), (8, 2), (9, 2)]
+    # n = 6, a product of two distinct cubics) for Rabin's completion to reject;
+    # F_8, F_16 and F_27 have k >= 3 prime coordinates per coefficient
+    cases = [(2, 2), (2, 3), (2, 4), (2, 6), (2, 8), (2, 10), (3, 2), (3, 3), (3, 4), (3, 6), (4, 2), (4, 3), (4, 4), (5, 2), (7, 2), (8, 2), (8, 3), (9, 2), (16, 2), (27, 2)]
     for q, n in cases:
         field = gf.field_of_order(q)
         scan = scan_irreducibles(n, q)
