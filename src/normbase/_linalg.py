@@ -13,8 +13,6 @@ import numpy as np
 
 _UNSIGNED = (np.uint8, np.uint16, np.uint32, np.uint64)
 _SIGNED = (np.int16, np.int32, np.int64)
-# below this many entries, reduce_mod and scale_coords save numpy calls
-_FEW = 2**12
 
 
 def dtype_for(p: int, terms: int = 0) -> np.dtype:
@@ -39,10 +37,7 @@ def dtype_for(p: int, terms: int = 0) -> np.dtype:
 def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
     """x mod p, in place.  numpy vectorises floor division by a scalar but
     not %, so on a large int16 array this is about 3x faster than x % p."""
-    if x.size < _FEW:
-        x %= p
-    else:
-        x -= x // p * p
+    x -= x // p * p
     return x
 
 
@@ -93,8 +88,6 @@ def scale_coords(vectors: np.ndarray, mat: np.ndarray, p: int) -> np.ndarray:
     dimension k on many rows."""
     k = mat.shape[0]
     blocks = vectors.reshape(vectors.shape[:-1] + (vectors.shape[-1] // k, k))
-    if vectors.size < _FEW:
-        return apply_map(blocks, mat, p).reshape(vectors.shape)
     blocks = blocks.astype(dtype_for(p, k))
     out = np.zeros_like(blocks)
     for u, t in zip(*np.nonzero(mat)):

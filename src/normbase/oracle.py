@@ -168,9 +168,10 @@ def _scan_impl(n: int, q: int) -> IrreducibleScan:
         # exactly when its root c is nonzero, i.e. the constant is nonzero.
         parts = [(np.arange(q, dtype=np.int64).reshape(q, 1), np.arange(q) != 0)]
     else:
+        smats = _linalg.basis_scalar_matrices(field)
         chunk = max(1, _SCAN_ENTRIES // (n * field.prime_dim) ** 2)
         parts = [
-            _scan_chunk(field, n, start, min(start + chunk, q**n))
+            _scan_chunk(field, n, smats, start, min(start + chunk, q**n))
             for start in range(0, q**n, chunk)
         ]
     coeff_rows = np.concatenate([rows for rows, _ in parts])
@@ -185,9 +186,10 @@ def _scan_impl(n: int, q: int) -> IrreducibleScan:
     )
 
 
-def _scan_chunk(field, n: int, start: int, stop: int):
+def _scan_chunk(field, n: int, smats, start: int, stop: int):
     """(encoded coefficient rows, N-polynomial flags) of the irreducibles
-    among the monic candidates of indices [start, stop).
+    among the monic candidates of indices [start, stop); smats are the
+    field's basis_scalar_matrices.
 
     A residue mod f is held by its prime coordinates: F_q = F_p[y]/(m) has
     the F_p-basis 1, y, .., y^(k-1), and the coefficient of x^j takes
@@ -199,7 +201,8 @@ def _scan_chunk(field, n: int, start: int, stop: int):
     wide = _linalg.dtype_for(p, dim)
     mod = functools.partial(_linalg.reduce_mod, p=p)
     if k > 1:
-        y_k = np.array(field.prime_coords(field.pow(field.gen, k)), dtype=wide)[:, None]
+        # smats[1] multiplies by y, so its last column is y * y^(k-1) = y^k.
+        y_k = smats[1][:, k - 1 :].astype(wide)
 
     def times_y(z):
         """Every F_q coordinate of z (..., dim, B) times y: a roll within
@@ -253,7 +256,6 @@ def _scan_chunk(field, n: int, start: int, stop: int):
     conj = multiples(x, lambda v: apply(v, frob), n + 1)
     surv = np.nonzero((conj[n] == conj[0]).all(axis=0))[0]
     coeffs, neg_f, conj = coeffs[surv], neg_f[..., surv], conj[:n, :, surv]
-    smats = _linalg.basis_scalar_matrices(field)
 
     # Rabin's completion on the survivors: for each prime r | n the
     # polynomial g = x^(q^(n/r)) - x must be coprime to f, i.e.
