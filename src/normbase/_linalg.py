@@ -2,14 +2,22 @@
 
 Fields of order p^D are F_p-vector spaces; every F_q-linear map (Frobenius,
 scalar multiplication, any linearized operator) is also F_p-linear and so
-becomes a D x D integer matrix mod p.  Whole-field scans then reduce to
-matrix products and a batched Gaussian elimination, which is what makes
+becomes a D x D integer matrix mod p, and a bijective one also permutes the
+element indices.  Whole-field scans then reduce to index gathers, matrix
+products and a batched Gaussian elimination, which is what makes
 enumerating 2^20 elements practical in pure Python + numpy.
+
+field_orbits is the one whole-field engine: Frobenius and the scalars of
+F_q* permute the elements, normality and every operator built from
+Frobenius with F_q coefficients are constant on their orbits, so the
+rank tests and operator evaluations run on one element per orbit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import counting
 
 _UNSIGNED = (np.uint8, np.uint16, np.uint32, np.uint64)
 _SIGNED = (np.int16, np.int32, np.int64)
@@ -57,7 +65,18 @@ def linear_map_matrix(func, ext) -> np.ndarray:
 
 
 def frobenius_matrix(ext) -> np.ndarray:
-    return linear_map_matrix(ext.frobenius, ext)
+    """Matrix over F_p of the q-th power map of ext over its base F_q.
+    That map fixes F_q, so it takes the basis element u*x^i (u a prime
+    basis element of F_q) to u*(x^q)^i: one power and n - 1 products."""
+    base, k = ext.base, ext.base.prime_dim
+    units = [base.from_prime_coords(tuple(int(t == s) for t in range(k))) for s in range(k)]
+    x_q = ext.frobenius(ext.gen)
+    cols = []
+    power = ext.one
+    for _ in range(ext.degree):
+        cols += [ext.prime_coords(tuple(base.mul(u, c) for c in power)) for u in units]
+        power = ext.mul(power, x_q)
+    return np.array(cols, dtype=dtype_for(ext.char)).T
 
 
 def basis_scalar_matrices(field) -> list[np.ndarray]:
@@ -106,17 +125,143 @@ def independent_over_base(coords: np.ndarray, smats: list[np.ndarray], p: int) -
     return batched_rank_full(coords, p)
 
 
+def index_coords(idx: np.ndarray, p: int, dim: int) -> np.ndarray:
+    """Base-p digit rows (..., dim) of element indices, most significant
+    digit first: the prime coordinates of those elements of a field of
+    order p^dim, in the order of its from_index."""
+    out = np.empty(idx.shape + (dim,), dtype=dtype_for(p))
+    rest = idx.astype(np.int64)
+    for j in range(dim - 1, -1, -1):
+        nxt = rest // p
+        out[..., j] = rest - nxt * p
+        rest = nxt
+    return out
+
+
 def all_vectors(p: int, dim: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     """Base-p digit rows for indices [start, stop), most significant digit
     first.  Row i equals prime_coords(from_index(start + i)) of a field of
     order p^dim, so numpy scans walk elements in the canonical order."""
     if stop is None:
         stop = p**dim
-    idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((len(idx), dim), dtype=dtype_for(p))
-    for j in range(dim):
-        out[:, j] = (idx // p ** (dim - 1 - j)) % p
-    return out
+    return index_coords(np.arange(start, stop, dtype=np.int64), p, dim)
+
+
+def index_map(mat: np.ndarray, p: int) -> np.ndarray:
+    """The permutation of element indices [0, p^D) that an invertible
+    F_p-linear map with (D, D) matrix mat induces: out[i] is the index of
+    mat @ index_coords(i).
+
+    Built by digit doubling: the image of c*p^t + i (i < p^t) is the image
+    of i plus c times the image of the unit vector of weight p^t, added
+    digit by digit mod p.  The digits are packed into one int64, with a
+    spare top bit each over odd p: a digit sum x + y + 2^(b-1) - p sets
+    that bit exactly when x + y >= p and carries into no other digit.
+    Over F_2 the digitwise sum is XOR and the packed word is the index."""
+    dim = mat.shape[0]
+    bits = 1 if p == 2 else (p - 1).bit_length() + 1
+    if dim * bits > 63:
+        raise ValueError(f"{p}^{dim} element indices do not pack into 64 bits")
+    shifts = [(dim - 1 - j) * bits for j in range(dim)]
+    ones = sum(1 << s for s in shifts)
+    bias = ((1 << bits - 1) - p) * ones
+    cols = mat.astype(np.int64)
+    out = np.zeros(p**dim, dtype=np.int64)
+    size = 1
+    for j in range(dim - 1, -1, -1):
+        low = out[:size]
+        for c in range(1, p):
+            step = sum(int(x) << s for x, s in zip(c * cols[:, j] % p, shifts))
+            if p == 2:
+                out[size : 2 * size] = low ^ step
+            else:
+                total = low + step
+                total -= ((total + bias) >> bits - 1 & ones) * p
+                out[c * size : (c + 1) * size] = total
+        size *= p
+    if p == 2:
+        return out
+    idx = np.zeros_like(out)
+    for s in shifts:
+        idx *= p
+        idx += out >> s & (1 << bits) - 1
+    return idx
+
+
+def _scalar_canon(field, n: int) -> np.ndarray:
+    """For every element of a degree-n extension of field = F_q, the index
+    of its multiple whose leading (most significant) nonzero F_q
+    coordinate is 1: one member of each orbit of F_q*.
+
+    The indices of [q^m, q^(m+1)) are the elements a*q^m + r with leading
+    coordinate a and r < q^m, whose canonical multiple is 1*q^m + r/a
+    (the index of 1 in F_q is p^(k-1), constant coordinate first).  The
+    coordinatewise scaling r -> r/a doubles up the same way, one
+    coordinate at a time: (d*q^m + r)/a = (d/a)*q^m + r/a."""
+    q = field.order
+    if q == 2:  # F_2* is trivial
+        return np.arange(2**n, dtype=np.int64)
+    if n > 1:
+        div = _division_table(field)
+    one = field.index(field.one)
+    scaled = np.zeros((q - 1, 1), dtype=np.int64)  # row a - 1: r -> r/a on [0, q^m)
+    parts = [np.zeros(1, dtype=np.int64)]
+    for m in range(n):
+        parts.append((one * q**m + scaled).ravel())
+        if m + 1 < n:
+            scaled = (div[:, :, None] * q**m + scaled[:, None, :]).reshape(q - 1, -1)
+    return np.concatenate(parts)
+
+
+def _division_table(field) -> np.ndarray:
+    """(q - 1, q) table of field indices: row a - 1, column d holds d/a,
+    from one log/antilog pair of a generator of F_q*."""
+    q = field.order
+    primes = counting.factorize(q - 1)
+    gen = next(
+        g
+        for g in map(field.from_index, range(2, q))
+        if all(field.pow(g, (q - 1) // r) != field.one for r in primes)
+    )
+    antilog = np.empty(q - 1, dtype=np.int64)
+    x = field.one
+    for t in range(q - 1):
+        antilog[t] = field.index(x)
+        x = field.mul(x, gen)
+    log = np.zeros(q, dtype=np.int64)
+    log[antilog] = np.arange(q - 1)
+    div = antilog[(log[None, :] - log[1:, None]) % (q - 1)]
+    div[:, 0] = 0
+    return div
+
+
+def field_orbits(ext) -> tuple[np.ndarray, np.ndarray]:
+    """The orbits of <F_q*> x <Frobenius> on ext, a degree-n extension of
+    F_q, over element indices: (rep, conj).  rep[i] is the representative
+    of element i's orbit, and conj[j, t] is the index of the t-th
+    conjugate (Frobenius applied t times, t = 0..n) of the j-th
+    representative, in ascending order.
+
+    A representative is the least scalar-canonical index (_scalar_canon)
+    over the Frobenius orbit, which is the same for every member of the
+    orbit because Frobenius commutes with the scalars of F_q.  The minimum
+    over n conjugates is taken over windows that double: after s rounds
+    rep[i] is the least over Frobenius powers 0 .. 2^s - 1 of i, so
+    ceil(log2 n) rounds cover a whole orbit."""
+    n = ext.degree
+    sigma = index_map(frobenius_matrix(ext), ext.char)
+    rep = _scalar_canon(ext.base, n)
+    power = sigma
+    span = 1
+    while span < n:
+        rep = np.minimum(rep, rep[power])
+        span *= 2
+        if span < n:
+            power = power[power]
+    conj = [np.flatnonzero(rep == np.arange(len(rep)))]
+    for _ in range(n):
+        conj.append(sigma[conj[-1]])
+    return rep, np.stack(conj, axis=1)
 
 
 def inverse_table(p: int, dtype) -> np.ndarray:

@@ -16,6 +16,7 @@ independently and emitted in sorted order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import multiprocessing
 import sys
@@ -237,7 +238,10 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every call of main reads its argv the same way."""
     parser = argparse.ArgumentParser(
         prog="normbase",
         description="Exact counts and brute-force verification for normal "

@@ -362,8 +362,9 @@ def pdivmod(F, a, b):
         slot := _packed_slot(F, min(steps, lb), p - 1)
     ):
         return _pdivmod_packed(F, a, b, steps, slot)
+    # a monic divisor, the common case, needs no inversion
     if isinstance(F, PrimeField):
-        inv_lead = pow(b[-1], -1, p)
+        inv_lead = 1 if b[-1] == 1 else pow(b[-1], -1, p)
         quo = [0] * steps
         rem = list(a)
         for shift in range(steps - 1, -1, -1):
@@ -374,7 +375,7 @@ def pdivmod(F, a, b):
                 for i in range(lb):
                     rem[shift + i] = (rem[shift + i] - fac * b[i]) % p
         return ptrim(F, quo), ptrim(F, rem)
-    inv_lead = F.inv(b[-1])
+    inv_lead = F.one if b[-1] == F.one else F.inv(b[-1])
     rem = list(a)
     quo = [F.zero] * steps
     for shift in range(steps - 1, -1, -1):
@@ -401,7 +402,7 @@ def _pdivmod_packed(F, a, b, steps, slot):
     # F_p coefficients are read, scaled and negated inline: a helper call
     # per step cost F_2 a fifth of its time
     prime = isinstance(F, PrimeField)
-    inv_lead = F.inv(b[-1])
+    inv_lead = one if b[-1] == one else F.inv(b[-1])
     quo = [zero] * steps
     rem = _pack(_slots(F, a), slot)
     bb = _pack(_slots(F, b), slot)

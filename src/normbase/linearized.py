@@ -4,8 +4,9 @@ A q-linearized operator sum c_i x^(q^i) over F_q is stored only as its
 associate polynomial sum c_i x^i: composition of operators corresponds to
 ordinary multiplication of associates and divisibility transfers the same
 way, so the expanded operator (degree q^deg) never needs to be built.
-Evaluation uses iterated Frobenius; whole-field root counting goes through
-the operators' F_p matrices.
+Evaluation uses iterated Frobenius; whole-field root counting evaluates
+the operators on one element per orbit of <F_q*> x <Frobenius>
+(_linalg.field_orbits), whose conjugates are index gathers.
 """
 
 from __future__ import annotations
@@ -241,20 +242,37 @@ def _survivor_mask(fact: SymbolicFactorization, ext, budget=None):
             "the associate must divide x^n - 1 so that every operator root "
             "lies in the degree-n extension"
         )
-    p = ext.char
-    vecs = _linalg.all_vectors(p, ext.prime_dim)
-    in_kernel = ~_linalg.apply_map(vecs, operator_matrix(QPoly(full), ext), p).any(axis=1)
-    mask = in_kernel
+    # Every operator here is F_q-linear and commutes with Frobenius, so
+    # the mask is constant on orbits: evaluate on the representatives, as
+    # sum c_i * sigma^i(rep) with the conjugates' coordinates, and gather.
+    p, n, k = ext.char, ext.degree, ext.base.prime_dim
+    rep, conj = _linalg.field_orbits(ext)
+    # (reps, Frobenius power i, F_q coordinate j, prime coordinate t)
+    blocks = _linalg.index_coords(conj, p, ext.prime_dim).reshape(len(conj), n + 1, n, k)
+    smats = np.array(_linalg.basis_scalar_matrices(ext.base), dtype=np.int64)
+
+    def image(assoc: Poly) -> np.ndarray:
+        """sum_i c_i sigma^i(rep): coefficient i acts on every F_q
+        coordinate of the i-th conjugate as its k x k matrix."""
+        terms = len(assoc.coeffs)
+        coords = np.array([ext.base.prime_coords(c) for c in assoc.coeffs], dtype=np.int64)
+        wide = _linalg.dtype_for(p, terms * k)
+        mats = (np.tensordot(coords, smats, axes=1) % p).astype(wide)
+        out = np.einsum("rijt,iut->rju", blocks[:, :terms], mats, dtype=wide)
+        return _linalg.reduce_mod(out, p).reshape(len(conj), -1)
+
+    alive = ~image(full).any(axis=1)
     for part, _ in fact.parts:
-        cofactor = QPoly(full // part.associate)
-        alive = _linalg.apply_map(vecs, operator_matrix(cofactor, ext), p).any(axis=1)
-        mask = mask & alive
-    return vecs, mask
+        alive &= image(full // part.associate).any(axis=1)
+    survives = np.zeros(ext.order, dtype=bool)
+    survives[conj[:, 0]] = alive
+    return _linalg.all_vectors(p, ext.prime_dim), survives[rep]
 
 
 def root_count_by_enumeration(fact: SymbolicFactorization, ext, budget=None) -> int:
-    """Count, by direct evaluation over every element of ext, the roots of
-    the whole operator killed by no single-part-omitted cofactor.  Must
+    """Count, over every element of ext, the roots of the whole operator
+    killed by no single-part-omitted cofactor, evaluating the operators on
+    one element per orbit of <F_q*> x <Frobenius> (_survivor_mask).  Must
     agree with root_count; the cofactor for each part removes exactly one
     copy of that part's operator."""
     _, mask = _survivor_mask(fact, ext, budget)

@@ -7,9 +7,12 @@ rank over F_q) and the gcd one (x^n - 1 is coprime to the polynomial whose
 coefficients are the conjugates).  Whole-field counts and whole-degree
 scans use the rank predicate expressed as batched F_p linear algebra, at
 every field size, so that budgets up to 2^20 elements stay practical.  The
-degree scan holds residues mod f in F_p coordinates, so that each conjugate
-of the root is one batched product with a per-candidate Frobenius matrix;
-a fixed-point screen, Rabin's coprimality conditions as batched
+whole-field count rank-tests one element per orbit of <F_q*> x
+<Frobenius> (_linalg.field_orbits), as every member of an orbit is normal
+or none is, and sums the verdicts over all elements.  The degree scan
+holds residues mod f in F_p coordinates, so that each conjugate of the
+root is one batched product with a per-candidate Frobenius matrix; a
+fixed-point screen, Rabin's coprimality conditions as batched
 invertibility tests and the normality test run on those conjugates.  The
 per-element count (count_normal_elements with method="pure") is kept as
 the reference the batched count is tested against.
@@ -26,7 +29,6 @@ from . import _linalg, counting, gf, polyring
 from .errors import VerificationError
 from .polyring import Poly
 
-_RANK_CHUNK = 2**15
 # entries of per-candidate (nk x nk) matrices one degree-scan chunk may hold
 _SCAN_ENTRIES = 2**19
 
@@ -105,10 +107,10 @@ def extension_for(q: int, n: int):
 def count_normal_elements(ext, budget=None, method: str = "batched") -> int:
     """Exhaustive count of normal elements.
 
-    method="batched" (the default) evaluates the rank criterion as chunked
-    batched elimination over F_p; method="pure" walks every element through
-    the dual-path is_normal and is the reference the batched count is
-    tested against."""
+    method="batched" (the default) evaluates the rank criterion as batched
+    elimination over F_p on one representative per orbit of <F_q*> x
+    <Frobenius>; method="pure" walks every element through the dual-path
+    is_normal and is the reference the batched count is tested against."""
     cap = gf.check_element_budget(ext.order, budget)
     if method == "pure":
         return sum(1 for a in ext.elements(budget=cap) if is_normal(a, ext))
@@ -118,17 +120,29 @@ def count_normal_elements(ext, budget=None, method: str = "batched") -> int:
 
 
 def _batched_normal_count(ext) -> int:
-    p = ext.char
-    frob = _linalg.frobenius_matrix(ext)
-    smats = _linalg.basis_scalar_matrices(ext.base)
-    total = 0
-    for start in range(0, ext.order, _RANK_CHUNK):
-        vecs = _linalg.all_vectors(p, ext.prime_dim, start, min(start + _RANK_CHUNK, ext.order))
-        conj = [vecs]
-        for _ in range(ext.degree - 1):
-            conj.append(_linalg.apply_map(conj[-1], frob, p))
-        total += int(_linalg.independent_over_base(np.stack(conj, axis=1), smats, p).sum())
-    return total
+    """The count over every element of the verdict on its representative.
+
+    Two facts are checked on the way, as they hold for every normal
+    element: its Frobenius orbit has exactly n elements (a normal element
+    has degree n), and its trace, the sum of its conjugates, is nonzero
+    (the element-side form of the containment of N-polynomials among the
+    irreducibles of nonzero trace)."""
+    p, n = ext.char, ext.degree
+    rep, conj = _linalg.field_orbits(ext)
+    rows = _linalg.index_coords(conj[:, :n], p, ext.prime_dim)
+    normal = _linalg.independent_over_base(rows, _linalg.basis_scalar_matrices(ext.base), p)
+    where = f"normal-element enumeration at q={ext.base.order}, n={n}"
+    fixed = conj[normal, 1:] == conj[normal, :1]
+    if fixed[:, :-1].any() or not fixed[:, -1].all():
+        raise VerificationError(
+            f"{where}: a normal element's Frobenius orbit does not have {n} elements"
+        )
+    trace = _linalg.reduce_mod(rows[normal].sum(axis=1, dtype=_linalg.dtype_for(p, n)), p)
+    if not trace.any(axis=1).all():
+        raise VerificationError(f"{where}: a normal element has zero trace")
+    verdict = np.zeros(ext.order, dtype=bool)
+    verdict[conj[:, 0]] = normal
+    return int(np.count_nonzero(verdict[rep]))
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +274,22 @@ def _scan_chunk(field, n: int, smats, start: int, stop: int):
     # Rabin's completion on the survivors: for each prime r | n the
     # polynomial g = x^(q^(n/r)) - x must be coprime to f, i.e.
     # multiplication by g mod f, whose rows are g*x^j mod f, is invertible.
-    irreducible = np.ones(len(surv), dtype=bool)
-    for r in counting.factorize(n):
-        g = mod(conj[n // r] - conj[0])
-        rows = multiples(g, times_x, n).transpose(2, 0, 1)
-        irreducible &= _linalg.independent_over_base(rows, smats, p)
+    primes = counting.factorize(n)
+    if len(primes) == 1:
+        # n = r^e.  A survivor divides x^(q^n) - x, so it is squarefree and
+        # each of its irreducible factors has a degree dividing n.  If it
+        # is reducible, every factor has a degree d < n, so d | n/r and
+        # x^(q^(n/r)) = x modulo every factor, hence modulo f.  If it is
+        # irreducible, x has degree n over F_q and x^(q^(n/r)) != x.  So
+        # f is irreducible exactly when x^(q^(n/r)) != x mod f.
+        (r,) = primes
+        irreducible = (conj[n // r] != conj[0]).any(axis=0)
+    else:
+        irreducible = np.ones(len(surv), dtype=bool)
+        for r in primes:
+            g = mod(conj[n // r] - conj[0])
+            rows = multiples(g, times_x, n).transpose(2, 0, 1)
+            irreducible &= _linalg.independent_over_base(rows, smats, p)
 
     # Normality of the canonical root: its conjugates are conj[0..n-1].
     rows = conj[..., irreducible].transpose(2, 0, 1)

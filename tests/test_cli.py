@@ -206,3 +206,26 @@ def test_violation_exit_code_is_reachable(capsys, monkeypatch):
 
 def test_no_command_is_usage_error(capsys):
     assert main([]) == EXIT_USAGE
+
+
+def test_one_parser_per_process_matches_a_fresh_parser(capsys, monkeypatch):
+    # main builds its parser once; calls in a row, usage errors among them,
+    # print the same bytes and exit codes as calls with a fresh parser each
+    calls = [
+        ("count", "v", "--q", "2", "--n", "4"),
+        ("count", "nb", "--q", "3", "--n", "5", "--oracle"),
+        ("count", "bogus", "--q", "2", "--n", "4"),
+        ("verify", "--q", "2,3", "--n", "1..3"),
+        ("count", "v", "--q", "6", "--n", "2"),
+        ("witness", "--q", "2", "--n", "6"),
+        ("count",),
+        ("factor-xn1", "--q", "3", "--n", "4"),
+        ("count", "v", "--q", "2", "--n", "4"),
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    once = [run(capsys, *argv) for argv in calls]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [run(capsys, *argv) for argv in calls]
+    assert once == fresh
+    assert [code for code, _, _ in once] == [0, 0, 2, 0, 2, 0, 2, 0, 0]
+    assert once[0] == once[-1]

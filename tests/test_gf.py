@@ -452,6 +452,23 @@ def test_row_reduce_pivots_and_null_space(rng):
                     assert acc == F.zero
 
 
+def test_pdivmod_inverts_only_a_non_monic_leading_coefficient(monkeypatch, rng):
+    F = gf.base_field(2, 2)
+    inversions = []
+    real_inv = F.inv
+    monkeypatch.setattr(F, "inv", lambda a: inversions.append(a) or real_inv(a))
+    # one shape below the packed crossover (the loop) and one above it
+    for la, lb in ((5, 3), (40, 12)):
+        a = tuple(F.random(rng) for _ in range(la - 1)) + (F.one,)
+        for lead in (F.one, F.from_index(3)):
+            b = tuple(F.random(rng) for _ in range(lb - 1)) + (lead,)
+            inversions.clear()
+            quo, rem = gf.pdivmod(F, a, b)
+            assert gf.padd(F, gf.pmul(F, quo, b), rem) == gf.ptrim(F, a)
+            assert len(rem) < lb
+            assert inversions == ([] if lead == F.one else [lead]), (la, lead)
+
+
 def test_default_modulus_over_a_huge_prime():
     # x^2 + 1 is irreducible as 2^61 - 1 = 3 mod 4, and it is the first
     # candidate; the search counts its candidates lazily, so it never lists

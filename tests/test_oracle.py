@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normbase import _linalg, counting, gf, polyring
-from normbase.errors import BudgetExceeded
+from normbase import _linalg, counting, gf, linearized, polyring
+from normbase.errors import BudgetExceeded, VerificationError
 from normbase.oracle import (
     conjugate_matrix,
     count_normal_elements,
@@ -102,8 +102,8 @@ def test_count_normal_elements_examples(f2):
 
 def test_counts_past_the_int16_ceiling():
     # (p-1)^2 overflows int16 from p = 191 on, and residues overflow uint8
-    # at p = 257
-    for q in (241, 251, 257):
+    # at p = 257; a digit sum of two residues overflows uint8 from p = 129
+    for q in (131, 241, 251, 257):
         ext = extension_for(q, 2)
         assert count_normal_elements(ext) == counting.normal_element_count(2, q), q
     for q in (241, 251):
@@ -368,10 +368,10 @@ def test_all_vectors_matches_field_index_order():
 
 
 @st.composite
-def small_extensions(draw):
+def small_extensions(draw, order=512):
     # the degree first, so that n = 1 does not crowd out the rest
-    n = draw(st.integers(1, 9))
-    qs = [q for q in range(2, 513) if counting.is_prime_power(q) and q**n <= 512]
+    n = draw(st.integers(1, order.bit_length() - 1))
+    qs = [q for q in range(2, order + 1) if counting.is_prime_power(q) and q**n <= order]
     return draw(st.sampled_from(qs)), n
 
 
@@ -385,3 +385,100 @@ def test_batched_oracles_match_pure_paths(qn):
     slow = list(enumerate_monic_irreducibles(n, gf.field_of_order(q)))
     assert scan.polys() == slow
     assert list(scan.npoly) == [is_n_polynomial(f) for f in slow]
+
+
+def test_frobenius_matrix_matches_the_power_map():
+    f2 = gf.prime_field(2)
+    tower = gf.extension(gf.base_field(2, 2), 3)
+    for ext in (extension_for(2, 5), extension_for(3, 1), extension_for(9, 3), tower):
+        slow = _linalg.linear_map_matrix(ext.frobenius, ext)
+        assert np.array_equal(_linalg.frobenius_matrix(ext), slow), ext
+    assert np.array_equal(_linalg.frobenius_matrix(gf.extension(f2, 1)), [[1]])
+
+
+def test_index_map_matches_the_matrix_product():
+    for p, dim in ((2, 6), (3, 4), (5, 3), (131, 2), (257, 2)):
+        rng = np.random.default_rng(p)
+        while True:
+            mat = rng.integers(0, p, (dim, dim))
+            if _linalg.batched_rank_full(mat[None], p)[0]:
+                break
+        vecs = _linalg.all_vectors(p, dim)
+        image = vecs.astype(np.int64) @ mat.T % p
+        want = image @ p ** np.arange(dim - 1, -1, -1)
+        got = _linalg.index_map(mat, p)
+        assert np.array_equal(got, want), (p, dim)
+        assert np.array_equal(np.sort(got), np.arange(p**dim))
+
+
+@settings(max_examples=10, deadline=None)
+@given(small_extensions(order=256), st.data())
+def test_orbit_engine_matches_per_element_paths(qn, data):
+    q, n = qn
+    ext = extension_for(q, n)
+    F = ext.base
+    rep, conj = _linalg.field_orbits(ext)
+    # the representatives, ascending, with their conjugates 0..n
+    assert np.array_equal(conj[:, 0], np.flatnonzero(rep == np.arange(ext.order)))
+    for row in conj[:: max(1, len(conj) // 8)]:
+        a = ext.from_index(int(row[0]))
+        for t in range(n + 1):
+            assert ext.index(a) == row[t]
+            a = ext.frobenius(a)
+    # each element's representative lies in its <F_q*> x <Frobenius> orbit
+    # and is shared by the whole orbit
+    scalars = [ext.embed(F.from_index(i)) for i in range(1, q)]
+    for i in data.draw(st.lists(st.integers(0, ext.order - 1), min_size=1, max_size=12)):
+        a, orbit = ext.from_index(i), set()
+        for _ in range(n):
+            orbit.update(ext.index(ext.mul(c, a)) for c in scalars)
+            a = ext.frobenius(a)
+        assert rep[i] in orbit, (q, n, i)
+        assert {int(rep[j]) for j in orbit} == {int(rep[i])}, (q, n, i)
+    assert count_normal_elements(ext) == count_normal_elements(ext, method="pure")
+    # operator roots, for the whole of x^n - 1 or a part of its factors
+    parts = polyring.factor_xn_minus_1(n, F).flatten().parts
+    keep = data.draw(st.lists(st.booleans(), min_size=len(parts), max_size=len(parts)))
+    chosen = [part for part, k in zip(parts, keep) if k] or parts
+    fact = linearized.SymbolicFactorization.from_factorization(polyring.Factorization(chosen))
+    full = linearized.QPoly(fact.associate())
+    cofactors = [linearized.QPoly(full.associate // part.associate) for part, _ in fact.parts]
+
+    def is_zero(op, a):
+        return linearized.evaluate(op, a, ext) == ext.zero
+
+    slow = [
+        a
+        for a in ext.elements()
+        if is_zero(full, a) and not any(is_zero(op, a) for op in cofactors)
+    ]
+    assert linearized.root_survivors(fact, ext) == slow
+
+
+def test_full_report_checks_normal_orbits(monkeypatch):
+    # every normal element has n conjugates and a nonzero trace; a rank
+    # test that passed other elements, or a Frobenius whose n-th power is
+    # not the identity, trips those checks
+    def everything(rows, smats, p):
+        return np.ones(len(rows), dtype=bool)
+
+    def full_degree(rows, smats, p):
+        return np.array([len({r.tobytes() for r in m}) == len(m) for m in rows])
+
+    def times_x(ext):
+        # x has order 5 or 15 in F_16*, so no x^t with 0 < t <= 4 is 1
+        return _linalg.linear_map_matrix(lambda a: ext.mul(a, ext.gen), ext)
+
+    frobenius = _linalg.frobenius_matrix
+    cases = (
+        (everything, frobenius, "Frobenius orbit does not have 4"),
+        (full_degree, frobenius, "zero trace"),
+        (full_degree, times_x, "Frobenius orbit does not have 4"),
+    )
+    for rank, frob, fact in cases:
+        monkeypatch.setattr(_linalg, "independent_over_base", rank)
+        monkeypatch.setattr(_linalg, "frobenius_matrix", frob)
+        with pytest.raises(VerificationError) as err:
+            full_report(2, 4, with_oracle=True)
+        assert "normal-element enumeration at q=2, n=4" in str(err.value)
+        assert fact in str(err.value)
