@@ -65,18 +65,7 @@ def linear_map_matrix(func, ext) -> np.ndarray:
 
 
 def frobenius_matrix(ext) -> np.ndarray:
-    """Matrix over F_p of the q-th power map of ext over its base F_q.
-    That map fixes F_q, so it takes the basis element u*x^i (u a prime
-    basis element of F_q) to u*(x^q)^i: one power and n - 1 products."""
-    base, k = ext.base, ext.base.prime_dim
-    units = [base.from_prime_coords(tuple(int(t == s) for t in range(k))) for s in range(k)]
-    x_q = ext.frobenius(ext.gen)
-    cols = []
-    power = ext.one
-    for _ in range(ext.degree):
-        cols += [ext.prime_coords(tuple(base.mul(u, c) for c in power)) for u in units]
-        power = ext.mul(power, x_q)
-    return np.array(cols, dtype=dtype_for(ext.char)).T
+    return linear_map_matrix(ext.frobenius, ext)
 
 
 def basis_scalar_matrices(field) -> list[np.ndarray]:
@@ -154,33 +143,27 @@ def index_map(mat: np.ndarray, p: int) -> np.ndarray:
 
     Built by digit doubling: the image of c*p^t + i (i < p^t) is the image
     of i plus c times the image of the unit vector of weight p^t, added
-    digit by digit mod p.  The digits are packed into one int64, with a
-    spare top bit each over odd p: a digit sum x + y + 2^(b-1) - p sets
-    that bit exactly when x + y >= p and carries into no other digit.
-    Over F_2 the digitwise sum is XOR and the packed word is the index."""
+    digit by digit mod p, for every c at once.  The digits are packed into
+    one int64 with a spare top bit each: a digit sum x + y + 2^(b-1) - p
+    sets that bit exactly when x + y >= p and carries into no other
+    digit."""
     dim = mat.shape[0]
-    bits = 1 if p == 2 else (p - 1).bit_length() + 1
+    bits = (p - 1).bit_length() + 1
     if dim * bits > 63:
         raise ValueError(f"{p}^{dim} element indices do not pack into 64 bits")
-    shifts = [(dim - 1 - j) * bits for j in range(dim)]
-    ones = sum(1 << s for s in shifts)
+    shifts = np.arange(dim - 1, -1, -1, dtype=np.int64) * bits
+    ones = int(np.sum(np.int64(1) << shifts))
     bias = ((1 << bits - 1) - p) * ones
+    scalars = np.arange(1, p, dtype=np.int64)[:, None]
     cols = mat.astype(np.int64)
     out = np.zeros(p**dim, dtype=np.int64)
     size = 1
     for j in range(dim - 1, -1, -1):
-        low = out[:size]
-        for c in range(1, p):
-            step = sum(int(x) << s for x, s in zip(c * cols[:, j] % p, shifts))
-            if p == 2:
-                out[size : 2 * size] = low ^ step
-            else:
-                total = low + step
-                total -= ((total + bias) >> bits - 1 & ones) * p
-                out[c * size : (c + 1) * size] = total
+        steps = (scalars * cols[:, j] % p << shifts).sum(axis=1)
+        total = out[:size] + steps[:, None]
+        total -= ((total + bias) >> bits - 1 & ones) * p
+        out[size : p * size] = total.ravel()
         size *= p
-    if p == 2:
-        return out
     idx = np.zeros_like(out)
     for s in shifts:
         idx *= p

@@ -266,7 +266,7 @@ def _survivor_mask(fact: SymbolicFactorization, ext, budget=None):
         alive &= image(full // part.associate).any(axis=1)
     survives = np.zeros(ext.order, dtype=bool)
     survives[conj[:, 0]] = alive
-    return _linalg.all_vectors(p, ext.prime_dim), survives[rep]
+    return survives[rep]
 
 
 def root_count_by_enumeration(fact: SymbolicFactorization, ext, budget=None) -> int:
@@ -275,11 +275,10 @@ def root_count_by_enumeration(fact: SymbolicFactorization, ext, budget=None) -> 
     one element per orbit of <F_q*> x <Frobenius> (_survivor_mask).  Must
     agree with root_count; the cofactor for each part removes exactly one
     copy of that part's operator."""
-    _, mask = _survivor_mask(fact, ext, budget)
-    return int(mask.sum())
+    return int(_survivor_mask(fact, ext, budget).sum())
 
 
 def root_survivors(fact: SymbolicFactorization, ext, budget=None) -> list:
     """The actual elements counted by root_count_by_enumeration."""
-    vecs, mask = _survivor_mask(fact, ext, budget)
-    return [ext.from_prime_coords(tuple(int(x) for x in row)) for row in vecs[mask]]
+    mask = _survivor_mask(fact, ext, budget)
+    return [ext.from_index(int(i)) for i in np.flatnonzero(mask)]
