@@ -23,7 +23,7 @@ _UNSIGNED = (np.uint8, np.uint16, np.uint32, np.uint64)
 _SIGNED = (np.int16, np.int32, np.int64)
 
 
-def dtype_for(p: int, terms: int = 0) -> np.dtype:
+def dtype_for(p: int, terms: int = 0, blas: bool = False) -> np.dtype:
     """The numpy dtype for arithmetic mod p; every dtype of the scans is
     chosen here, so that none of them can wrap around.
 
@@ -31,11 +31,15 @@ def dtype_for(p: int, terms: int = 0) -> np.dtype:
     terms=t >= 1 gives the narrowest signed type, int16 at least, holding
     every value of magnitude up to (p-1) + t*(p-1)^2: the largest
     intermediate of a length-t dot product of residues, or of one
-    elimination step x - fac*y (t = 1)."""
+    elimination step x - fac*y (t = 1).  blas=True gives float64 instead
+    where that bound is below 2^53, so that every such value is an exact
+    double and matrix products run in BLAS."""
     if terms == 0:
         bound, ladder = p - 1, _UNSIGNED
     else:
         bound, ladder = (p - 1) + terms * (p - 1) ** 2, _SIGNED
+        if blas and bound < 2**53:
+            return np.dtype(np.float64)
     for dt in ladder:
         if bound <= np.iinfo(dt).max:
             return np.dtype(dt)
@@ -44,8 +48,14 @@ def dtype_for(p: int, terms: int = 0) -> np.dtype:
 
 def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
     """x mod p, in place.  numpy vectorises floor division by a scalar but
-    not %, so on a large int16 array this is about 3x faster than x % p."""
-    x -= x // p * p
+    not %, so on a large int16 array this is about 3x faster than x % p.
+    On float64 (dtype_for(..., blas=True)) floor division is as slow as %,
+    and floor(x / p) is exact instead: for integers 0 <= x < 2^53 - p the
+    rounding error of x / p is less than its distance to the next integer."""
+    if x.dtype.kind == "f":
+        x -= np.floor(x / p) * p
+    else:
+        x -= x // p * p
     return x
 
 
@@ -70,14 +80,12 @@ def frobenius_matrix(ext) -> np.ndarray:
 
 def basis_scalar_matrices(field) -> list[np.ndarray]:
     """The k x k matrices of multiplication by each F_p-basis scalar of a
-    field of order p^k; for a prime field this is just [identity]."""
-    mats = []
-    for t in range(field.prime_dim):
-        unit = [0] * field.prime_dim
-        unit[t] = 1
-        s = field.from_prime_coords(tuple(unit))
-        mats.append(linear_map_matrix(lambda a: field.mul(a, s), field))
-    return mats
+    field of order p^k (its mul_matrix of the prime units); for a prime
+    field this is just [identity]."""
+    k, dt = field.prime_dim, dtype_for(field.char)
+    if k == 1:
+        return [np.ones((1, 1), dtype=dt)]
+    return list(field.mul_matrix(np.eye(k)).astype(dt))
 
 
 def apply_map(vectors: np.ndarray, mat: np.ndarray, p: int) -> np.ndarray:
@@ -247,10 +255,6 @@ def field_orbits(ext) -> tuple[np.ndarray, np.ndarray]:
     return rep, np.stack(conj, axis=1)
 
 
-def inverse_table(p: int, dtype) -> np.ndarray:
-    return np.array([0] + [pow(i, -1, p) for i in range(1, p)], dtype=dtype)
-
-
 def _batched_rank_full_gf2(mats: np.ndarray) -> np.ndarray:
     """Rank-fullness over F_2 with rows packed into machine words: the
     elimination step becomes one masked XOR per column."""
@@ -277,32 +281,34 @@ def _batched_rank_full_gf2(mats: np.ndarray) -> np.ndarray:
 def batched_rank_full(mats: np.ndarray, p: int) -> np.ndarray:
     """For a (B, m, m) batch of matrices over F_p, whether each has rank m.
 
-    Plain Gaussian elimination run across the whole batch at once; the pivot
-    for every batch member is the first nonzero entry in the current column
-    (deterministic, and batch members that go singular are masked out via
-    the returned flags rather than aborting the elimination)."""
+    Fraction-free Gaussian elimination run across the whole batch at once:
+    below the pivot, row <- lead * row - fac * pivot row, which needs no
+    inverse and keeps every rank.  The pivot for every batch member is the
+    first nonzero entry in the current column (deterministic, and batch
+    members that go singular are masked out via the returned flags rather
+    than aborting the elimination)."""
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValueError("expected a (B, m, m) batch")
     if p == 2 and mats.shape[1] <= 32:
         return _batched_rank_full_gf2(mats % 2)
-    wide = dtype_for(p, 1)
-    work = mats.astype(wide) % p
+    work = mats.astype(dtype_for(p, 2)) % p
     nbatch, m, _ = work.shape
     ok = np.ones(nbatch, dtype=bool)
-    inv = inverse_table(p, wide)
     bidx = np.arange(nbatch)
     for c in range(m):
         col = work[:, c:, c]
         nz = col != 0
         ok &= nz.any(axis=1)
         piv = c + np.argmax(nz, axis=1)
-        row_c = work[bidx, c, :].copy()
-        row_p = work[bidx, piv, :].copy()
-        work[bidx, c, :] = row_p
-        work[bidx, piv, :] = row_c
-        work[:, c, :] = work[:, c, :] * inv[work[:, c, c]][:, None] % p
+        row_c = work[bidx, c, c:].copy()
+        row_p = work[bidx, piv, c:].copy()
+        work[bidx, c, c:] = row_p
+        work[bidx, piv, c:] = row_c
         if c + 1 < m:
-            fac = work[:, c + 1 :, c]
-            work[:, c + 1 :, :] -= fac[:, :, None] * work[:, c, None, :]
-            work[:, c + 1 :, :] %= p
+            lead = work[:, c, c, None, None]
+            fac = p - work[:, c + 1 :, c, None]
+            rest = work[:, c + 1 :, c:]
+            rest *= lead
+            rest += fac * work[:, c, None, c:]
+            reduce_mod(rest, p)
     return ok

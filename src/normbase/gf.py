@@ -23,7 +23,7 @@ from array import array
 
 import numpy as np
 
-from . import counting
+from . import _linalg, counting
 from .errors import BudgetExceeded, VerificationError
 
 ELEMENT_BUDGET_DEFAULT = 2**20
@@ -229,6 +229,14 @@ def _slots(F, coeffs):
     return out
 
 
+def _unit_slots(F) -> list:
+    """The slot of each prime coordinate in the packed layout of F."""
+    if isinstance(F, PrimeField):
+        return [0]
+    inner = _unit_slots(F.base)
+    return [i * F.base._stride + s for i in range(F.degree) for s in inner]
+
+
 def _canon(F, raw, count: int) -> list:
     """The canonical elements of F that count raw packed elements stand
     for (raw: their count * F._stride unreduced slots, an array)."""
@@ -343,6 +351,8 @@ def pscale(F, a, s):
 def pmonic(F, a):
     if not a:
         return a
+    if len(a) == 1:  # a nonzero constant: no inversion
+        return (F.one,)
     lead = a[-1]
     if lead == F.one:
         return a
@@ -423,10 +433,48 @@ def pmod(F, a, b):
 
 
 def pgcd(F, a, b):
-    """Monic gcd; the zero polynomial acts as the identity."""
+    """Monic gcd; the zero polynomial acts as the identity.
+
+    Over an extension field with multiplication matrices (mul_matrix) the
+    Euclid runs fraction-free in prime coordinates (_pgcd_coords), and the
+    only inversion is pmonic's, none for a constant gcd.  Over F_p, where
+    an inversion is one pow, and over fields the kernel cannot pack, it
+    divides at each step."""
+    if a and b and isinstance(F, ExtensionField) and F._mul_layout is not None:
+        rows = _pgcd_coords(F, a, b).astype(np.int64).tolist()
+        return pmonic(F, tuple(_elements(F, rows)))
     while b:
         a, b = b, pmod(F, a, b)
     return pmonic(F, a)
+
+
+def _pgcd_coords(F, a, b) -> np.ndarray:
+    """gcd(a, b) up to a nonzero factor, for nonzero a and b over an
+    extension field F, as a (len, prime_dim) array of prime coordinates.
+
+    Each elimination step sets r <- lc(s) r - lc(r) x^k s, a nonzero
+    multiple of the step of the division of r by s that it replaces, so
+    no step inverts; scaling by an element is a product with its matrix."""
+    p, D = F.char, F.prime_dim
+    dt = F._mul_layout[1].dtype
+    r = np.array(a, dtype=dt).reshape(len(a), D)
+    s = np.array(b, dtype=dt).reshape(len(b), D)
+    if len(r) < len(s):
+        r, s = s, r
+    while len(s):
+        by_lead = F.mul_matrix(s[-1]).T
+        while len(r) >= len(s):
+            k = len(r) - len(s)
+            by_neg = F.mul_matrix(-r[-1] % p).T
+            # at most (p - 1) + D (p - 1)^2 before the reduction: no
+            # wrap-around or rounding in the dtype of mul_matrix
+            out = r[:-1] @ by_lead
+            out[k:] += _linalg.reduce_mod(s[:-1] @ by_neg, p)
+            r = _linalg.reduce_mod(out, p)
+            while len(r) and not r[-1].any():
+                r = r[:-1]
+        r, s = s, r
+    return r
 
 
 def ppow_mod(F, base, e: int, mod):
@@ -618,6 +666,41 @@ class ExtensionField:
             for u in units:
                 rows.append(self.prime_coords(tuple(base.mul(u, c) for c in yj)))
         return np.array(rows, dtype=np.uint64), [_pack(r, self._read_slot) for r in rows]
+
+    @functools.cached_property
+    def _mul_layout(self):
+        """(index, fold) for mul_matrix.  index[t, s] is the prime
+        coordinate of a multiplicand that the packed product with the t-th
+        prime unit puts in raw slot s, or prime_dim (read as zero) for none;
+        fold is _fold's matrix in the dtype of a dot product of prime_dim
+        residues (float64 where that is exact).  None where the kernel
+        cannot pack, or no 64-bit type holds such sums."""
+        if self._read_slot is None:
+            return None
+        try:
+            dt = _linalg.dtype_for(self.char, self.prime_dim, blas=True)
+        except ValueError:
+            return None
+        dim = self.prime_dim
+        at = np.array(_unit_slots(self))
+        index = np.full((dim, self._stride), dim)
+        index[np.arange(dim)[:, None], at[:, None] + at] = np.arange(dim)
+        return index, self._fold[0].astype(dt)
+
+    def mul_matrix(self, coords) -> np.ndarray:
+        """The (prime_dim x prime_dim) matrices over F_p of multiplication
+        by the elements with prime coordinates coords (..., prime_dim):
+        column t holds the prime coordinates of the element times the t-th
+        prime unit.  One gather of the packed slots of these products and
+        one product with the fold, in the dtype of _mul_layout."""
+        if self._mul_layout is None:
+            raise ValueError(f"{self} has no 64-bit multiplication matrices")
+        index, fold = self._mul_layout
+        coords = np.asarray(coords)
+        padded = np.zeros(coords.shape[:-1] + (self.prime_dim + 1,), dtype=fold.dtype)
+        padded[..., :-1] = coords
+        rows = _linalg.reduce_mod(padded[..., index] @ fold, self.char)
+        return rows.swapaxes(-1, -2)
 
     def validate(self, a) -> None:
         if not isinstance(a, tuple) or len(a) != self.degree:

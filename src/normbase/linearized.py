@@ -77,21 +77,9 @@ def evaluate(l: QPoly, a, ext):
 
 
 @functools.lru_cache(maxsize=128)
-def _op_tables(ext):
+def _frobenius_powers(ext):
     dim = ext.prime_dim
-    frob = _linalg.frobenius_matrix(ext).astype(np.int64)
-    return {"fpows": [np.eye(dim, dtype=np.int64), frob], "smats": {}}
-
-
-def _scalar_matrix(ext, c):
-    tabs = _op_tables(ext)
-    idx = ext.base.index(c)
-    mat = tabs["smats"].get(idx)
-    if mat is None:
-        emb = ext.embed(c)
-        mat = _linalg.linear_map_matrix(lambda a: ext.mul(a, emb), ext).astype(np.int64)
-        tabs["smats"][idx] = mat
-    return mat
+    return [np.eye(dim, dtype=np.int64), _linalg.frobenius_matrix(ext).astype(np.int64)]
 
 
 def operator_matrix(l: QPoly, ext):
@@ -100,17 +88,12 @@ def operator_matrix(l: QPoly, ext):
     if ext.base != l.field:
         raise ValueError("operator coefficients do not live in ext's base field")
     p = ext.char
-    dim = ext.prime_dim
-    tabs = _op_tables(ext)
-    fpows = tabs["fpows"]
+    fpows = _frobenius_powers(ext)
     coeffs = l.associate.coeffs
     while len(fpows) < len(coeffs):
         fpows.append(fpows[-1] @ fpows[1] % p)
-    acc = np.zeros((dim, dim), dtype=np.int64)
-    F = l.field
-    for i, c in enumerate(coeffs):
-        if c != F.zero:
-            acc += _scalar_matrix(ext, c) @ fpows[i]
+    scalars = ext.mul_matrix([ext.prime_coords(ext.embed(c)) for c in coeffs])
+    acc = np.einsum("iab,ibc->ac", scalars.astype(np.int64), np.array(fpows[: len(coeffs)]))
     return (acc % p).astype(_linalg.dtype_for(p))
 
 

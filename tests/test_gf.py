@@ -2,6 +2,7 @@
 
 import functools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -333,7 +334,10 @@ def loop_field(F):
 def kernel_fields():
     """Extension fields for the packed kernel: 1-, 2-, 4- and 8-byte slots,
     towers of depth 2 and 3, and F_{(2^61-1)^2}, whose slots fit in no 8
-    bytes (loop fallback).  Each is paired with its loop_field."""
+    bytes (loop fallback).  F_{(2^31-1)^2} packs, but its multiplication
+    matrices are exact only in int64, not in float64; F_{(2^31+11)^2}
+    packs, and they fit in no 64-bit type (pgcd's loop fallback).  Each is
+    paired with its loop_field."""
     F4 = gf.base_field(2, 2)
     F64 = gf.extension(F4, 3)
     fields = [
@@ -345,6 +349,8 @@ def kernel_fields():
         gf.base_field(65521, 2),
         F64,
         gf.extension(F64, 2),
+        gf.base_field(2**31 - 1, 2),
+        gf.base_field(2**31 + 11, 2),
         # modulus x^2 + 1 (see test_default_modulus_over_a_huge_prime)
         gf.base_field(2**61 - 1, 2),
     ]
@@ -352,9 +358,17 @@ def kernel_fields():
 
 
 def check_extension_kernel(F, L, a, b):
-    """pmul and pdivmod over F against the loops over L (the same field)."""
+    """pmul, pdivmod and pgcd over F against the loops over L (the same
+    field), and F's multiplication matrices against L's products."""
     a, b = gf.ptrim(F, a), gf.ptrim(F, b)
     assert gf.pmul(F, a, b) == gf.pmul(L, a, b)
+    if len(a) * len(b) * F.prime_dim <= 400:  # the loop gcd is the slowest reference
+        assert gf.pgcd(F, a, b) == gf.pgcd(L, a, b)
+    if F._mul_layout is not None:
+        for x, y in zip(a, b):
+            mat = F.mul_matrix(F.prime_coords(x)).astype(np.int64).astype(object)
+            got = tuple(int(c) % F.char for c in mat @ F.prime_coords(y))
+            assert got == F.prime_coords(L.mul(x, y))
     if b:
         q, r = gf.pdivmod(F, a, b)
         assert (q, r) == gf.pdivmod(L, a, b)
@@ -384,6 +398,12 @@ def test_extension_kernel_matches_schoolbook_loop(rng):
             check_extension_kernel(F, L, b, a)
             top = max_element(F)
             check_extension_kernel(F, L, [top] * la, [top] * lb)
+            # zero operands, and a common factor for a gcd of positive degree
+            check_extension_kernel(F, L, (), b)
+            check_extension_kernel(F, L, a, ())
+            if la * lb * F.prime_dim <= 200:
+                g = [F.random(rng), top, F.one]
+                check_extension_kernel(F, L, gf.pmul(L, a, g), gf.pmul(L, gf.ptrim(F, b), g))
 
 
 def test_extension_kernel_at_slot_boundaries():
@@ -467,6 +487,23 @@ def test_pdivmod_inverts_only_a_non_monic_leading_coefficient(monkeypatch, rng):
             assert gf.padd(F, gf.pmul(F, quo, b), rem) == gf.ptrim(F, a)
             assert len(rem) < lb
             assert inversions == ([] if lead == F.one else [lead]), (la, lead)
+
+
+def test_pgcd_over_an_extension_inverts_at_most_once(monkeypatch, rng):
+    # the fraction-free Euclid leaves only pmonic's inversion, and none
+    # when the gcd is a constant
+    F = gf.base_field(2, 4)
+    inversions = []
+    real_inv = F.inv
+    monkeypatch.setattr(F, "inv", lambda a: inversions.append(a) or real_inv(a))
+    for _ in range(10):
+        a = tuple(F.random(rng) for _ in range(12)) + (F.random(rng),)
+        b = tuple(F.random(rng) for _ in range(9)) + (F.from_index(5),)
+        g = (F.random(rng), F.from_index(3))
+        for x, y in ((a, b), (gf.pmul(F, a, g), gf.pmul(F, b, g))):
+            inversions.clear()
+            gcd = gf.pgcd(F, gf.ptrim(F, x), y)
+            assert len(inversions) <= (len(gcd) > 1)
 
 
 def test_default_modulus_over_a_huge_prime():

@@ -132,6 +132,19 @@ def test_dtype_for_keeps_small_primes_narrow():
     assert _linalg.dtype_for(2**20 - 3, 20) == np.int64
     with pytest.raises(ValueError):
         _linalg.dtype_for(2**32 + 15, 1)
+    # float64 (BLAS) only where every dot product stays an exact double
+    assert _linalg.dtype_for(65521, 32, blas=True) == np.float64
+    assert _linalg.dtype_for(2**31 - 1, 2, blas=True) == np.int64
+    assert _linalg.dtype_for(2, blas=True) == np.uint8
+
+
+def test_reduce_mod_is_exact_on_float64():
+    # at multiples of p, one below them and p - 1 below them, up to 2^53 - p
+    p = 65521
+    top = (2**53 - p) // p * p
+    xs = [top, top - 1, top - p + 1, p, p - 1, 0]
+    got = _linalg.reduce_mod(np.array(xs, dtype=np.float64), p)
+    assert got.tolist() == [x % p for x in xs]
 
 
 def test_count_methods_agree():
@@ -341,8 +354,9 @@ def test_survivor_claims_exhaustive_to_spec_scale(rng):
 def test_linalg_kernels_agree_with_pure_rank(rng):
     # Every odd batch member is singular, one row a combination of the
     # others, so the singular path is hit at large p too.  p = 65521
-    # eliminates in int64, and 33 columns are past the packed GF(2) kernel.
-    cases = [(p, 5, 64) for p in (2, 3, 5, 7, 181, 191, 251, 257, 65521)] + [(2, 33, 16)]
+    # eliminates in int64, 33 columns are past the packed GF(2) kernel, and
+    # p = 1048573 is the largest prime the element budget admits.
+    cases = [(p, 5, 64) for p in (2, 3, 5, 7, 181, 191, 251, 257, 65521, 1048573)] + [(2, 33, 16)]
     for p, m, batch in cases:
         field = gf.prime_field(p)
         mats = []
