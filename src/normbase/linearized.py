@@ -88,8 +88,10 @@ def operator_matrix(l: QPoly, ext):
     if ext.base != l.field:
         raise ValueError("operator coefficients do not live in ext's base field")
     p = ext.char
-    fpows = _frobenius_powers(ext)
     coeffs = l.associate.coeffs
+    if not coeffs:
+        return np.zeros((ext.prime_dim, ext.prime_dim), dtype=_linalg.dtype_for(p))
+    fpows = _frobenius_powers(ext)
     while len(fpows) < len(coeffs):
         fpows.append(fpows[-1] @ fpows[1] % p)
     scalars = ext.mul_matrix([ext.prime_coords(ext.embed(c)) for c in coeffs])

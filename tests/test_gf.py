@@ -489,6 +489,15 @@ def test_pdivmod_inverts_only_a_non_monic_leading_coefficient(monkeypatch, rng):
             assert inversions == ([] if lead == F.one else [lead]), (la, lead)
 
 
+def test_multiplication_matrices_are_exact_doubles_or_int64():
+    # float64 (BLAS) only where every dot product of prime_dim residues
+    # stays an exact double; no matrices where int64 cannot hold them
+    layout = [gf.base_field(p, 2)._mul_layout for p in (65521, 2**31 - 1, 2**31 + 11)]
+    assert layout[0][1].dtype == np.float64
+    assert layout[1][1].dtype == np.int64
+    assert layout[2] is None
+
+
 def test_pgcd_over_an_extension_inverts_at_most_once(monkeypatch, rng):
     # the fraction-free Euclid leaves only pmonic's inversion, and none
     # when the gcd is a constant

@@ -117,13 +117,14 @@ def test_evaluate_validates(f2, f3):
 
 def test_operator_matrix_agrees_with_evaluate(f3):
     F27 = gf.extension(f3, 3)
-    l = Q(f3, 2, 0, 1)
-    mat = operator_matrix(l, F27)
-    for a in F27.elements():
-        via_matrix = F27.from_prime_coords(
-            tuple(int(v) for v in (np.array(F27.prime_coords(a)) @ mat.T.astype(int)) % 3)
-        )
-        assert via_matrix == evaluate(l, a, F27)
+    # the zero operator too: its associate has no coefficients
+    for l in (Q(f3, 2, 0, 1), Q(f3)):
+        mat = operator_matrix(l, F27)
+        for a in F27.elements():
+            via_matrix = F27.from_prime_coords(
+                tuple(int(v) for v in (np.array(F27.prime_coords(a)) @ mat.T.astype(int)) % 3)
+            )
+            assert via_matrix == evaluate(l, a, F27)
 
 
 def test_root_count_examples(f2):

@@ -132,10 +132,6 @@ def test_dtype_for_keeps_small_primes_narrow():
     assert _linalg.dtype_for(2**20 - 3, 20) == np.int64
     with pytest.raises(ValueError):
         _linalg.dtype_for(2**32 + 15, 1)
-    # float64 (BLAS) only where every dot product stays an exact double
-    assert _linalg.dtype_for(65521, 32, blas=True) == np.float64
-    assert _linalg.dtype_for(2**31 - 1, 2, blas=True) == np.int64
-    assert _linalg.dtype_for(2, blas=True) == np.uint8
 
 
 def test_reduce_mod_is_exact_on_float64():
