@@ -189,14 +189,13 @@ def cmd_test(args) -> int:
         f = textio.parse_poly(args.poly, field)
         if f.degree is polyring.NEG_INF or f.degree < 1 or not f.is_monic():
             raise UsageError("the candidate must be monic of degree >= 1")
-        n = int(f.degree)
-        if n > 1 and not polyring.is_irreducible(f):
+        ext = gf.irreducible_extension(field, f.coeffs)
+        if ext is None:
             sys.stdout.write("false (reducible)\n")
             return EXIT_OK
         if polyring.poly_trace(f) == field.zero:
             sys.stdout.write("false (zero trace)\n")
             return EXIT_OK
-        ext = gf.ExtensionField(field, f.coeffs)
         return _report_normality(ext.gen, ext)
     # kind == "normal": an element of F_{q^n} given by modulus + coordinates
     if args.modulus is None or args.element is None:
@@ -204,9 +203,9 @@ def cmd_test(args) -> int:
     mod = textio.parse_poly(args.modulus, field)
     if mod.degree is polyring.NEG_INF or mod.degree < 1 or not mod.is_monic():
         raise UsageError("the modulus must be monic of degree >= 1")
-    if int(mod.degree) > 1 and not polyring.is_irreducible(mod):
+    ext = gf.irreducible_extension(field, mod.coeffs)
+    if ext is None:
         raise UsageError("the modulus is reducible; an irreducible one is required")
-    ext = gf.ExtensionField(field, mod.coeffs)
     a = textio.parse_element(args.element, ext)
     if ext.trace(a) == field.zero:
         sys.stdout.write("false (zero trace)\n")

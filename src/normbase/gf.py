@@ -176,6 +176,15 @@ _SLOT_CODES = tuple((code, 8 * array(code).itemsize) for code in "BHIQ")
 _PMUL_MIN = {True: 12, False: 4}
 _PDIVMOD_MIN = {True: (9, 128), False: (6, 24)}
 _ROW_REDUCE_MIN_ENTRIES = 64
+# ppow_mod and pirreducible reduce by a _Barrett context from modulus
+# degree _BARRETT_MIN_DEGREE[F is F_p with p odd] on.  Over odd p its
+# three numpy reductions per product cost more than short schoolbook
+# loops; over F_2 they are big-int ANDs, and over an extension field the
+# loops cost more.
+_BARRETT_MIN_DEGREE = {True: 6, False: 2}
+# pgcd over F_p keeps its operands packed (_pgcd_packed) from
+# _PGCD_MIN_LEN[p == 2] coefficients of the longer one on.
+_PGCD_MIN_LEN = {True: 8, False: 20}
 # ExtensionField.mul packs its operands from this many prime coordinates;
 # below it, pmul and pmod over the base field are faster.
 _PACKED_MUL_MIN_DIM = 4
@@ -438,14 +447,56 @@ def pgcd(F, a, b):
     Over an extension field with multiplication matrices (mul_matrix) the
     Euclid runs fraction-free in prime coordinates (_pgcd_coords), and the
     only inversion is pmonic's, none for a constant gcd.  Over F_p, where
-    an inversion is one pow, and over fields the kernel cannot pack, it
-    divides at each step."""
+    an inversion is one pow, it divides at each step, on operands that stay
+    packed from _PGCD_MIN_LEN coefficients on (_pgcd_packed); over fields
+    the kernel cannot pack it divides by pmod."""
     if a and b and isinstance(F, ExtensionField) and F._mul_layout is not None:
         rows = _pgcd_coords(F, a, b).astype(np.int64).tolist()
         return pmonic(F, tuple(_elements(F, rows)))
+    if (
+        isinstance(F, PrimeField)
+        and a
+        and b
+        and max(len(a), len(b)) >= _PGCD_MIN_LEN[F.p == 2]
+        and (slot := _packed_slot(F, min(len(a), len(b)), F.p - 1))
+    ):
+        return pmonic(F, _pgcd_packed(F.p, a, b, slot))
     while b:
         a, b = b, pmod(F, a, b)
     return pmonic(F, a)
+
+
+def _pgcd_packed(p, a, b, slot) -> tuple:
+    """gcd(a, b) up to a unit over F_p, for nonzero a and b, on packed
+    operands that stay packed from one Euclid round to the next.  A round
+    divides with lazy reduction as _pdivmod_packed does (the divisor's
+    slots canonical, so that a dividend slot gains at most (p - 1)^2 from
+    each of at most min(len(a), len(b)) steps), and then reduces the
+    remainder's slots mod p once."""
+    w = slot[1]
+    mask = (1 << w) - 1
+    if p == 2:
+        ones = _pack([1] * max(len(a), len(b)), slot)
+    else:
+        ones, dt = None, np.dtype(slot[0]).newbyteorder("<")
+    r0, r1, n0, n1 = _pack(a, slot), _pack(b, slot), len(a) - 1, len(b) - 1
+    if n0 < n1:
+        r0, r1, n0, n1 = r1, r0, n1, n0
+    while n1 >= 0:
+        # r1 is canonical: its top slot is its leading coefficient
+        neg_inv = p - pow(r1 >> n1 * w, -1, p)
+        for shift in range((n0 - n1) * w, -1, -w):
+            c = (r0 >> shift + n1 * w & mask) % p
+            if c:
+                r0 += c * neg_inv % p * r1 << shift
+        r0 &= (1 << n1 * w) - 1
+        if ones:
+            r0 &= ones  # a slot mod 2 is its low bit
+        elif r0:
+            words = np.frombuffer(r0.to_bytes(n1 * w // 8, "little"), dt) % p
+            r0 = int.from_bytes(words.astype(dt, copy=False).tobytes(), "little")
+        r0, r1, n0, n1 = r1, r0, n1, (r0.bit_length() - 1) // w
+    return tuple(_unpack(r0, n0 + 1, slot))
 
 
 def _pgcd_coords(F, a, b) -> np.ndarray:
@@ -477,10 +528,96 @@ def _pgcd_coords(F, a, b) -> np.ndarray:
     return r
 
 
+class _Barrett:
+    """Arithmetic modulo one polynomial f of degree d >= 1 with a unit
+    leading coefficient, on residues packed as in pmul (coefficient i at
+    slot i * stride, every slot canonical).
+
+    mul is polynomial Barrett reduction.  With mu = floor(x^(2d-1) / f),
+    t = a * b (degree <= 2d - 2) and hi = floor(t / x^d), the quotient
+    floor(t / f) is exactly floor(hi * mu / x^(d-1)), and t mod f is the
+    low d coefficients of t + quotient * (-f).  So a product mod f is three
+    big-int products, each followed by a reduction of its slots; a slot
+    sums at most 2d - 1 products of coefficients."""
+
+    def __init__(self, F, f):
+        d = len(f) - 1
+        self.F, self.d = F, d
+        self.slot = slot = _packed_slot(F, 2 * d - 1)
+        self.width = F._stride * slot[1]  # bits per coefficient
+        self.dtype = np.dtype(slot[0]).newbyteorder("<")
+        self.masks = {n: (1 << n * self.width) - 1 for n in (d - 1, d)}
+        # over F_2 a slot mod 2 is its low bit
+        two = isinstance(F, PrimeField) and F.p == 2
+        self.low_bits = two and {n: _pack([1] * n, slot) for n in (d - 1, d)}
+        if isinstance(F, ExtensionField):
+            # _fold with its prime coordinates moved to their packed slots
+            self.units = _unit_slots(F)
+            self.fold = np.zeros((F._stride, F._stride), dtype=np.uint64)
+            self.fold[:, self.units] = F._fold[0]
+        mu = pdivmod(F, (F.zero,) * (2 * d - 1) + (F.one,), f)[0]
+        self.mu = self.pack(mu)
+        self.neg_f = self.pack(pneg(F, f))
+        self.one = self.pack((F.one,))
+
+    def pack(self, coeffs) -> int:
+        return _pack(_slots(self.F, coeffs), self.slot)
+
+    def unpack(self, x: int):
+        F = self.F
+        words = _unpack(x, self.d * F._stride, self.slot)
+        if isinstance(F, PrimeField):
+            return ptrim(F, words)
+        rows = np.frombuffer(words, dtype=words.typecode).reshape(self.d, F._stride)
+        return ptrim(F, _elements(F, rows[:, self.units].tolist()))
+
+    def _reduce(self, raw: int, n: int) -> int:
+        """The canonical packed form of the low n coefficients of raw."""
+        if self.low_bits:
+            return raw & self.low_bits[n]
+        F = self.F
+        raw &= self.masks[n]
+        words = np.frombuffer(raw.to_bytes(n * self.width // 8, "little"), self.dtype) % F.char
+        if isinstance(F, ExtensionField):
+            words = words.reshape(n, F._stride) @ self.fold % F.char
+        return int.from_bytes(words.astype(self.dtype, copy=False).tobytes(), "little")
+
+    def mul(self, a: int, b: int) -> int:
+        d, w = self.d, self.width
+        t = a * b
+        hi = self._reduce(t >> d * w, d - 1)
+        quo = self._reduce(hi * self.mu >> (d - 1) * w, d - 1)
+        return self._reduce(t + quo * self.neg_f, d)
+
+    def pow(self, a: int, e: int) -> int:
+        """a^e, square and multiply from the top bit of e."""
+        if not e:
+            return self.one
+        result = a
+        for bit in bin(e)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
+        return result
+
+
+def _barrett(F, f):
+    """The _Barrett context for f over F, or None where the schoolbook
+    loops run instead: below _BARRETT_MIN_DEGREE, and where _packed_slot
+    finds no slot."""
+    d = len(f) - 1
+    odd_prime = isinstance(F, PrimeField) and F.p > 2
+    if d < _BARRETT_MIN_DEGREE[odd_prime] or not _packed_slot(F, 2 * d - 1):
+        return None
+    return _Barrett(F, f)
+
+
 def ppow_mod(F, base, e: int, mod):
     if e < 0:
         raise ValueError("negative exponent")
     base = pmod(F, base, mod)
+    if e and (ctx := _barrett(F, mod)):
+        return ctx.unpack(ctx.pow(ctx.pack(base), e))
     result = (F.one,)
     while e:
         if e & 1:
@@ -504,21 +641,31 @@ def pinv_mod(F, a, mod):
 
 
 def pirreducible(F, f) -> bool:
-    """Rabin's test: x^(q^d) == x mod f, and for every prime r | d the
-    polynomial x^(q^(d/r)) - x is coprime to f."""
+    """Rabin's test on one Frobenius chain h_k = x^(q^k) mod f: f of
+    degree d is irreducible exactly when h_d == x and h_(d/r) - x is
+    coprime to f for every prime r | d.  The chain also stops at the first
+    k = 1, 2, 4, ... <= d/2 where gcd(h_k - x, f) != 1 (Ben-Or's early
+    exit, sound because an irreducible f of degree d > k divides no
+    x^(q^k) - x), which rejects most reducible f after a few steps."""
     d = pdeg(f)
     if d < 1:
         raise ValueError("irreducibility is undefined for constants")
     if d == 1:
         return True
-    f = pmonic(F, f)
     q = F.order
     x = (F.zero, F.one)
-    for r in counting.factorize(d):
-        h = psub(F, ppow_mod(F, x, q ** (d // r), f), x)
-        if pdeg(pgcd(F, h, f)) != 0:
+    checks = {d // r for r in counting.factorize(d)}
+    checks.update(1 << i for i in range((d // 2).bit_length()))
+    if ctx := _barrett(F, f):
+        start, step, read = ctx.pack(x), (lambda h: ctx.pow(h, q)), ctx.unpack
+    else:
+        start, step, read = x, (lambda h: ppow_mod(F, h, q, f)), (lambda h: h)
+    h = start
+    for k in range(1, d + 1):
+        h = step(h)
+        if k in checks and pdeg(pgcd(F, psub(F, read(h), x), f)) != 0:
             return False
-    return ppow_mod(F, x, q**d, f) == pmod(F, x, f)
+    return h == start
 
 
 def peval(F, coeffs, a):
@@ -593,20 +740,16 @@ def first_irreducible(F, degree: int):
 
     Candidates with zero constant term are divisible by x and are skipped
     wholesale (they fill the entire first stretch of the lexicographic
-    order); over small fields a linear-root screen runs before Rabin."""
+    order); pirreducible's first gcd rejects every other one with a root
+    in F."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
     if degree == 1:
         return (F.zero, F.one)
-    screen = (
-        [F.from_index(i) for i in range(F.order)] if F.order <= 256 else None
-    )
     # candidates counted lazily as base-q numbers, constant coefficient first
     weights = [F.order**i for i in reversed(range(degree))]
     for num in range(weights[0], F.order * weights[0]):
         cand = tuple(F.from_index(num // w % F.order) for w in weights) + (F.one,)
-        if screen is not None and any(peval(F, cand, a) == F.zero for a in screen):
-            continue
         if pirreducible(F, cand):
             return cand
     raise AssertionError("unreachable: an irreducible of every degree exists")
@@ -617,17 +760,21 @@ class ExtensionField:
     base-field elements, constant coordinate first."""
 
     def __init__(self, base, modulus):
-        modulus = ptrim(base, tuple(modulus))
-        for c in modulus:
-            # the kernel's packed slots are sized for canonical coefficients
-            base.validate(c)
-        degree = pdeg(modulus)
-        if degree < 1:
-            raise ValueError("modulus must have degree >= 1")
-        if modulus[-1] != base.one:
-            raise ValueError("modulus must be monic")
+        modulus = _monic_modulus(base, modulus)
         if not pirreducible(base, modulus):
             raise ValueError("modulus is reducible over the base field")
+        self._build(base, modulus)
+
+    @classmethod
+    def _of_irreducible(cls, base, modulus):
+        """The field for a canonical monic modulus already known to be
+        irreducible, built without testing it again."""
+        field = cls.__new__(cls)
+        field._build(base, modulus)
+        return field
+
+    def _build(self, base, modulus):
+        degree = pdeg(modulus)
         self.base = base
         self.modulus = modulus
         self.degree = degree
@@ -836,6 +983,30 @@ class ExtensionField:
         return f"GF({self.base.order}^{self.degree})"
 
 
+def _monic_modulus(base, modulus):
+    """modulus as a trimmed tuple, or ValueError unless it is monic of
+    degree >= 1 with canonical coefficients."""
+    modulus = ptrim(base, tuple(modulus))
+    for c in modulus:
+        # the kernel's packed slots are sized for canonical coefficients
+        base.validate(c)
+    if pdeg(modulus) < 1:
+        raise ValueError("modulus must have degree >= 1")
+    if modulus[-1] != base.one:
+        raise ValueError("modulus must be monic")
+    return modulus
+
+
+def irreducible_extension(base, modulus):
+    """base[x]/(modulus), or None when modulus is reducible over base: the
+    same checks as ExtensionField(base, modulus), for callers that answer
+    a reducible modulus rather than fail on it."""
+    modulus = _monic_modulus(base, modulus)
+    if not pirreducible(base, modulus):
+        return None
+    return ExtensionField._of_irreducible(base, modulus)
+
+
 def prime_field(p: int) -> PrimeField:
     return PrimeField(p)
 
@@ -856,11 +1027,10 @@ def extension(field, n: int, modulus=None) -> ExtensionField:
     if n < 1:
         raise ValueError("extension degree must be >= 1")
     if modulus is None:
-        coeffs = first_irreducible(field, n)
-    else:
-        coeffs = tuple(getattr(modulus, "coeffs", modulus))
-        if pdeg(ptrim(field, coeffs)) != n:
-            raise ValueError(f"modulus degree is not the requested {n}")
+        return ExtensionField._of_irreducible(field, first_irreducible(field, n))
+    coeffs = tuple(getattr(modulus, "coeffs", modulus))
+    if pdeg(ptrim(field, coeffs)) != n:
+        raise ValueError(f"modulus degree is not the requested {n}")
     return ExtensionField(field, coeffs)
 
 

@@ -75,11 +75,8 @@ def is_n_polynomial(f: Poly) -> bool:
         raise ValueError("need degree >= 1")
     if not f.is_monic():
         raise ValueError("N-polynomial candidates must be monic")
-    n = int(f.degree)
-    if n > 1 and not polyring.is_irreducible(f):
-        return False
-    ext = gf.ExtensionField(f.field, f.coeffs)
-    return is_normal(ext.gen, ext)
+    ext = gf.irreducible_extension(f.field, f.coeffs)
+    return ext is not None and is_normal(ext.gen, ext)
 
 
 def degree_of(a, ext) -> int:

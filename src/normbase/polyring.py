@@ -381,7 +381,9 @@ def _berlekamp_split(f: Poly) -> list[Poly]:
         rows.append(padded)
         cur = (cur * xq) % f
     # v(x)^q == v(x) mod f  <=>  v * (Q - I) = 0; transpose for column solve.
-    a = [[F.sub(rows[i][j], F.one if i == j else F.zero) for i in range(nn)] for j in range(nn)]
+    a = [list(col) for col in zip(*rows)]
+    for i in range(nn):
+        a[i][i] = F.sub(a[i][i], F.one)
     # Each non-pivot column of the reduced matrix gives one null vector.
     _, pivots, reduced = gf.row_reduce(a, F)
     basis = []
@@ -406,7 +408,7 @@ def _berlekamp_split(f: Poly) -> list[Poly]:
             for c in consts:
                 if rem.degree == 0:
                     break
-                g = gcd(rem, vp - Poly.constant(F, c))
+                g = gcd(rem, Poly(F, (F.sub(v[0], c),) + v[1:]))
                 if g.degree != 0:
                     refined.append(g)
                     rem = rem // g

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from normbase import cli
+from normbase import cli, gf, oracle
+from normbase.polyring import Poly
 from normbase.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main, parse_n_spec, parse_q_list
 
 
@@ -147,6 +148,18 @@ def test_cmd_test_normal(capsys):
         capsys, "test", "normal", "--q", "2", "--modulus", "1,0,1", "--element", "1"
     )
     assert code == EXIT_USAGE and "reducible" in err
+
+
+def test_cmd_test_tests_each_modulus_once(capsys, monkeypatch):
+    tested = []
+    real = gf.pirreducible
+    monkeypatch.setattr(gf, "pirreducible", lambda F, f: tested.append(tuple(f)) or real(F, f))
+    assert run(capsys, "test", "npoly", "--q", "2", "--poly", "1,0,1,1")[1] == "true\n"
+    assert run(capsys, "test", "npoly", "--q", "2", "--poly", "1,0,0,1")[1] == "false (reducible)\n"
+    argv = ("test", "normal", "--q", "2", "--modulus", "1,0,1,1", "--element", "0,1,0")
+    assert run(capsys, *argv)[1] == "true\n"
+    assert oracle.is_n_polynomial(Poly(gf.prime_field(2), (1, 0, 1, 1)))
+    assert tested == [(1, 0, 1, 1), (1, 0, 0, 1), (1, 0, 1, 1), (1, 0, 1, 1)]
 
 
 def test_cmd_test_usage_errors(capsys):

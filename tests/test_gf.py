@@ -255,6 +255,8 @@ def check_prime_kernel(F, a, b):
     a, b = gf.ptrim(F, a), gf.ptrim(F, b)
     if a and b:
         assert gf.pmul(F, a, b) == gf.ptrim(F, naive_convolution(a, b, p))
+    if len(a) * len(b) <= 2500:  # the loop gcd is the slowest reference
+        assert gf.pgcd(F, a, b) == gf.pgcd(OpaqueField(F), a, b)
     if b:
         q, r = gf.pdivmod(F, a, b)
         assert all(0 <= c < p for c in q + r)
@@ -276,6 +278,25 @@ def test_prime_kernel_fast_paths_match_naive_convolution(rng):
             check_prime_kernel(F, b, a)
             # all-maximal coefficients fill every slot to its bound
             check_prime_kernel(F, [p - 1] * la, [p - 1] * lb)
+
+
+def test_pgcd_over_a_prime_field_matches_the_dividing_euclid(rng):
+    # lengths on both sides of the packed Euclid's crossovers, with common
+    # factors of degree 0 to 6, and all-maximal operands
+    for p in KERNEL_PRIMES:
+        F = gf.prime_field(p)
+        shapes = ((7, 6), (8, 8), (9, 3), (19, 19), (21, 20), (45, 30), (80, 79), (120, 2))
+        for la, lb in shapes:
+            g = [rng.randrange(p) for _ in range(rng.randrange(7))] + [rng.randrange(1, p)]
+            a = [rng.randrange(p) for _ in range(la - 1)] + [rng.randrange(1, p)]
+            b = [rng.randrange(p) for _ in range(lb - 1)] + [rng.randrange(1, p)]
+            a, b = gf.pmul(F, a, g), gf.pmul(F, b, g)
+            for x, y in ((a, b), (b, a), ((p - 1,) * la, (p - 1,) * lb)):
+                assert gf.pgcd(F, x, y) == gf.pgcd(OpaqueField(F), x, y), (p, la, lb)
+        # quotient digits 1 by an all-maximal divisor: every step adds
+        # (p - 1)^2 to the middle slots of the first round
+        top = (p - 1,) * 120
+        assert gf.pgcd(F, gf.pmul(F, (1,) * 121, top), top) == gf.pmonic(F, top), p
 
 
 @st.composite
@@ -513,6 +534,150 @@ def test_pgcd_over_an_extension_inverts_at_most_once(monkeypatch, rng):
             inversions.clear()
             gcd = gf.pgcd(F, gf.ptrim(F, x), y)
             assert len(inversions) <= (len(gcd) > 1)
+
+
+# Fields for the Barrett context and the Frobenius chain: F_2 (slot mod 2
+# by one AND), odd primes and extension fields (numpy reductions), and a
+# depth-3 tower.
+@functools.lru_cache(maxsize=None)
+def barrett_fields():
+    F4 = gf.base_field(2, 2)
+    fields = [gf.prime_field(2), gf.prime_field(3), gf.prime_field(251), F4]
+    fields += [gf.base_field(3, 2), gf.base_field(2, 4), gf.extension(gf.extension(F4, 3), 2)]
+    return [(F, loop_field(F)) for F in fields]
+
+
+def check_barrett(F, L, f, operands):
+    """The context's products mod f and ppow_mod over F against the
+    schoolbook loops over L, the same field."""
+    ctx = gf._Barrett(F, f)
+    for a, b in operands:
+        a, b = gf.ptrim(F, a), gf.ptrim(F, b)
+        want = gf.pmod(L, gf.pmul(L, a, b), f)
+        assert ctx.unpack(ctx.mul(ctx.pack(a), ctx.pack(b))) == want, (F, f, a, b)
+    d, q = len(f) - 1, F.order
+    exponents = (0, 1, q, q**d) if d * F.prime_dim <= 12 else (0, 1, q)
+    base = operands[0][0]
+    for e in exponents:
+        want = gf.ppow_mod(L, base, e, f)
+        assert gf.ppow_mod(F, base, e, f) == want, (F, f, e)
+        assert ctx.unpack(ctx.pow(ctx.pack(gf.pmod(L, base, f)), e)) == want, (F, f, e)
+
+
+def test_barrett_matches_schoolbook_loop(rng):
+    # monic and non-monic moduli from degree 1, random, zero and
+    # all-maximal operands, and a base longer than the modulus
+    for F, L in barrett_fields():
+        top = max_element(F)
+        for d in (1, 2, 3, 5, 8, 13):
+            if d * F.prime_dim > 26:
+                continue  # the loop reference is slow on the larger fields
+            for lead in (F.one, top):
+                f = tuple(F.random(rng) for _ in range(d)) + (lead,)
+                residue = [F.random(rng) for _ in range(d)]
+                operands = [(residue, [F.random(rng) for _ in range(d)]), ([top] * d, [top] * d), ((), [top] * d)]
+                check_barrett(F, L, f, operands)
+                longer = gf.ptrim(F, [F.random(rng) for _ in range(2 * d + 3)] + [top])
+                assert gf.ppow_mod(F, longer, F.order, f) == gf.ppow_mod(L, longer, F.order, f)
+
+
+def test_barrett_at_slot_boundaries():
+    # All-maximal operands at the largest degree d whose slot sums, up to
+    # (2d - 1) * prime_dim * (p - 1)^2, fit a 1-byte slot, and one past it
+    fields = barrett_fields()
+    for F, L in (fields[0], fields[1], fields[3], fields[4]):  # F_2, F_3, F_4, F_9
+        top = max_element(F)
+        d_max = (255 // (F.prime_dim * (F.char - 1) ** 2) + 1) // 2
+        for d in (d_max, d_max + 1):
+            for f in ((top,) * d + (F.one,), (top,) * (d + 1)):
+                ctx = gf._Barrett(F, f)
+                assert ctx.slot[1] == (8 if d == d_max else 16), (F, d)
+                a = (top,) * d
+                want = gf.pmod(L, gf.pmul(L, a, a), f)
+                assert ctx.unpack(ctx.mul(ctx.pack(a), ctx.pack(a))) == want, (F, d)
+
+
+def test_ppow_mod_and_pirreducible_without_a_packed_slot(rng):
+    # F_{(2^61-1)^2} has no 8-byte slot: ppow_mod and pirreducible run the
+    # schoolbook loops
+    F, L = kernel_fields()[-1]
+    x, q = (F.zero, F.one), F.order
+    for d in (2, 3):
+        f = tuple(F.random(rng) for _ in range(d)) + (F.one,)
+        assert gf._barrett(F, f) is None
+        for e in (0, 1, q, q**2):
+            assert gf.ppow_mod(F, x, e, f) == gf.ppow_mod(L, x, e, f), (d, e)
+        assert gf.pirreducible(F, f) == rabin_reference(L, f)
+
+
+def rabin_reference(L, f) -> bool:
+    """Rabin's test with schoolbook arithmetic over a loop field L, each
+    power of x computed from x."""
+    d, x = len(f) - 1, (L.zero, L.one)
+    if d == 1:
+        return True
+    if gf.ppow_mod(L, x, L.order**d, f) != x:
+        return False
+    for r in (r for r in range(2, d + 1) if d % r == 0 and all(r % s for s in range(2, r))):
+        if len(gf.pgcd(L, gf.psub(L, gf.ppow_mod(L, x, L.order ** (d // r), f), x), f)) > 1:
+            return False
+    return True
+
+
+def test_pirreducible_matches_the_degree_scan_exhaustively():
+    # every monic polynomial of each degree against the irreducibles of the
+    # numpy degree scan, which runs Rabin's test on its own
+    from normbase.oracle import scan_irreducibles
+
+    for q, top in ((2, 10), (3, 6), (4, 5)):
+        F = gf.field_of_order(q)
+        for d in range(1, top + 1):
+            rows = scan_irreducibles(d, q).coeff_rows.tolist()
+            want = {tuple(F.from_index(int(i)) for i in row) for row in rows}
+            got = set()
+            for num in range(q**d):
+                f = tuple(F.from_index(num // q**i % q) for i in range(d)) + (F.one,)
+                if gf.pirreducible(F, f):
+                    got.add(f[:-1])
+            assert got == want, (q, d)
+
+
+@st.composite
+def irreducibility_operands(draw):
+    F, L = draw(st.sampled_from(barrett_fields()[:6]))
+    d = draw(st.integers(1, 7 if F.prime_dim <= 2 else 4))
+    index = st.integers(0, F.order - 1).map(F.from_index)
+    coeffs = draw(st.lists(index, min_size=d, max_size=d))
+    lead = draw(st.integers(1, F.order - 1).map(F.from_index))
+    return F, L, tuple(coeffs) + (lead,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(irreducibility_operands())
+def test_pirreducible_property(operands):
+    # non-monic candidates too: the verdict is that of the monic associate
+    F, L, f = operands
+    assert gf.pirreducible(F, f) == rabin_reference(L, gf.pmonic(L, f))
+
+
+def test_each_modulus_is_tested_once(monkeypatch):
+    tested = []
+    real = gf.pirreducible
+    monkeypatch.setattr(gf, "pirreducible", lambda F, f: tested.append(tuple(f)) or real(F, f))
+    F = gf.prime_field(3)
+    E = gf.extension(F, 5)
+    assert tested.count(E.modulus) == 1
+    tested.clear()
+    assert gf.irreducible_extension(F, E.modulus) == E
+    assert tested == [E.modulus]
+    # x^2 + 2 = (x - 1)(x + 1)
+    assert gf.irreducible_extension(F, (2, 0, 1)) is None
+    with pytest.raises(ValueError):
+        gf.extension(F, 2, modulus=(2, 0, 1))
+    with pytest.raises(ValueError):
+        gf.ExtensionField(F, (2, 0, 1))
+    with pytest.raises(ValueError):
+        gf.irreducible_extension(F, (1, 0, 2))  # not monic
 
 
 def test_default_modulus_over_a_huge_prime():
