@@ -237,6 +237,7 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
+# Cached: one build takes 0.9 ms, against a 2-ms median oracle-sweep op.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it

@@ -152,7 +152,7 @@ class PrimeField:
 # Coefficient vectors over F_p, F_q = F_p[y]/(m) or any tower above them
 # are packed into one Python int of fixed-width slots, one slot per prime
 # coordinate (Kronecker substitution), so that the O(n^2) coefficient
-# loops of pmul and pdivmod (and of row_reduce, over F_p) run inside
+# loops of pmul and pdivmod (and of rank, over F_p) run inside
 # CPython's big-int arithmetic.  An element of F_p takes one slot; an
 # element of a degree-k extension takes (2k - 1) times its base field's
 # stride, its k base coordinates at the first k base strides and the
@@ -171,11 +171,9 @@ _SLOT_CODES = tuple((code, 8 * array(code).itemsize) for code in "BHIQ")
 # loop step is a field multiplication, and packing pays almost at once.
 # pmul packs from _PMUL_MIN[D == 1] coefficient products; pdivmod packs
 # when lb * D and steps * lb * D reach _PDIVMOD_MIN[D == 1], D being the
-# coefficient field's prime_dim.  row_reduce packs from
-# _ROW_REDUCE_MIN_ENTRIES matrix entries.
+# coefficient field's prime_dim.  rank packs F_p rows at every size.
 _PMUL_MIN = {True: 12, False: 4}
 _PDIVMOD_MIN = {True: (9, 128), False: (6, 24)}
-_ROW_REDUCE_MIN_ENTRIES = 64
 # ppow_mod and pirreducible reduce by a _Barrett context from modulus
 # degree _BARRETT_MIN_DEGREE[F is F_p with p odd] on.  Over odd p its
 # three numpy reductions per product cost more than short schoolbook
@@ -676,62 +674,51 @@ def peval(F, coeffs, a):
     return acc
 
 
-def row_reduce(rows, F):
-    """Gauss-Jordan elimination over F with first-nonzero pivots.
+def rank(rows, F) -> int:
+    """Rank of a list of equal-length rows over F.
 
-    Returns (rank, pivot columns, reduced rows): row r < rank is the one
-    with a one in pivot column r and zeros in every other pivot column;
-    the rows from rank on are zero."""
+    Gaussian elimination with first-nonzero pivots that clears only the
+    rows below each pivot.  Over F_p the rows are packed as in pdivmod: a
+    row gains (p - fac) * pivot row at each of at most len(rows) steps,
+    and an entry is reduced mod p only when it is read.  Extension bases,
+    and primes whose sums fit no 8-byte slot, run the loop of field
+    operations."""
     ncols = len(rows[0]) if rows else 0
-    if isinstance(F, PrimeField):
-        p = F.p
-        if len(rows) * ncols >= _ROW_REDUCE_MIN_ENTRIES and (
-            slot := _slot((p - 1) + len(rows) * (p - 1) ** 2)
-        ):
-            return _row_reduce_packed(rows, p, ncols, slot)
-    work = [list(r) for r in rows]
-    pivots = []
+    r = 0
+    if isinstance(F, PrimeField) and (slot := _slot((F.p - 1) + len(rows) * (F.p - 1) ** 2)):
+        p, w = F.p, slot[1]
+        mask = (1 << w) - 1
+        work = [_pack(row, slot) for row in rows]
+        for c in range(ncols):
+            at = c * w
+            piv = next((i for i in range(r, len(work)) if (work[i] >> at & mask) % p), None)
+            if piv is None:
+                continue
+            work[r], work[piv] = work[piv], work[r]
+            row = _unpack(work[r], ncols, slot)
+            inv = pow(row[c], -1, p)
+            pivot = _pack([x * inv % p for x in row], slot)
+            for i in range(r + 1, len(work)):
+                if fac := (work[i] >> at & mask) % p:
+                    work[i] += (p - fac) * pivot
+            r += 1
+        return r
+    work = [list(row) for row in rows]
     for c in range(ncols):
-        r = len(pivots)
         piv = next((i for i in range(r, len(work)) if work[i][c] != F.zero), None)
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
         inv = F.inv(work[r][c])
-        work[r] = [F.mul(x, inv) for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != F.zero:
-                fac = work[i][c]
-                work[i] = [F.sub(x, F.mul(fac, y)) for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-    return len(pivots), pivots, work
-
-
-def _row_reduce_packed(rows, p, ncols, slot):
-    """row_reduce over F_p on packed rows, lazily reduced as in pdivmod:
-    a row gains (p - fac) * pivot row at each of at most len(rows) steps,
-    and an entry is reduced mod p only when it is read."""
-    w = slot[1]
-    mask = (1 << w) - 1
-    work = [_pack(r, slot) for r in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        at = c * w
-        piv = next((i for i in range(r, len(work)) if (work[i] >> at & mask) % p), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        row = _unpack(work[r], ncols, slot)
-        inv = pow(row[c], -1, p)
-        work[r] = pivot = _pack([x * inv % p for x in row], slot)
-        for i in range(len(work)):
-            if i != r:
-                fac = (work[i] >> at & mask) % p
-                if fac:
-                    work[i] += (p - fac) * pivot
-        pivots.append(c)
-    return len(pivots), pivots, [[x % p for x in _unpack(v, ncols, slot)] for v in work]
+        # columns up to c are no longer read in the rows below r
+        pivot = work[r][c + 1 :]
+        for i in range(r + 1, len(work)):
+            if work[i][c] != F.zero:
+                fac = F.mul(work[i][c], inv)
+                tail = zip(work[i][c + 1 :], pivot)
+                work[i][c + 1 :] = [F.sub(x, F.mul(fac, y)) for x, y in tail]
+        r += 1
+    return r
 
 
 def first_irreducible(F, degree: int):

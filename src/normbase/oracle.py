@@ -45,8 +45,10 @@ def conjugate_matrix(a, ext) -> list:
 
 
 def rank_over_field(rows, field) -> int:
-    """Rank of a list of rows over an arbitrary field (gf.row_reduce)."""
-    return gf.row_reduce(rows, field)[0]
+    """Rank of a list of rows over an arbitrary field, by gf.rank's
+    pure-Python elimination: the per-element rank criterion, and the
+    reference _linalg.batched_rank_full is tested against."""
+    return gf.rank(rows, field)
 
 
 def is_normal(a, ext) -> bool:
@@ -95,6 +97,7 @@ def degree_of(a, ext) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Cached: oracle-sweep's verify and roots ops share F_{q^n}; without it wall_s rose 12-15%.
 @functools.lru_cache(maxsize=128)
 def extension_for(q: int, n: int):
     """F_{q^n} over F_q with the deterministic default moduli."""
@@ -296,18 +299,13 @@ def _scan_chunk(field, n: int, smats, start: int, stop: int):
     return encoded.astype(_linalg.dtype_for(field.order)), normal
 
 
-@functools.lru_cache(maxsize=128)
-def _scan_cached(n: int, q: int) -> IrreducibleScan:
-    return _scan_impl(n, q)
-
-
 def scan_irreducibles(n: int, q: int, budget=None) -> IrreducibleScan:
     """All monic irreducibles of degree n over F_q, scanned from the q^n
     monic candidates (so q^n is held to the polynomial-scan budget)."""
     if n < 1:
         raise ValueError("degree must be >= 1")
     gf.check_poly_budget(q, n, budget)
-    return _scan_cached(n, q)
+    return _scan_impl(n, q)
 
 
 def count_npolys_and_traces(n: int, q: int, budget=None) -> tuple[int, int, bool]:

@@ -6,11 +6,11 @@ comparisons and degree arithmetic stay honest.  Beyond ring arithmetic this
 module provides irreducibility testing, complete factorization, cyclotomic
 polynomials, and the structured factorization of x^n - 1 grouped by divisor.
 
-Factorization is deterministic: the equal-degree stage draws from a
+Factorization is deterministic: the equal-degree stage is Cantor-Zassenhaus
+at every field size (the F_2-trace map in characteristic 2), drawing from a
 random.Random seeded with DEFAULT_FACTOR_SEED unless the caller overrides
-it, and fields with at most 3 elements use a deterministic Berlekamp split
-instead (random splitting degenerates there).  Factor lists are always
-sorted by (degree, lexicographic coefficients).
+it.  Factor lists are always sorted by (degree, lexicographic coefficients),
+so they do not depend on the seed.
 """
 
 from __future__ import annotations
@@ -367,59 +367,6 @@ def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def _berlekamp_split(f: Poly) -> list[Poly]:
-    """Deterministic full splitting of a squarefree monic f; intended for
-    tiny fields where random equal-degree splitting degenerates."""
-    F = f.field
-    nn = int(f.degree)
-    # Row i of the Frobenius matrix: coefficients of x^(i*q) mod f.
-    xq = pow_mod(Poly.x(F), F.order, f)
-    rows = []
-    cur = Poly.one(F)
-    for i in range(nn):
-        padded = list(cur.coeffs) + [F.zero] * (nn - len(cur.coeffs))
-        rows.append(padded)
-        cur = (cur * xq) % f
-    # v(x)^q == v(x) mod f  <=>  v * (Q - I) = 0; transpose for column solve.
-    a = [list(col) for col in zip(*rows)]
-    for i in range(nn):
-        a[i][i] = F.sub(a[i][i], F.one)
-    # Each non-pivot column of the reduced matrix gives one null vector.
-    _, pivots, reduced = gf.row_reduce(a, F)
-    basis = []
-    for free in sorted(set(range(nn)) - set(pivots)):
-        v = [F.zero] * nn
-        v[free] = F.one
-        for r, c in enumerate(pivots):
-            v[c] = F.neg(reduced[r][free])
-        basis.append(tuple(v))
-    target = len(basis)
-    factors = [f]
-    consts = [F.from_index(i) for i in range(F.order)]
-    for v in basis:
-        if len(factors) == target:
-            break
-        vp = Poly(F, v)
-        if vp.degree is NEG_INF or vp.degree < 1:
-            continue
-        refined = []
-        for u in factors:
-            rem = u
-            for c in consts:
-                if rem.degree == 0:
-                    break
-                g = gcd(rem, Poly(F, (F.sub(v[0], c),) + v[1:]))
-                if g.degree != 0:
-                    refined.append(g)
-                    rem = rem // g
-            if rem.degree != 0:
-                refined.append(rem)
-        factors = refined
-    if len(factors) != target:
-        raise VerificationError("Berlekamp split did not reach the factor count")
-    return factors
-
-
 def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     """Cantor-Zassenhaus splitting of a squarefree monic f whose irreducible
     factors all have degree d."""
@@ -458,19 +405,16 @@ def factor(f: Poly, rng: random.Random | None = None, seed: int | None = None) -
     """Complete monic irreducible factorization of f (degree >= 1).
 
     Reproducible by construction: pass rng or seed to override the default
-    seed; fields with q <= 3 take the deterministic Berlekamp path."""
+    seed.  The parts are sorted, so they do not depend on the seed."""
     if f.degree is NEG_INF or f.degree < 1:
         raise ValueError("cannot factor a constant")
     if rng is None:
         rng = random.Random(DEFAULT_FACTOR_SEED if seed is None else seed)
-    F = f.field
     found: dict[Poly, int] = {}
     for g, mult in squarefree_decomposition(f):
         for block, d in _distinct_degree(g):
             if block.degree == d:
                 pieces = [block]
-            elif F.order <= 3:
-                pieces = _berlekamp_split(block)
             else:
                 pieces = _equal_degree_split(block, d, rng)
             for piece in pieces:

@@ -322,24 +322,32 @@ class OpaqueField:
         self.zero, self.one = F.zero, F.one
 
     def __getattr__(self, name):
-        return getattr(self.F, name)
+        # stored on first lookup, so later lookups skip this method
+        value = getattr(self.F, name)
+        setattr(self, name, value)
+        return value
 
 
 def test_row_reduce_packed_matches_generic_loop(rng):
-    # Rank-deficient products (nrows x r) @ (r x ncols), reduced by the
-    # packed prime-field path and by the generic loop.
+    # Rank-deficient products (nrows x r) @ (r x ncols), ranked by the
+    # packed prime-field path and by the generic loop; every F_p shape
+    # packs, down to no rows and 1 x 1.
+    shapes = (
+        (60, 60, 45), (60, 40, 12), (25, 60, 20), (9, 8, 5),
+        (3, 3, 2), (3, 3, 3), (1, 70, 1), (1, 1, 1), (0, 4, 0),
+    )
     for p in (2, 3, 251):
         F = gf.prime_field(p)
-        for nrows, ncols, r in ((60, 60, 45), (60, 40, 12), (25, 60, 20), (9, 8, 5), (3, 3, 2), (1, 70, 1)):
+        for nrows, ncols, r in shapes:
             left = [[rng.randrange(p) for _ in range(r)] for _ in range(nrows)]
             right = [[rng.randrange(p) for _ in range(ncols)] for _ in range(r)]
             rows = [
                 [sum(x * right[k][j] for k, x in enumerate(row)) % p for j in range(ncols)]
                 for row in left
             ]
-            got = gf.row_reduce(rows, F)
-            assert got == gf.row_reduce(rows, OpaqueField(F)), (p, nrows, ncols)
-            assert got[0] <= r
+            got = gf.rank(rows, F)
+            assert got == gf.rank(rows, OpaqueField(F)), (p, nrows, ncols)
+            assert got <= r
 
 
 def loop_field(F):
@@ -466,31 +474,6 @@ def extension_kernel_operands(draw):
 @given(extension_kernel_operands())
 def test_extension_kernel_property(operands):
     check_extension_kernel(*operands)
-
-
-def test_row_reduce_pivots_and_null_space(rng):
-    # Every reduced row r < rank has a one at pivot r and zeros at the other
-    # pivots; each non-pivot column yields a null vector of the input.
-    for F in (gf.prime_field(2), gf.prime_field(5), gf.base_field(2, 2)):
-        for _ in range(20):
-            rows = [[F.random(rng) for _ in range(4)] for _ in range(rng.randrange(1, 5))]
-            rank, pivots, reduced = gf.row_reduce(rows, F)
-            assert rank == len(pivots) and pivots == sorted(pivots)
-            for r, c in enumerate(pivots):
-                assert [reduced[i][c] for i in range(len(rows))] == [
-                    F.one if i == r else F.zero for i in range(len(rows))
-                ]
-            assert all(x == F.zero for row in reduced[rank:] for x in row)
-            for free in sorted(set(range(4)) - set(pivots)):
-                v = [F.zero] * 4
-                v[free] = F.one
-                for r, c in enumerate(pivots):
-                    v[c] = F.neg(reduced[r][free])
-                for row in rows:
-                    acc = F.zero
-                    for x, y in zip(row, v):
-                        acc = F.add(acc, F.mul(x, y))
-                    assert acc == F.zero
 
 
 def test_pdivmod_inverts_only_a_non_monic_leading_coefficient(monkeypatch, rng):

@@ -49,7 +49,7 @@ def test_conjugate_matrix_shape(f2):
 
 def test_rank_over_field_against_span_enumeration(rng):
     # Independent oracle: the F_q-span of the rows has size q^rank.
-    for field in (gf.prime_field(2), gf.prime_field(3), gf.base_field(2, 2)):
+    for field in (gf.prime_field(2), gf.prime_field(3), gf.prime_field(5), gf.base_field(2, 2)):
         for _ in range(15):
             m = rng.randrange(1, 4)
             rows = [tuple(field.random(rng) for _ in range(3)) for _ in range(m)]

@@ -257,6 +257,28 @@ def test_factor_determinism(rng):
     )
 
 
+@pytest.mark.parametrize("q, kmax", [(2, 6), (3, 4)])
+def test_factor_splits_x_qk_minus_x_at_small_q(q, kmax):
+    # Cantor-Zassenhaus is the only equal-degree split, also at q <= 3:
+    # x^(q^k) - x is the product of the monic irreducibles of degree
+    # dividing k, and every seed finds each of them once.  k = 1 gives
+    # x^2 + x over F_2, which only two of the four h of degree < 2 split,
+    # and x^3 - x over F_3.
+    field = gf.prime_field(q)
+    for k in range(1, kmax + 1):
+        f = x_pow_minus_one(q**k - 1, field) * Poly.x(field)
+        irreducibles = [g for d in counting.divisors(k) for g in enumerate_monic_irreducibles(d, field)]
+        want = [(g, 1) for g in sorted(irreducibles, key=Poly.sort_key)]
+        for seed in range(10):
+            assert factor(f, seed=seed).parts == want, (q, k, seed)
+
+
+@pytest.mark.parametrize("q, n", [(2, 255), (3, 80)])
+def test_factor_xn_minus_1_is_seed_independent(q, n):
+    field = gf.prime_field(q)
+    assert factor_xn_minus_1(n, field, seed=1) == factor_xn_minus_1(n, field, seed=2)
+
+
 def test_factor_rejects_constants(f2):
     with pytest.raises(ValueError):
         factor(Poly.one(f2))
