@@ -54,6 +54,7 @@ from .oracle import (
     is_n_polynomial,
     is_normal,
     rank_over_field,
+    root_census,
     scan_irreducibles,
 )
 from .polyring import (

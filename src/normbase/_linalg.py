@@ -141,9 +141,10 @@ def all_vectors(p: int, dim: int, start: int = 0, stop: int | None = None) -> np
 
 
 def index_map(mat: np.ndarray, p: int) -> np.ndarray:
-    """The permutation of element indices [0, p^D) that an invertible
-    F_p-linear map with (D, D) matrix mat induces: out[i] is the index of
-    mat @ index_coords(i).
+    """The map of element indices [0, p^D) that an F_p-linear map with
+    (D, D) matrix mat induces: out[i] is the index of mat @ index_coords(i).
+    An invertible mat gives a permutation; a singular one, such as the
+    trace, is welcome too, as the doubling below uses only linearity.
 
     Built by digit doubling: the image of c*p^t + i (i < p^t) is the image
     of i plus c times the image of the unit vector of weight p^t, added
@@ -251,13 +252,11 @@ def field_orbits(ext) -> tuple[np.ndarray, np.ndarray]:
     return rep, np.stack(conj, axis=1)
 
 
-def _batched_rank_full_gf2(mats: np.ndarray) -> np.ndarray:
-    """Rank-fullness over F_2 with rows packed into machine words: the
-    elimination step becomes one masked XOR per column."""
-    nbatch, m, _ = mats.shape
-    work = np.zeros((nbatch, m), dtype=np.uint32)
-    for j in range(m):
-        work |= (mats[:, :, j].astype(np.uint32) & np.uint32(1)) << np.uint32(j)
+def _rank_full_gf2_words(work: np.ndarray, m: int) -> np.ndarray:
+    """Rank-fullness over F_2 of a (B, m) batch of m x m matrices whose
+    rows are packed into uint32 words, column j at bit j: the elimination
+    step becomes one masked XOR per column.  work is overwritten."""
+    nbatch = len(work)
     ok = np.ones(nbatch, dtype=bool)
     bidx = np.arange(nbatch)
     for c in range(m):
@@ -274,6 +273,15 @@ def _batched_rank_full_gf2(mats: np.ndarray) -> np.ndarray:
     return ok
 
 
+def independent_gf2_indices(idx: np.ndarray) -> np.ndarray:
+    """For a (B, m) batch of element indices of F_{2^m}, m <= 32, whether
+    each member's m elements are independent over F_2.  An index is its
+    element's coordinate row read as bits (most significant coordinate
+    first), and rank does not depend on the order of the columns, so the
+    indices go to the word kernel as they are, with no digit decoding."""
+    return _rank_full_gf2_words(idx.astype(np.uint32), idx.shape[1])
+
+
 def batched_rank_full(mats: np.ndarray, p: int) -> np.ndarray:
     """For a (B, m, m) batch of matrices over F_p, whether each has rank m.
 
@@ -286,7 +294,11 @@ def batched_rank_full(mats: np.ndarray, p: int) -> np.ndarray:
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValueError("expected a (B, m, m) batch")
     if p == 2 and mats.shape[1] <= 32:
-        return _batched_rank_full_gf2(mats % 2)
+        m = mats.shape[1]
+        work = np.zeros(mats.shape[:2], dtype=np.uint32)
+        for j in range(m):
+            work |= (mats[:, :, j].astype(np.uint32) & np.uint32(1)) << np.uint32(j)
+        return _rank_full_gf2_words(work, m)
     work = mats.astype(dtype_for(p, 2)) % p
     nbatch, m, _ = work.shape
     ok = np.ones(nbatch, dtype=bool)

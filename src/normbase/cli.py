@@ -84,9 +84,7 @@ def _prime_field_arg(q: int) -> gf.PrimeField:
 
 def _verify_point(job):
     q, n, with_oracle, budget = job
-    return oracle.full_report(
-        q, n, with_oracle=with_oracle, element_budget=budget, poly_budget=budget
-    )
+    return oracle.full_report(q, n, with_oracle=with_oracle, element_budget=budget)
 
 
 def _emit(text: str, out_path) -> None:
@@ -131,25 +129,24 @@ def cmd_count(args) -> int:
     elif args.kind == "nb":
         value = counting.normal_basis_count(n, q)
         if args.oracle:
-            got = oracle.count_npolys_and_traces(n, q, budget=args.budget)[0]
+            got = oracle.root_census(n, q, budget=args.budget).npoly
             if got != value:
-                raise VerificationError(f"{stage}: N-polynomial scan {got} != closed form {value}")
+                raise VerificationError(f"{stage}: N-polynomial enumeration {got} != closed form {value}")
     elif args.kind == "irr-trace":
         if args.t % q == 0:
             raise UsageError("the trace value t must be nonzero")
         stage += f" t={args.t}"
         value = counting.irr_count_trace(n, q, args.t)
         if args.oracle:
-            scan = oracle.scan_irreducibles(n, q, budget=args.budget)
-            got = int(scan.trace_counts[args.t % q])
+            got = int(oracle.root_census(n, q, budget=args.budget).trace_counts[args.t % q])
             if got != value:
-                raise VerificationError(f"{stage}: trace scan {got} != closed form {value}")
+                raise VerificationError(f"{stage}: trace enumeration {got} != closed form {value}")
     else:  # irr-total
         value = counting.total_irr_count(n, q)
         if args.oracle:
-            got = oracle.scan_irreducibles(n, q, budget=args.budget).count
+            got = int(oracle.root_census(n, q, budget=args.budget).trace_counts.sum())
             if got != value:
-                raise VerificationError(f"{stage}: irreducible scan {got} != closed form {value}")
+                raise VerificationError(f"{stage}: irreducible enumeration {got} != closed form {value}")
     sys.stdout.write(f"{value}\n")
     return EXIT_OK
 

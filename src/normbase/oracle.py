@@ -4,18 +4,29 @@ Everything here counts by looking at actual elements and actual polynomials.
 The per-element normality test runs two independent criteria and insists
 they agree: the definitional one (the conjugates' coordinate matrix has full
 rank over F_q) and the gcd one (x^n - 1 is coprime to the polynomial whose
-coefficients are the conjugates).  Whole-field counts and whole-degree
-scans use the rank predicate expressed as batched F_p linear algebra, at
-every field size, so that budgets up to 2^20 elements stay practical.  The
-whole-field count rank-tests one element per orbit of <F_q*> x
-<Frobenius> (_linalg.field_orbits), as every member of an orbit is normal
-or none is, and sums the verdicts over all elements.  The degree scan
-holds residues mod f in F_p coordinates, so that each conjugate of the
-root is one batched product with a per-candidate Frobenius matrix; a
-fixed-point screen, Rabin's coprimality conditions as batched
-invertibility tests and the normality test run on those conjugates.  The
-per-element count (count_normal_elements with method="pure") is kept as
-the reference the batched count is tested against.
+coefficients are the conjugates).
+
+The whole-field counts come from the roots, up to the element budget
+(2^20 by default).  A monic irreducible of degree n over F_q is a
+Frobenius orbit of n elements of F_{q^n}, it is an N-polynomial when the
+orbit is normal, and its x^(n-1) coefficient is -Tr of a root.  So one
+pass over the orbits of <F_q*> x <Frobenius> (_linalg.field_orbits), with
+the rank predicate as batched F_p linear algebra on one representative
+per orbit, gives the normal elements, the N-polynomials and, through an
+index map of the trace, the irreducibles of each trace coefficient
+(root_census); count_normal_elements takes the normal elements alone and
+builds no trace map.
+
+The coefficient scan (scan_irreducibles), under the polynomial budget
+(2^16 candidates by default), lists the irreducibles of one degree
+themselves: it holds residues mod f in F_p coordinates, so that each
+conjugate of the root is one batched product with a per-candidate
+Frobenius matrix; a fixed-point screen, Rabin's coprimality conditions as
+batched invertibility tests and the normality test run on those
+conjugates.  The witness search reads it, and the test suite holds the
+root census to it wherever both reach.  The per-element count
+(count_normal_elements with method="pure") is kept as the reference the
+batched count is tested against.
 """
 
 from __future__ import annotations
@@ -93,7 +104,7 @@ def degree_of(a, ext) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Whole-field normal-element count.
+# Whole-field counts: the normal elements and the root census.
 # ---------------------------------------------------------------------------
 
 
@@ -116,33 +127,95 @@ def count_normal_elements(ext, budget=None, method: str = "batched") -> int:
         return sum(1 for a in ext.elements(budget=cap) if is_normal(a, ext))
     if method != "batched":
         raise ValueError(f"unknown method {method!r}")
-    return _batched_normal_count(ext)
+    return _orbit_census(ext, traces=False).v
 
 
-def _batched_normal_count(ext) -> int:
-    """The count over every element of the verdict on its representative.
+@dataclasses.dataclass
+class RootCensus:
+    """Counts over F_{q^n} taken from the roots of the polynomials they
+    count.  A monic irreducible of degree n over F_q is a Frobenius orbit
+    of n elements of degree n, an N-polynomial is such an orbit of normal
+    elements, and its x^(n-1) coefficient is -Tr(a) for each root a."""
+
+    v: int                        # normal elements
+    npoly: int                    # N-polynomials: normal orbits, so v / n
+    trace_counts: np.ndarray | None  # degree-n irreducibles per encoded x^(n-1) coefficient
+
+
+def root_census(n: int, q: int, budget=None) -> RootCensus:
+    """The root census of F_{q^n}, whose q^n elements are held to the
+    element budget."""
+    gf.check_element_budget(q**n, budget)
+    return _orbit_census(extension_for(q, n), traces=True)
+
+
+def _orbit_census(ext, traces: bool) -> RootCensus:
+    """One pass over the <F_q*> x <Frobenius> orbits of ext: the normal
+    and degree-n verdicts of each representative, gathered to every
+    element through its representative.  Without traces, trace_counts is
+    None and no trace map is built.
 
     Two facts are checked on the way, as they hold for every normal
     element: its Frobenius orbit has exactly n elements (a normal element
     has degree n), and its trace, the sum of its conjugates, is nonzero
     (the element-side form of the containment of N-polynomials among the
     irreducibles of nonzero trace)."""
-    p, n = ext.char, ext.degree
+    p, n, q = ext.char, ext.degree, ext.base.order
     rep, conj = _linalg.field_orbits(ext)
-    rows = _linalg.index_coords(conj[:, :n], p, ext.prime_dim)
-    normal = _linalg.independent_over_base(rows, _linalg.basis_scalar_matrices(ext.base), p)
-    where = f"normal-element enumeration at q={ext.base.order}, n={n}"
+    if q == 2 and n <= 32:
+        # an index is its element's F_2 coordinate row as bits, so a sum
+        # of elements is the XOR of their indices
+        normal = _linalg.independent_gf2_indices(conj[:, :n])
+        trace_nonzero = np.bitwise_xor.reduce(conj[normal, :n], axis=1) != 0
+    else:
+        rows = _linalg.index_coords(conj[:, :n], p, ext.prime_dim)
+        normal = _linalg.independent_over_base(rows, _linalg.basis_scalar_matrices(ext.base), p)
+        trace = rows[normal].sum(axis=1, dtype=_linalg.dtype_for(p, n))
+        trace_nonzero = _linalg.reduce_mod(trace, p).any(axis=1)
+    where = f"normal-element enumeration at q={q}, n={n}"
     fixed = conj[normal, 1:] == conj[normal, :1]
     if fixed[:, :-1].any() or not fixed[:, -1].all():
         raise VerificationError(
             f"{where}: a normal element's Frobenius orbit does not have {n} elements"
         )
-    trace = _linalg.reduce_mod(rows[normal].sum(axis=1, dtype=_linalg.dtype_for(p, n)), p)
-    if not trace.any(axis=1).all():
+    if not trace_nonzero.all():
         raise VerificationError(f"{where}: a normal element has zero trace")
-    verdict = np.zeros(ext.order, dtype=bool)
-    verdict[conj[:, 0]] = normal
-    return int(np.count_nonzero(verdict[rep]))
+    degree_n = np.ones(len(conj), dtype=bool)
+    for r in counting.factorize(n):
+        degree_n &= conj[:, n // r] != conj[:, 0]
+    # 2: normal (so of degree n), 1: of degree n, not normal, 0: lower degree
+    verdict = np.zeros(ext.order, dtype=np.uint8)
+    verdict[conj[:, 0]] = normal.astype(np.uint8) + degree_n
+    verdict = verdict[rep]
+    v = int(np.count_nonzero(verdict == 2))
+    trace_counts = _trace_counts(ext, verdict != 0) if traces else None
+    return RootCensus(v=v, npoly=v // n, trace_counts=trace_counts)
+
+
+def _trace_counts(ext, degree_n: np.ndarray) -> np.ndarray:
+    """Per encoded value c of F_q, the number of Frobenius orbits of
+    degree-n elements (degree_n, a mask over every element) whose -Tr is
+    c: the degree-n irreducibles with x^(n-1) coefficient c.
+
+    -Tr = -(1 + Frob + .. + Frob^(n-1)) is F_p-linear, so its index map
+    comes from the same digit doubling as Frobenius.  Its image is F_q,
+    the elements whose F_q coordinates after the constant one are zero, so
+    an image index is the encoded value of F_q times q^(n-1)."""
+    p, n, q = ext.char, ext.degree, ext.base.order
+    frob = _linalg.frobenius_matrix(ext).astype(np.int64)
+    power = np.eye(ext.prime_dim, dtype=np.int64)
+    total = np.zeros_like(power)
+    for _ in range(n):
+        total += power
+        power = power @ frob % p
+    value, low = np.divmod(_linalg.index_map(-total % p, p), q ** (n - 1))
+    where = f"trace map at q={q}, n={n}"
+    if low.any():
+        raise VerificationError(f"{where}: a trace lies outside F_{q}")
+    counts = np.bincount(value[degree_n], minlength=q)
+    if (counts % n).any():
+        raise VerificationError(f"{where}: a trace is not constant on a Frobenius orbit")
+    return counts // n
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +246,12 @@ class IrreducibleScan:
     @property
     def count(self) -> int:
         return len(self.coeff_rows)
+
+    def witness(self) -> Poly | None:
+        """The first irreducible with nonzero trace that is not an
+        N-polynomial, or None when there is none."""
+        hits = np.nonzero(self.trace_nonzero & ~self.npoly)[0]
+        return self._decode(self.coeff_rows[hits[0]]) if len(hits) else None
 
 
 def _scan_impl(n: int, q: int) -> IrreducibleScan:
@@ -310,62 +389,43 @@ def scan_irreducibles(n: int, q: int, budget=None) -> IrreducibleScan:
 
 def count_npolys_and_traces(n: int, q: int, budget=None) -> tuple[int, int, bool]:
     """(N-polynomial count, nonzero-trace irreducible count, containment),
-    where containment reports that every N-polynomial had nonzero trace."""
-    scan = scan_irreducibles(n, q, budget)
-    containment = not bool(np.any(scan.npoly & ~scan.trace_nonzero))
-    return int(scan.npoly.sum()), int(scan.trace_nonzero.sum()), containment
+    from the root census of F_{q^n}, held to the element budget.
+    Containment, that every N-polynomial has nonzero trace, is checked
+    inside the census on every normal element, which raises
+    VerificationError otherwise; so it is True whenever this returns."""
+    census = root_census(n, q, budget)
+    return census.npoly, int(census.trace_counts[1:].sum()), True
 
 
 def find_witness(n: int, q: int, budget=None) -> Poly | None:
     """The lexicographically smallest monic irreducible with nonzero trace
     that is not an N-polynomial, or None when no such polynomial exists."""
-    scan = scan_irreducibles(n, q, budget)
-    wanted = scan.trace_nonzero & ~scan.npoly
-    hits = np.nonzero(wanted)[0]
-    if len(hits) == 0:
-        return None
-    return scan._decode(scan.coeff_rows[hits[0]])
+    return scan_irreducibles(n, q, budget).witness()
 
 
 def full_report(
-    q: int,
-    n: int,
-    with_oracle: bool = False,
-    element_budget=None,
-    poly_budget=None,
+    q: int, n: int, with_oracle: bool = False, element_budget=None
 ) -> counting.CountReport:
     """Closed-form report, optionally enriched and cross-checked with the
-    enumeration counts.  Oracle cells beyond their budget stay None; any
-    mismatch between a closed form and its oracle raises."""
+    enumeration counts.  All three oracle cells come from one root census
+    of F_{q^n} (v, the N-polynomials and the nonzero-trace irreducibles),
+    so the element budget fills all of them or none, and they stay None
+    beyond it; any mismatch between a closed form and its oracle raises."""
     report = counting.build_report(q, n)
-    if not with_oracle:
+    cap = gf.resolve_budget(element_budget, gf.ELEMENT_BUDGET_DEFAULT)
+    if not with_oracle or q**n > cap:
         return report
-    order = q**n
-    e_cap = gf.resolve_budget(element_budget, gf.ELEMENT_BUDGET_DEFAULT)
-    p_cap = gf.resolve_budget(poly_budget, gf.POLY_BUDGET_DEFAULT)
-    if order <= e_cap:
-        report.oracle_v = count_normal_elements(extension_for(q, n), budget=e_cap)
-        if report.oracle_v != report.v:
+    census = root_census(n, q, cap)
+    report.oracle_v = census.v
+    report.oracle_npoly = census.npoly
+    report.oracle_irr = int(census.trace_counts[1:].sum())
+    for name, got, want in (
+        ("normal-element enumeration", report.oracle_v, report.v),
+        ("N-polynomial enumeration", report.oracle_npoly, report.nb_count),
+        ("nonzero-trace enumeration", report.oracle_irr, report.irr_nonzero_trace),
+    ):
+        if got != want:
             raise VerificationError(
-                f"normal-element enumeration {report.oracle_v} != closed form "
-                f"{report.v} at q={q}, n={n}"
-            )
-    if order <= p_cap:
-        npoly, irr_nz, containment = count_npolys_and_traces(n, q, budget=p_cap)
-        report.oracle_npoly = npoly
-        report.oracle_irr = irr_nz
-        if not containment:
-            raise VerificationError(
-                f"an N-polynomial with zero trace appeared at q={q}, n={n}"
-            )
-        if npoly != report.nb_count:
-            raise VerificationError(
-                f"N-polynomial scan {npoly} != closed form {report.nb_count} "
-                f"at q={q}, n={n}"
-            )
-        if irr_nz != report.irr_nonzero_trace:
-            raise VerificationError(
-                f"nonzero-trace scan {irr_nz} != closed form "
-                f"{report.irr_nonzero_trace} at q={q}, n={n}"
+                f"{name} {got} != closed form {want} at q={q}, n={n}"
             )
     return report

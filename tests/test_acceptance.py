@@ -131,9 +131,9 @@ def test_criterion_3_normal_count_oracle_equivalence():
 # --------------------------------------------------------------------------
 
 
-def test_criterion_4_npoly_counts():
+def test_criterion_4_npoly_counts(poly_scans):
     grid = pairs_within(SWEEP_Q, POLY_BUDGET)
-    with criterion(f"4 N-polynomial scan == lhs/n and rhs/n ({len(grid)} degrees, q^n <= 2^16)"):
+    with criterion(f"4 N-polynomial counts == lhs/n and rhs/n ({len(grid)} degrees, q^n <= 2^16)"):
         for q, n in grid:
             npoly, nonzero, containment = oracle.count_npolys_and_traces(
                 n, q, budget=POLY_BUDGET
@@ -144,7 +144,7 @@ def test_criterion_4_npoly_counts():
             assert nonzero * n == rhs, (q, n)
             # per-trace-value counts: equal for every nonzero value and
             # tiling the total irreducible count
-            scan = oracle.scan_irreducibles(n, q, budget=POLY_BUDGET)
+            scan = poly_scans[q, n]
             assert int(scan.trace_counts.sum()) == counting.total_irr_count(n, q)
             per_value = scan.trace_counts[1:]
             assert (per_value == counting.irr_count_trace(n, q)).all(), (q, n)
@@ -156,7 +156,7 @@ def test_criterion_4_npoly_counts():
 # --------------------------------------------------------------------------
 
 
-def test_criterion_5_set_equality_on_equality_points():
+def test_criterion_5_set_equality_on_equality_points(poly_scans):
     grid = [
         (q, n)
         for q, n in pairs_within(SWEEP_Q, POLY_BUDGET)
@@ -166,7 +166,7 @@ def test_criterion_5_set_equality_on_equality_points():
     with criterion(f"5 N-polynomials == nonzero-trace irreducibles on {len(grid)} equality points"):
         assert spot <= set(grid)
         for q, n in grid:
-            scan = oracle.scan_irreducibles(n, q, budget=POLY_BUDGET)
+            scan = poly_scans[q, n]
             assert np.array_equal(scan.npoly, scan.trace_nonzero), (q, n)
 
 
@@ -175,11 +175,12 @@ def test_criterion_5_set_equality_on_equality_points():
 # --------------------------------------------------------------------------
 
 
-def test_criterion_6_witness_iff_strict():
+def test_criterion_6_witness_iff_strict(poly_scans):
     grid = pairs_within(SWEEP_Q, POLY_BUDGET)
     with criterion(f"6 witness exists iff the inequality is strict ({len(grid)} degrees)"):
         for q, n in grid:
-            witness = oracle.find_witness(n, q, budget=POLY_BUDGET)
+            # find_witness(n, q) is this scan's witness
+            witness = poly_scans[q, n].witness()
             predicate = counting.equality_predicate(n, q)
             assert (witness is None) == predicate, (q, n)
             if witness is not None:

@@ -100,6 +100,25 @@ def test_count_oracle_past_field_order_256(capsys):
     assert code == EXIT_OK and out == "32896\n"
 
 
+def test_count_oracle_counts_roots_up_to_the_element_budget(capsys):
+    # nb, irr-trace and irr-total --oracle count from the roots in F_{q^n},
+    # so past the 2^16 candidates of the coefficient scan they answer up
+    # to 2^20 elements, and --budget caps the elements
+    for argv in (
+        ("count", "nb", "--q", "2", "--n", "17"),
+        ("count", "irr-trace", "--q", "5", "--n", "7", "--t", "3"),
+        ("count", "irr-total", "--q", "2", "--n", "17"),
+    ):
+        code, want, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert run(capsys, *argv, "--oracle") == (EXIT_OK, want, ""), argv
+    code, _, err = run(capsys, "count", "nb", "--q", "2", "--n", "21", "--oracle")
+    assert code == EXIT_BUDGET and "2097152 elements" in err
+    argv = ("count", "irr-total", "--q", "2", "--n", "8", "--oracle", "--budget")
+    assert run(capsys, *argv, "255")[0] == EXIT_BUDGET
+    assert run(capsys, *argv, "256") == (EXIT_OK, "30\n", "")
+
+
 def test_count_budget_exceeded(capsys):
     code, _, err = run(capsys, "count", "v", "--n", "8", "--q", "2", "--oracle", "--budget", "16")
     assert code == EXIT_BUDGET

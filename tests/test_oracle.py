@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normbase import _linalg, counting, gf, linearized, polyring
+from normbase import _linalg, counting, gf, linearized, oracle, polyring
 from normbase.errors import BudgetExceeded, VerificationError
 from normbase.oracle import (
     conjugate_matrix,
@@ -20,6 +20,7 @@ from normbase.oracle import (
     is_n_polynomial,
     is_normal,
     rank_over_field,
+    root_census,
     scan_irreducibles,
 )
 from normbase.polyring import Poly, enumerate_monic_irreducibles, is_irreducible, poly_trace
@@ -270,10 +271,46 @@ def test_full_report_with_oracle():
 
 
 def test_full_report_budget_skips():
-    r = full_report(2, 7, with_oracle=True, element_budget=16, poly_budget=16)
+    # one root census gives all three oracle cells, so the element budget
+    # fills all of them or none
+    r = full_report(2, 7, with_oracle=True, element_budget=127)
     assert r.oracle_v is None and r.oracle_npoly is None and r.oracle_irr is None
-    r2 = full_report(2, 7, with_oracle=True, poly_budget=16)
-    assert r2.oracle_v == 49 and r2.oracle_npoly is None
+    r2 = full_report(2, 7, with_oracle=True, element_budget=128)
+    assert (r2.oracle_v, r2.oracle_npoly, r2.oracle_irr) == (49, 7, 9)
+    # past the 2^16 candidates of the coefficient scan, up to 2^20 elements
+    r3 = full_report(2, 17, with_oracle=True)
+    assert (r3.oracle_v, r3.oracle_npoly, r3.oracle_irr) == (r3.v, r3.nb_count, r3.irr_nonzero_trace)
+    assert r3.oracle_npoly == 3825
+
+
+def test_root_census_matches_the_scan(poly_scans):
+    # the coefficient side certifies the root side wherever both reach:
+    # every cell with q <= 16 and q^n <= 2^16
+    assert len(poly_scans) == 67
+    for (q, n), scan in poly_scans.items():
+        census = root_census(n, q)
+        assert census.npoly == int(scan.npoly.sum()), (q, n)
+        assert np.array_equal(census.trace_counts, scan.trace_counts), (q, n)
+
+
+def test_root_census_budget():
+    with pytest.raises(BudgetExceeded):
+        root_census(8, 2, budget=255)
+    assert root_census(8, 2, budget=256).npoly == counting.normal_basis_count(8, 2)
+
+
+def test_root_census_checks_its_trace_map(monkeypatch):
+    # a trace map whose image leaves F_q, or whose values split a
+    # Frobenius orbit, names its stage and the point
+    ext = extension_for(3, 2)
+    one_root = np.zeros(ext.order, dtype=bool)
+    one_root[ext.index(ext.gen)] = True
+    with pytest.raises(VerificationError, match="trace map at q=3, n=2: a trace is not constant"):
+        oracle._trace_counts(ext, one_root)
+    # with the identity as Frobenius, -Tr = -2 is the identity on F_9
+    monkeypatch.setattr(_linalg, "frobenius_matrix", lambda ext: np.eye(ext.prime_dim, dtype=np.uint8))
+    with pytest.raises(VerificationError, match="trace map at q=3, n=2: a trace lies outside F_3"):
+        root_census(2, 3)
 
 
 def test_survivor_elements_satisfy_structural_claims():
@@ -414,6 +451,36 @@ def test_index_map_matches_the_matrix_product():
         assert np.array_equal(np.sort(got), np.arange(p**dim))
 
 
+def test_index_map_of_a_singular_map():
+    # the digit doubling needs only linearity: the trace of F_{2^4},
+    # F_{3^3} and F_{4^2}, whose image is F_q, at every element
+    for q, n in ((2, 4), (3, 3), (4, 2)):
+        ext = extension_for(q, n)
+        p, dim = ext.char, ext.prime_dim
+        frob = _linalg.frobenius_matrix(ext).astype(np.int64)
+        trace = sum(np.linalg.matrix_power(frob, t) for t in range(n)) % p
+        assert not _linalg.batched_rank_full(trace[None], p)[0]
+        image = _linalg.apply_map(_linalg.all_vectors(p, dim), trace, p)
+        want = image.astype(np.int64) @ p ** np.arange(dim - 1, -1, -1)
+        assert np.array_equal(_linalg.index_map(trace, p), want), (q, n)
+        assert not (want % q ** (n - 1)).any(), (q, n)
+
+
+def test_gf2_rank_from_indices_matches_the_decoded_rows():
+    # an index of F_{2^m} is its coordinate row as bits; every odd batch
+    # member has one index the XOR (the F_2 sum) of two others
+    rng = np.random.default_rng(20)
+    for m in (1, 2, 3, 8, 20, 32):
+        idx = rng.integers(0, 2**m, (64, m))
+        if m >= 3:
+            idx[1::2, 0] = idx[1::2, 1] ^ idx[1::2, 2]
+        want = _linalg.batched_rank_full(_linalg.index_coords(idx, 2, m), 2)
+        got = _linalg.independent_gf2_indices(idx)
+        assert np.array_equal(got, want), m
+        if m >= 3:
+            assert not got[1::2].any() and got.any(), m
+
+
 @settings(max_examples=10, deadline=None)
 @given(small_extensions(order=256), st.data())
 def test_orbit_engine_matches_per_element_paths(qn, data):
@@ -462,10 +529,12 @@ def test_full_report_checks_normal_orbits(monkeypatch):
     # every normal element has n conjugates and a nonzero trace; a rank
     # test that passed other elements, or a Frobenius whose n-th power is
     # not the identity, trips those checks
-    def everything(rows, smats, p):
+    # F_2 conjugates are ranked as indices, any other field's as rows;
+    # each stand-in reads either form
+    def everything(rows, *_):
         return np.ones(len(rows), dtype=bool)
 
-    def full_degree(rows, smats, p):
+    def full_degree(rows, *_):
         return np.array([len({r.tobytes() for r in m}) == len(m) for m in rows])
 
     def times_x(ext):
@@ -480,6 +549,7 @@ def test_full_report_checks_normal_orbits(monkeypatch):
     )
     for rank, frob, fact in cases:
         monkeypatch.setattr(_linalg, "independent_over_base", rank)
+        monkeypatch.setattr(_linalg, "independent_gf2_indices", rank)
         monkeypatch.setattr(_linalg, "frobenius_matrix", frob)
         with pytest.raises(VerificationError) as err:
             full_report(2, 4, with_oracle=True)
