@@ -15,6 +15,8 @@ rank tests and operator evaluations run on one element per orbit.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import counting
@@ -70,8 +72,14 @@ def linear_map_matrix(func, ext) -> np.ndarray:
     return (np.array(cols, dtype=np.int64).T % ext.char).astype(dtype_for(ext.char))
 
 
+# Cached: oracle-sweep's wall_s rose from 0.25 to 0.35 s without it.
+@functools.lru_cache(maxsize=128)
 def frobenius_matrix(ext) -> np.ndarray:
-    return linear_map_matrix(ext.frobenius, ext)
+    """Frobenius on ext's prime coordinates, built once per field and
+    returned read-only, since every caller shares the one array."""
+    mat = linear_map_matrix(ext.frobenius, ext)
+    mat.setflags(write=False)
+    return mat
 
 
 def basis_scalar_matrices(field) -> list[np.ndarray]:

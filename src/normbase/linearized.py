@@ -4,16 +4,17 @@ A q-linearized operator sum c_i x^(q^i) over F_q is stored only as its
 associate polynomial sum c_i x^i: composition of operators corresponds to
 ordinary multiplication of associates and divisibility transfers the same
 way, so the expanded operator (degree q^deg) never needs to be built.
-Evaluation uses iterated Frobenius; whole-field root counting evaluates
-the operators on one element per orbit of <F_q*> x <Frobenius>
-(_linalg.field_orbits), whose conjugates are index gathers.
+Evaluation uses iterated Frobenius.  operator_matrix is an operator's F_p
+matrix, by Horner's rule on the field's one _linalg.frobenius_matrix, and
+whole-field root counting applies it to one element per orbit of
+<F_q*> x <Frobenius> (_linalg.field_orbits).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -76,28 +77,22 @@ def evaluate(l: QPoly, a, ext):
     return acc
 
 
-# Cached: the operator-law test's 9000 operator_matrix calls take 3x as long without it.
-@functools.lru_cache(maxsize=128)
-def _frobenius_powers(ext):
-    dim = ext.prime_dim
-    return [np.eye(dim, dtype=np.int64), _linalg.frobenius_matrix(ext).astype(np.int64)]
-
-
 def operator_matrix(l: QPoly, ext):
     """The operator as an F_p matrix acting on ext's prime coordinates,
-    assembled as sum_i (multiply-by-c_i) . frobenius^i."""
+    sum_i (multiply-by-c_i) . frobenius^i, in Horner form from the top
+    coefficient down on the field's one Frobenius matrix."""
     if ext.base != l.field:
         raise ValueError("operator coefficients do not live in ext's base field")
     p = ext.char
     coeffs = l.associate.coeffs
     if not coeffs:
         return np.zeros((ext.prime_dim, ext.prime_dim), dtype=_linalg.dtype_for(p))
-    fpows = _frobenius_powers(ext)
-    while len(fpows) < len(coeffs):
-        fpows.append(fpows[-1] @ fpows[1] % p)
-    scalars = ext.mul_matrix([ext.prime_coords(ext.embed(c)) for c in coeffs])
-    acc = np.einsum("iab,ibc->ac", scalars.astype(np.int64), np.array(fpows[: len(coeffs)]))
-    return (acc % p).astype(_linalg.dtype_for(p))
+    frob = _linalg.frobenius_matrix(ext).astype(np.int64)
+    scalars = ext.mul_matrix([ext.prime_coords(ext.embed(c)) for c in coeffs]).astype(np.int64)
+    acc = scalars[-1]
+    for s in scalars[-2::-1]:
+        acc = (acc @ frob + s) % p
+    return acc.astype(_linalg.dtype_for(p))
 
 
 @dataclasses.dataclass
@@ -145,6 +140,12 @@ class SymbolicFactorization:
                 raise ValueError("parts are not pairwise coprime")
 
 
+def _phi_closed_form(q: int, total: int, degrees: list[int]) -> int:
+    """q^(total - sum d_i) * prod over i of (q^d_i - 1): the closed form
+    that root_count and generalized_phi share, in integers only."""
+    return q ** (total - sum(degrees)) * math.prod(q**d - 1 for d in degrees)
+
+
 def root_count(fact: SymbolicFactorization) -> int:
     """Exact number of roots of the factored operator lying in the kernel of
     no single-part-omitted cofactor:
@@ -155,25 +156,16 @@ def root_count(fact: SymbolicFactorization) -> int:
     with D the total associate degree.  The second form is how it is
     computed, so only integers ever appear."""
     fact.validate()
-    q = fact.field.order
     degrees = [int(part.degree) for part, _ in fact.parts]
-    exponent = fact.total_degree() - sum(degrees)
-    out = q**exponent
-    for d in degrees:
-        out *= q**d - 1
-    return out
+    return _phi_closed_form(fact.field.order, fact.total_degree(), degrees)
 
 
 def generalized_phi(l: Poly, fact: Factorization) -> int:
     """Number of polynomials of degree < deg l divisible by no factorization
     base.  Closed form mirrors root_count; fact must actually factor l."""
     fact.validate(expected=l)
-    q = l.field.order
     degrees = [int(base.degree) for base, _ in fact.parts]
-    out = q ** (int(l.degree) - sum(degrees))
-    for d in degrees:
-        out *= q**d - 1
-    return out
+    return _phi_closed_form(l.field.order, int(l.degree), degrees)
 
 
 def phi_by_residue_enumeration(l: Poly, fact: Factorization, budget=None) -> int:
@@ -228,28 +220,16 @@ def _survivor_mask(fact: SymbolicFactorization, ext, budget=None):
             "the associate must divide x^n - 1 so that every operator root "
             "lies in the degree-n extension"
         )
-    # Every operator here is F_q-linear and commutes with Frobenius, so
-    # the mask is constant on orbits: evaluate on the representatives, as
-    # sum c_i * sigma^i(rep) with the conjugates' coordinates, and gather.
-    p, n, k = ext.char, ext.degree, ext.base.prime_dim
+    # Every operator here is F_q-linear and commutes with Frobenius and the
+    # scalars of F_q, so the mask is constant on orbits: apply each
+    # operator's matrix to the representatives alone, and gather.
     rep, conj = _linalg.field_orbits(ext)
-    # (reps, Frobenius power i, F_q coordinate j, prime coordinate t)
-    blocks = _linalg.index_coords(conj, p, ext.prime_dim).reshape(len(conj), n + 1, n, k)
-    smats = np.array(_linalg.basis_scalar_matrices(ext.base), dtype=np.int64)
-
-    def image(assoc: Poly) -> np.ndarray:
-        """sum_i c_i sigma^i(rep): coefficient i acts on every F_q
-        coordinate of the i-th conjugate as its k x k matrix."""
-        terms = len(assoc.coeffs)
-        coords = np.array([ext.base.prime_coords(c) for c in assoc.coeffs], dtype=np.int64)
-        wide = _linalg.dtype_for(p, terms * k)
-        mats = (np.tensordot(coords, smats, axes=1) % p).astype(wide)
-        out = np.einsum("rijt,iut->rju", blocks[:, :terms], mats, dtype=wide)
-        return _linalg.reduce_mod(out, p).reshape(len(conj), -1)
-
-    alive = ~image(full).any(axis=1)
-    for part, _ in fact.parts:
-        alive &= image(full // part.associate).any(axis=1)
+    coords = _linalg.index_coords(conj[:, 0], ext.char, ext.prime_dim)
+    moved = [
+        _linalg.apply_map(coords, operator_matrix(QPoly(assoc), ext), ext.char).any(axis=1)
+        for assoc in [full] + [full // part.associate for part, _ in fact.parts]
+    ]
+    alive = ~moved[0] & np.logical_and.reduce(moved[1:])
     survives = np.zeros(ext.order, dtype=bool)
     survives[conj[:, 0]] = alive
     return survives[rep]

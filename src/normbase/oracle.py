@@ -36,7 +36,7 @@ import functools
 
 import numpy as np
 
-from . import _linalg, counting, gf, polyring
+from . import _linalg, counting, gf, linearized, polyring
 from .errors import VerificationError
 from .polyring import Poly
 
@@ -197,18 +197,15 @@ def _trace_counts(ext, degree_n: np.ndarray) -> np.ndarray:
     degree-n elements (degree_n, a mask over every element) whose -Tr is
     c: the degree-n irreducibles with x^(n-1) coefficient c.
 
-    -Tr = -(1 + Frob + .. + Frob^(n-1)) is F_p-linear, so its index map
-    comes from the same digit doubling as Frobenius.  Its image is F_q,
-    the elements whose F_q coordinates after the constant one are zero, so
-    an image index is the encoded value of F_q times q^(n-1)."""
-    p, n, q = ext.char, ext.degree, ext.base.order
-    frob = _linalg.frobenius_matrix(ext).astype(np.int64)
-    power = np.eye(ext.prime_dim, dtype=np.int64)
-    total = np.zeros_like(power)
-    for _ in range(n):
-        total += power
-        power = power @ frob % p
-    value, low = np.divmod(_linalg.index_map(-total % p, p), q ** (n - 1))
+    -Tr is the linearized operator with associate -(1 + x + .. + x^(n-1)),
+    so its matrix is linearized.operator_matrix's and its index map comes
+    from the same digit doubling as Frobenius.  Its image is F_q, the
+    elements whose F_q coordinates after the constant one are zero, so an
+    image index is the encoded value of F_q times q^(n-1)."""
+    p, n, q, F = ext.char, ext.degree, ext.base.order, ext.base
+    neg_trace = linearized.QPoly(Poly(F, (F.neg(F.one),) * n))
+    image = _linalg.index_map(linearized.operator_matrix(neg_trace, ext), p)
+    value, low = np.divmod(image, q ** (n - 1))
     where = f"trace map at q={q}, n={n}"
     if low.any():
         raise VerificationError(f"{where}: a trace lies outside F_{q}")

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -123,6 +124,20 @@ def test_count_budget_exceeded(capsys):
     code, _, err = run(capsys, "count", "v", "--n", "8", "--q", "2", "--oracle", "--budget", "16")
     assert code == EXIT_BUDGET
     assert "budget" in err.lower()
+
+
+def test_count_v_oracle_checks_the_budget_before_building_the_field(capsys):
+    # a degree-3000 modulus search would take minutes; the budget check
+    # comes first, with the same message as count nb
+    errs = []
+    for kind in ("v", "nb"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", kind, "--q", "2", "--n", "3000", "--oracle")
+        assert time.perf_counter() - start < 10
+        assert code == EXIT_BUDGET and out == ""
+        errs.append(err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith(f"budget exceeded: field has {2**3000} elements, budget is ")
 
 
 def test_factor_xn1_output(capsys):

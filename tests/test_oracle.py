@@ -459,11 +459,39 @@ def test_index_map_of_a_singular_map():
         p, dim = ext.char, ext.prime_dim
         frob = _linalg.frobenius_matrix(ext).astype(np.int64)
         trace = sum(np.linalg.matrix_power(frob, t) for t in range(n)) % p
+        field = ext.base
+        trace_op = linearized.QPoly(Poly(field, (field.one,) * n))
+        assert np.array_equal(linearized.operator_matrix(trace_op, ext), trace), (q, n)
         assert not _linalg.batched_rank_full(trace[None], p)[0]
         image = _linalg.apply_map(_linalg.all_vectors(p, dim), trace, p)
         want = image.astype(np.int64) @ p ** np.arange(dim - 1, -1, -1)
         assert np.array_equal(_linalg.index_map(trace, p), want), (q, n)
         assert not (want % q ** (n - 1)).any(), (q, n)
+
+
+def test_frobenius_matrix_is_built_once_per_field(monkeypatch):
+    # the orbit pass, the trace map and every operator matrix of the root
+    # census and the operator-root count share one Frobenius matrix, whose
+    # build applies Frobenius once per prime coordinate
+    q, n = 4, 3
+    ext = extension_for(q, n)
+    fact = linearized.SymbolicFactorization.from_factorization(
+        polyring.factor_xn_minus_1(n, ext.base).flatten()
+    )
+    calls = []
+    frobenius = ext.frobenius
+    monkeypatch.setattr(ext, "frobenius", lambda a: calls.append(a) or frobenius(a))
+    _linalg.frobenius_matrix.cache_clear()
+    census = root_census(n, q)
+    assert linearized.root_count_by_enumeration(fact, ext) == census.v
+    assert len(calls) == ext.prime_dim
+
+
+def test_frobenius_matrix_rejects_writes():
+    mat = _linalg.frobenius_matrix(extension_for(3, 2))
+    with pytest.raises(ValueError):
+        mat[0, 0] = 1
+    assert np.array_equal(mat, _linalg.frobenius_matrix(extension_for(3, 2)))
 
 
 def test_gf2_rank_from_indices_matches_the_decoded_rows():
