@@ -174,11 +174,12 @@ _SLOT_CODES = tuple((code, 8 * array(code).itemsize) for code in "BHIQ")
 # coefficient field's prime_dim.  rank packs F_p rows at every size.
 _PMUL_MIN = {True: 12, False: 4}
 _PDIVMOD_MIN = {True: (9, 128), False: (6, 24)}
-# ppow_mod and pirreducible reduce by a _Barrett context from modulus
-# degree _BARRETT_MIN_DEGREE[F is F_p with p odd] on.  Over odd p its
-# three numpy reductions per product cost more than short schoolbook
-# loops; over F_2 they are big-int ANDs, and over an extension field the
-# loops cost more.
+# _barrett gives a packed _Barrett context from modulus degree
+# _BARRETT_MIN_DEGREE[F is F_p with p odd] on, to ppow_mod, pirreducible
+# and the distinct- and equal-degree stages of polyring.factor.  Over odd
+# p its three numpy reductions per product cost more than short
+# schoolbook loops; over F_2 they are big-int ANDs, and over an extension
+# field the loops cost more.
 _BARRETT_MIN_DEGREE = {True: 6, False: 2}
 # pgcd over F_p keeps its operands packed (_pgcd_packed) from
 # _PGCD_MIN_LEN[p == 2] coefficients of the longer one on.
@@ -526,7 +527,42 @@ def _pgcd_coords(F, a, b) -> np.ndarray:
     return r
 
 
-class _Barrett:
+class _Residues:
+    """Arithmetic modulo one polynomial f over F on residues held as
+    coefficient tuples, by the schoolbook loops of pmul and pmod.  _Barrett
+    is its packed twin with the same pack, unpack, mul, add and pow, so a
+    caller holds one context per modulus without asking which it got.
+    pack takes a residue (degree below that of f)."""
+
+    def __init__(self, F, f):
+        self.F, self.f = F, f
+        self.one = pmod(F, (F.one,), f)  # () when f is a constant
+
+    def pack(self, coeffs):
+        return ptrim(self.F, coeffs)
+
+    def unpack(self, a):
+        return a
+
+    def mul(self, a, b):
+        return pmod(self.F, pmul(self.F, a, b), self.f)
+
+    def add(self, a, b):
+        return padd(self.F, a, b)
+
+    def pow(self, a, e: int):
+        """a^e, square and multiply from the top bit of e."""
+        if not e:
+            return self.one
+        result = a
+        for bit in bin(e)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
+        return result
+
+
+class _Barrett(_Residues):
     """Arithmetic modulo one polynomial f of degree d >= 1 with a unit
     leading coefficient, on residues packed as in pmul (coefficient i at
     slot i * stride, every slot canonical).
@@ -553,7 +589,7 @@ class _Barrett:
             self.units = _unit_slots(F)
             self.fold = np.zeros((F._stride, F._stride), dtype=np.uint64)
             self.fold[:, self.units] = F._fold[0]
-        mu = pdivmod(F, (F.zero,) * (2 * d - 1) + (F.one,), f)[0]
+        mu = pdivmod(F, _monomial(F, 2 * d - 1), f)[0]
         self.mu = self.pack(mu)
         self.neg_f = self.pack(pneg(F, f))
         self.one = self.pack((F.one,))
@@ -587,42 +623,26 @@ class _Barrett:
         quo = self._reduce(hi * self.mu >> (d - 1) * w, d - 1)
         return self._reduce(t + quo * self.neg_f, d)
 
-    def pow(self, a: int, e: int) -> int:
-        """a^e, square and multiply from the top bit of e."""
-        if not e:
-            return self.one
-        result = a
-        for bit in bin(e)[3:]:
-            result = self.mul(result, result)
-            if bit == "1":
-                result = self.mul(result, a)
-        return result
+    def add(self, a: int, b: int) -> int:
+        return self._reduce(a + b, self.d)
 
 
 def _barrett(F, f):
-    """The _Barrett context for f over F, or None where the schoolbook
-    loops run instead: below _BARRETT_MIN_DEGREE, and where _packed_slot
+    """The arithmetic context modulo f over F: a _Barrett, or the
+    schoolbook _Residues below _BARRETT_MIN_DEGREE and where _packed_slot
     finds no slot."""
     d = len(f) - 1
     odd_prime = isinstance(F, PrimeField) and F.p > 2
     if d < _BARRETT_MIN_DEGREE[odd_prime] or not _packed_slot(F, 2 * d - 1):
-        return None
+        return _Residues(F, f)
     return _Barrett(F, f)
 
 
 def ppow_mod(F, base, e: int, mod):
     if e < 0:
         raise ValueError("negative exponent")
-    base = pmod(F, base, mod)
-    if e and (ctx := _barrett(F, mod)):
-        return ctx.unpack(ctx.pow(ctx.pack(base), e))
-    result = (F.one,)
-    while e:
-        if e & 1:
-            result = pmod(F, pmul(F, result, base), mod)
-        base = pmod(F, pmul(F, base, base), mod)
-        e >>= 1
-    return result
+    ctx = _barrett(F, mod)
+    return ctx.unpack(ctx.pow(ctx.pack(pmod(F, base, mod)), e))
 
 
 def pinv_mod(F, a, mod):
@@ -654,16 +674,24 @@ def pirreducible(F, f) -> bool:
     x = (F.zero, F.one)
     checks = {d // r for r in counting.factorize(d)}
     checks.update(1 << i for i in range((d // 2).bit_length()))
-    if ctx := _barrett(F, f):
-        start, step, read = ctx.pack(x), (lambda h: ctx.pow(h, q)), ctx.unpack
-    else:
-        start, step, read = x, (lambda h: ppow_mod(F, h, q, f)), (lambda h: h)
-    h = start
-    for k in range(1, d + 1):
-        h = step(h)
-        if k in checks and pdeg(pgcd(F, psub(F, read(h), x), f)) != 0:
+    # While q^k < d, h_k is the monomial x^(q^k) itself: its gcds need no
+    # context, and a candidate they reject never builds one.
+    k = 1
+    while q**k < d:
+        if k in checks and pdeg(pgcd(F, psub(F, _monomial(F, q**k), x), f)) != 0:
             return False
-    return h == start
+        k += 1
+    ctx = _barrett(F, f)
+    h = ctx.pack(_monomial(F, q ** (k - 1)))
+    for k in range(k, d + 1):
+        h = ctx.pow(h, q)
+        if k in checks and pdeg(pgcd(F, psub(F, ctx.unpack(h), x), f)) != 0:
+            return False
+    return h == ctx.pack(x)
+
+
+def _monomial(F, e: int):
+    return (F.zero,) * e + (F.one,)
 
 
 def peval(F, coeffs, a):
@@ -796,7 +824,7 @@ class ExtensionField:
             units = _elements(base, base._fold[0].tolist())
         rows = []
         for j in range(2 * self.degree - 1):
-            yj = self._pad(pmod(base, (base.zero,) * j + (base.one,), self.modulus))
+            yj = self._pad(pmod(base, _monomial(base, j), self.modulus))
             for u in units:
                 rows.append(self.prime_coords(tuple(base.mul(u, c) for c in yj)))
         return np.array(rows, dtype=np.uint64), [_pack(r, self._read_slot) for r in rows]

@@ -351,17 +351,23 @@ def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
     F = f.field
     q = F.order
     out = []
-    h = Poly.x(F) % f
+    h = Poly.x(F) % f  # x^(q^d) mod cur
     cur = f
     d = 0
+    ctx = None  # one context per cur, built at its first step
     while cur.degree >= 2 * (d + 1):
         d += 1
-        h = pow_mod(h, q, cur)
+        if ctx is None:
+            ctx = gf._barrett(F, cur.coeffs)
+            packed = ctx.pack(h.coeffs)
+        packed = ctx.pow(packed, q)
+        h = Poly(F, ctx.unpack(packed))
         g = gcd(cur, h - Poly.x(F))
         if g.degree != 0:
             out.append((g, d))
             cur = cur // g
             h = h % cur
+            ctx = None
     if cur.degree != 0:
         out.append((cur, int(cur.degree)))
     return out
@@ -379,20 +385,21 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
         if u.degree == d:
             out.append(u)
             continue
+        ctx = gf._barrett(F, u.coeffs)  # shared by the retries on u
         while True:
             h = Poly(F, tuple(F.random(rng) for _ in range(int(u.degree))))
             if h.degree is NEG_INF or h.degree < 1:
                 continue
+            # h has degree below that of u: it is its own residue
             if F.char == 2:
                 # Even characteristic: gcd with the F_2-trace map of h.
-                acc = h % u
-                g = acc
+                acc = g = ctx.pack(h.coeffs)
                 for _ in range(F.prime_dim * d - 1):
-                    g = (g * g) % u
-                    acc = (acc + g) % u
-                w = gcd(u, acc)
+                    g = ctx.mul(g, g)
+                    acc = ctx.add(acc, g)
+                w = gcd(u, Poly(F, ctx.unpack(acc)))
             else:
-                g = pow_mod(h, (q**d - 1) // 2, u)
+                g = Poly(F, ctx.unpack(ctx.pow(ctx.pack(h.coeffs), (q**d - 1) // 2)))
                 w = gcd(u, g - Poly.one(F))
             if 0 < w.degree < u.degree:
                 break

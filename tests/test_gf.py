@@ -582,15 +582,35 @@ def test_barrett_at_slot_boundaries():
 
 def test_ppow_mod_and_pirreducible_without_a_packed_slot(rng):
     # F_{(2^61-1)^2} has no 8-byte slot: ppow_mod and pirreducible run the
-    # schoolbook loops
+    # schoolbook loops of the unpacked context
     F, L = kernel_fields()[-1]
     x, q = (F.zero, F.one), F.order
     for d in (2, 3):
         f = tuple(F.random(rng) for _ in range(d)) + (F.one,)
-        assert gf._barrett(F, f) is None
+        assert not isinstance(gf._barrett(F, f), gf._Barrett)
         for e in (0, 1, q, q**2):
             assert gf.ppow_mod(F, x, e, f) == gf.ppow_mod(L, x, e, f), (d, e)
         assert gf.pirreducible(F, f) == rabin_reference(L, f)
+
+
+def test_pirreducible_builds_a_context_only_to_reduce(monkeypatch):
+    # Over F_2, h_k = x^(2^k) needs no reduction mod f of degree 64 while
+    # k < 6: a candidate with the root 1 fails Ben-Or's gcd at k = 1 before
+    # the chain builds a context, and an irreducible one builds exactly one.
+    built = []
+
+    class Counting(gf._Barrett):
+        def __init__(self, F, f):
+            built.append(f)
+            super().__init__(F, f)
+
+    F = gf.prime_field(2)
+    m = gf.first_irreducible(F, 64)
+    monkeypatch.setattr(gf, "_Barrett", Counting)
+    assert not gf.pirreducible(F, (1, 1, 0, 1) + (0,) * 60 + (1,))  # x^64 + x^3 + x + 1
+    assert built == []
+    assert gf.pirreducible(F, m)
+    assert built == [m]
 
 
 def rabin_reference(L, f) -> bool:

@@ -10,6 +10,7 @@ from normbase import counting, gf
 from normbase.errors import BudgetExceeded
 from normbase.polyring import (
     NEG_INF,
+    _distinct_degree,
     Factorization,
     Poly,
     cyclotomic,
@@ -113,6 +114,8 @@ def test_pow_mod(f3):
     x = Poly.x(f3)
     assert pow_mod(x, 9, f) == x % f  # x^(q^2) == x mod an irreducible quadratic
     assert pow_mod(x, 0, f) == Poly.one(f3)
+    # modulo a constant every residue is 0, x^0 too
+    assert [pow_mod(x, e, P(f3, 2)) for e in (0, 1, 9)] == [Poly.zero(f3)] * 3
 
 
 def test_derivative(f3):
@@ -257,20 +260,50 @@ def test_factor_determinism(rng):
     )
 
 
-@pytest.mark.parametrize("q, kmax", [(2, 6), (3, 4)])
+@pytest.mark.parametrize("q, kmax", [(2, 6), (3, 4), (4, 4), (16, 1), (5, 4)])
 def test_factor_splits_x_qk_minus_x_at_small_q(q, kmax):
     # Cantor-Zassenhaus is the only equal-degree split, also at q <= 3:
     # x^(q^k) - x is the product of the monic irreducibles of degree
     # dividing k, and every seed finds each of them once.  k = 1 gives
     # x^2 + x over F_2, which only two of the four h of degree < 2 split,
-    # and x^3 - x over F_3.
-    field = gf.prime_field(q)
+    # and x^3 - x over F_3.  F_4 and F_16 run the trace map in a context
+    # over an extension base, and F_5 the odd-p power; kmax is the largest
+    # k whose ten seeds take at most about 2 s.
+    field = gf.field_of_order(q)
     for k in range(1, kmax + 1):
         f = x_pow_minus_one(q**k - 1, field) * Poly.x(field)
         irreducibles = [g for d in counting.divisors(k) for g in enumerate_monic_irreducibles(d, field)]
         want = [(g, 1) for g in sorted(irreducibles, key=Poly.sort_key)]
         for seed in range(10):
             assert factor(f, seed=seed).parts == want, (q, k, seed)
+
+
+def test_distinct_degree_builds_one_context_per_modulus(f2, monkeypatch):
+    # The stage reduces by one context per modulus it steps on, rebuilt only
+    # when a factor is divided out and the loop goes on.  cyclotomic(511) is
+    # 48 irreducibles of degree 9 over F_2: nine steps on one modulus.
+    # x^63 - 1 has blocks of degree 1, 2, 6 and 54 at d = 1, 2, 3 and 6; the
+    # loop ends when the last is divided out.
+    built, steps = [], []
+    pgcd = gf.pgcd
+
+    class Counting(gf._Barrett):
+        def __init__(self, F, f):
+            built.append(len(f) - 1)
+            super().__init__(F, f)
+
+    for f, blocks, moduli in (
+        (cyclotomic(511, f2), [(432, 9)], [432]),
+        (x_pow_minus_one(63, f2), [(1, 1), (2, 2), (6, 3), (54, 6)], [63, 62, 60, 54]),
+    ):
+        built.clear()
+        steps.clear()
+        with monkeypatch.context() as m:
+            m.setattr(gf, "_Barrett", Counting)
+            m.setattr(gf, "pgcd", lambda F, a, b: steps.append(a) or pgcd(F, a, b))
+            got = _distinct_degree(f)
+        assert [(g.degree, d) for g, d in got] == blocks
+        assert built == moduli and len(built) < len(steps) == blocks[-1][1]
 
 
 @pytest.mark.parametrize("q, n", [(2, 255), (3, 80)])
