@@ -44,6 +44,14 @@ def dtype_for(p: int, terms: int = 0) -> np.dtype:
     raise ValueError(f"arithmetic mod {p} over {terms} terms does not fit in 64 bits")
 
 
+def exact_dtype(p: int, terms: int = 0) -> np.dtype:
+    """dtype_for(p, terms), or object (Python ints) past 64 bits."""
+    try:
+        return dtype_for(p, terms)
+    except ValueError:
+        return np.dtype(object)
+
+
 def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
     """x mod p, in place.  numpy vectorises floor division by a scalar but
     not %, so on a large int16 array this is about 3x faster than x % p.
@@ -57,39 +65,35 @@ def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def linear_map_matrix(func, ext) -> np.ndarray:
-    """Matrix over F_p of an F_p-linear map on ext, from a plain callable.
-
-    Column j is the prime-coordinate image of the j-th unit vector, so the
-    matrix is exact by construction whenever func is linear."""
-    dim = ext.prime_dim
-    cols = []
-    for j in range(dim):
-        unit = [0] * dim
-        unit[j] = 1
-        e = ext.from_prime_coords(tuple(unit))
-        cols.append(ext.prime_coords(func(e)))
-    return (np.array(cols, dtype=np.int64).T % ext.char).astype(dtype_for(ext.char))
-
-
 # Cached: oracle-sweep's wall_s rose from 0.25 to 0.35 s without it.
 @functools.lru_cache(maxsize=128)
 def frobenius_matrix(ext) -> np.ndarray:
     """Frobenius on ext's prime coordinates, built once per field and
-    returned read-only, since every caller shares the one array."""
-    mat = linear_map_matrix(ext.frobenius, ext)
+    returned read-only, since every caller shares the one array.  It fixes
+    F_q, q = p^k, and sends x^i to h_i = x^(q*i) mod f (ext.x_q_powers),
+    so column i*k + j holds the prime coordinates of u_j * h_i, u_j the
+    j-th prime unit of F_q."""
+    p, dim = ext.char, ext.prime_dim
+    cols = np.array([ext.prime_coords(h) for h in ext.x_q_powers()], dtype=exact_dtype(p))
+    if ext.base.prime_dim > 1:
+        cols = np.stack([scale_coords(cols, s, p) for s in basis_scalar_matrices(ext.base)], axis=1)
+    mat = np.ascontiguousarray(cols.reshape(dim, dim).T)
     mat.setflags(write=False)
     return mat
 
 
 def basis_scalar_matrices(field) -> list[np.ndarray]:
-    """The k x k matrices of multiplication by each F_p-basis scalar of a
-    field of order p^k (its mul_matrix of the prime units); for a prime
-    field this is just [identity]."""
-    k, dt = field.prime_dim, dtype_for(field.char)
+    """The k x k matrices of multiplication by each F_p-basis scalar u_j of
+    a field of order p^k: its mul_matrix of the prime units, or, where it
+    has none (sums past 64 bits), column t the prime coordinates of
+    u_j * u_t.  For a prime field this is just [identity]."""
+    k, dt = field.prime_dim, exact_dtype(field.char)
     if k == 1:
         return [np.ones((1, 1), dtype=dt)]
-    return list(field.mul_matrix(np.eye(k)).astype(dt))
+    if field._mul_layout is not None:
+        return list(field.mul_matrix(np.eye(k)).astype(dt))
+    units = [field.from_prime_coords(tuple(row)) for row in np.eye(k, dtype=int).tolist()]
+    return [np.array([field.prime_coords(field.mul(u, v)) for v in units], dtype=dt).T for u in units]
 
 
 def apply_map(vectors: np.ndarray, mat: np.ndarray, p: int) -> np.ndarray:
@@ -108,11 +112,11 @@ def scale_coords(vectors: np.ndarray, mat: np.ndarray, p: int) -> np.ndarray:
     dimension k on many rows."""
     k = mat.shape[0]
     blocks = vectors.reshape(vectors.shape[:-1] + (vectors.shape[-1] // k, k))
-    blocks = blocks.astype(dtype_for(p, k))
+    blocks = blocks.astype(exact_dtype(p, k))
     out = np.zeros_like(blocks)
     for u, t in zip(*np.nonzero(mat)):
         out[..., u] += int(mat[u, t]) * blocks[..., t]
-    return reduce_mod(out, p).astype(dtype_for(p)).reshape(vectors.shape)
+    return reduce_mod(out, p).astype(exact_dtype(p)).reshape(vectors.shape)
 
 
 def independent_over_base(coords: np.ndarray, smats: list[np.ndarray], p: int) -> np.ndarray:

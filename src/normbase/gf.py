@@ -935,6 +935,13 @@ class ExtensionField:
         self.validate(a)
         return self.pow(a, self.base.order)
 
+    def x_q_powers(self) -> list:
+        """x^(q*i) mod f for i < n: n - 1 products by h = x^q in one context mod f."""
+        ctx = _barrett(self.base, self.modulus)
+        h = ctx.pow(ctx.pack(ptrim(self.base, self.gen)), self.base.order)
+        powers = itertools.accumulate([h] * (self.degree - 1), ctx.mul, initial=ctx.one)
+        return [self._pad(ctx.unpack(r)) for r in powers]
+
     def trace(self, a):
         """a + a^q + ... + a^(q^(n-1)), returned as a base-field element."""
         self.validate(a)

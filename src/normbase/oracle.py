@@ -45,14 +45,14 @@ _SCAN_ENTRIES = 2**19
 
 
 def conjugate_matrix(a, ext) -> list:
-    """Rows i = 0..n-1 are the coordinate vectors of a^(q^i)."""
+    """The conjugates a^(q^i), i < n: a's prime coordinates through the Frobenius matrix."""
     ext.validate(a)
-    rows = [a]
-    cur = a
+    mat = _linalg.frobenius_matrix(ext).T.astype(_linalg.exact_dtype(ext.char, ext.prime_dim))
+    rows = [np.array(ext.prime_coords(a), dtype=mat.dtype)]
     for _ in range(ext.degree - 1):
-        cur = ext.frobenius(cur)
-        rows.append(cur)
-    return rows
+        # not apply_map: its dtype steps made this 2-3x slower on one row
+        rows.append(rows[-1] @ mat % ext.char)
+    return gf._elements(ext, np.array(rows).tolist())
 
 
 def rank_over_field(rows, field) -> int:

@@ -1,9 +1,10 @@
 import contextlib
 import random
 
+import numpy as np
 import pytest
 
-from normbase import counting, gf, oracle
+from normbase import _linalg, counting, gf, oracle
 
 
 @pytest.fixture
@@ -38,6 +39,19 @@ def poly_scans():
             scans[q, n] = oracle.scan_irreducibles(n, q, budget=2**16)
             n += 1
     return scans
+
+
+def linear_map_matrix(func, ext) -> np.ndarray:
+    """Matrix over F_p of an F_p-linear map on ext, from a plain callable:
+    column j is the prime-coordinate image of the j-th unit vector, in
+    the dtype of _linalg.frobenius_matrix."""
+    dim = ext.prime_dim
+    cols = []
+    for j in range(dim):
+        unit = [0] * dim
+        unit[j] = 1
+        cols.append(ext.prime_coords(func(ext.from_prime_coords(tuple(unit)))))
+    return (np.array(cols, dtype=np.int64).T % ext.char).astype(_linalg.dtype_for(ext.char))
 
 
 @contextlib.contextmanager

@@ -25,6 +25,8 @@ from normbase.oracle import (
 )
 from normbase.polyring import Poly, enumerate_monic_irreducibles, is_irreducible, poly_trace
 
+from conftest import linear_map_matrix
+
 
 def P(field, *coeffs):
     return Poly.of(field, coeffs)
@@ -469,22 +471,59 @@ def test_index_map_of_a_singular_map():
         assert not (want % q ** (n - 1)).any(), (q, n)
 
 
-def test_frobenius_matrix_is_built_once_per_field(monkeypatch):
+def test_frobenius_matrix_is_built_once_per_field():
     # the orbit pass, the trace map and every operator matrix of the root
-    # census and the operator-root count share one Frobenius matrix, whose
-    # build applies Frobenius once per prime coordinate
+    # census and the operator-root count, and the conjugates of the
+    # per-element normality test, share one Frobenius matrix
     q, n = 4, 3
     ext = extension_for(q, n)
     fact = linearized.SymbolicFactorization.from_factorization(
         polyring.factor_xn_minus_1(n, ext.base).flatten()
     )
-    calls = []
-    frobenius = ext.frobenius
-    monkeypatch.setattr(ext, "frobenius", lambda a: calls.append(a) or frobenius(a))
     _linalg.frobenius_matrix.cache_clear()
     census = root_census(n, q)
     assert linearized.root_count_by_enumeration(fact, ext) == census.v
-    assert len(calls) == ext.prime_dim
+    hits = _linalg.frobenius_matrix.cache_info().hits
+    assert sum(is_normal(a, ext) for a in ext.elements()) == census.v
+    info = _linalg.frobenius_matrix.cache_info()
+    assert (info.misses, info.hits - hits) == (1, ext.order)
+
+
+def _frobenius_fields():
+    F2, F3, F4, F9 = (gf.field_of_order(q) for q in (2, 3, 4, 9))
+    return [
+        gf.extension(F2, 7), gf.extension(F3, 7), gf.extension(gf.prime_field(7), 3),
+        gf.extension(F4, 3), gf.extension(F9, 2), gf.extension(gf.field_of_order(16), 4),
+        gf.extension(gf.extension(F4, 2), 3),  # a depth-3 tower
+        gf.extension(F2, 1), gf.extension(F9, 1),
+        gf.extension(F3, 4), gf.extension(F4, 1),  # below _BARRETT_MIN_DEGREE
+        gf.base_field(65521, 2),
+        gf.ExtensionField(gf.prime_field(2**61 - 1), (1, 0, 1)),  # no 8-byte slot
+        gf.extension(gf.base_field(2**61 - 1, 2), 2),  # a base with no mul_matrix
+    ]
+
+
+def test_frobenius_matrix_and_conjugates_match_frobenius():
+    # the chain-built matrix against the matrix of ext.frobenius, pow(a, q),
+    # and conjugate_matrix against iterated ext.frobenius
+    rng = np.random.default_rng(15)
+    residues = 0
+    for ext in _frobenius_fields():
+        mat = _linalg.frobenius_matrix(ext)
+        want = linear_map_matrix(ext.frobenius, ext)
+        assert mat.dtype == want.dtype and np.array_equal(mat, want), ext
+        residues += not isinstance(gf._barrett(ext.base, ext.modulus), gf._Barrett)
+        for _ in range(4):
+            a = ext.from_prime_coords(tuple(int(c) for c in rng.integers(0, ext.char, ext.prime_dim)))
+            rows = [a]
+            for _ in range(ext.degree - 1):
+                rows.append(ext.frobenius(rows[-1]))
+            assert conjugate_matrix(a, ext) == rows, (ext, a)
+    assert residues >= 4
+    # past 64 bits the matrix holds Python ints
+    ext = gf.ExtensionField(gf.prime_field(2**64 + 13), (3, 0, 1))
+    assert _linalg.frobenius_matrix(ext).dtype == object
+    assert conjugate_matrix((5, 7), ext) == [(5, 7), ext.frobenius((5, 7))]
 
 
 def test_frobenius_matrix_rejects_writes():
@@ -567,7 +606,7 @@ def test_full_report_checks_normal_orbits(monkeypatch):
 
     def times_x(ext):
         # x has order 5 or 15 in F_16*, so no x^t with 0 < t <= 4 is 1
-        return _linalg.linear_map_matrix(lambda a: ext.mul(a, ext.gen), ext)
+        return linear_map_matrix(lambda a: ext.mul(a, ext.gen), ext)
 
     frobenius = _linalg.frobenius_matrix
     cases = (
