@@ -117,21 +117,18 @@ def cmd_verify(args) -> int:
 def cmd_count(args) -> int:
     q, n = parse_q_token(args.q), args.n
     # names the stage and the point in a mismatch message
-    stage = f"count {args.kind} q={q} n={n}"
+    stage, got = f"count {args.kind} q={q} n={n}", None
     if args.kind == "v":
         value = counting.normal_element_count(n, q)
         if args.oracle:
             # before F_{q^n} is built: past the budget its modulus search is slow
             gf.check_element_budget(q**n, args.budget)
             got = oracle.count_normal_elements(oracle.extension_for(q, n), budget=args.budget)
-            if got != value:
-                raise VerificationError(f"{stage}: enumeration {got} != closed form {value}")
+            what = "enumeration"
     elif args.kind == "nb":
         value = counting.normal_basis_count(n, q)
         if args.oracle:
-            got = oracle.root_census(n, q, budget=args.budget).npoly
-            if got != value:
-                raise VerificationError(f"{stage}: N-polynomial enumeration {got} != closed form {value}")
+            got, what = oracle.root_census(n, q, budget=args.budget).npoly, "N-polynomial enumeration"
     elif args.kind == "irr-trace":
         if args.t % q == 0:
             raise UsageError("the trace value t must be nonzero")
@@ -139,14 +136,14 @@ def cmd_count(args) -> int:
         value = counting.irr_count_trace(n, q, args.t)
         if args.oracle:
             got = int(oracle.root_census(n, q, budget=args.budget).trace_counts[args.t % q])
-            if got != value:
-                raise VerificationError(f"{stage}: trace enumeration {got} != closed form {value}")
+            what = "trace enumeration"
     else:  # irr-total
         value = counting.total_irr_count(n, q)
         if args.oracle:
             got = int(oracle.root_census(n, q, budget=args.budget).trace_counts.sum())
-            if got != value:
-                raise VerificationError(f"{stage}: irreducible enumeration {got} != closed form {value}")
+            what = "irreducible enumeration"
+    if got is not None and got != value:
+        raise VerificationError(f"{stage}: {what} {got} != closed form {value}")
     sys.stdout.write(f"{value}\n")
     return EXIT_OK
 

@@ -99,9 +99,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, e: int):
         if e < 0:
             return pow(self.inv(a), -e, self.p)
@@ -445,24 +442,31 @@ def pgcd(F, a, b):
 
     Over an extension field with multiplication matrices (mul_matrix) the
     Euclid runs fraction-free in prime coordinates (_pgcd_coords), and the
-    only inversion is pmonic's, none for a constant gcd.  Over F_p, where
-    an inversion is one pow, it divides at each step, on operands that stay
-    packed from _PGCD_MIN_LEN coefficients on (_pgcd_packed); over fields
-    the kernel cannot pack it divides by pmod."""
+    only inversion is pmonic's, none for a constant gcd or in pcoprime.
+    Over F_p, where an inversion is one pow, it divides at each step, on
+    operands that stay packed from _PGCD_MIN_LEN coefficients on
+    (_pgcd_packed); over fields the kernel cannot pack it divides by pmod."""
+    g = _pgcd_unit(F, a, b)
+    if isinstance(g, np.ndarray):
+        g = tuple(_elements(F, g.astype(np.int64).tolist()))
+    return pmonic(F, g)
+
+
+def pcoprime(F, a, b) -> bool:
+    """pdeg(pgcd(F, a, b)) == 0, read from the gcd before pmonic."""
+    return len(_pgcd_unit(F, a, b)) == 1
+
+
+def _pgcd_unit(F, a, b):
+    """pgcd up to a unit: a coefficient tuple, or _pgcd_coords's array."""
     if a and b and isinstance(F, ExtensionField) and F._mul_layout is not None:
-        rows = _pgcd_coords(F, a, b).astype(np.int64).tolist()
-        return pmonic(F, tuple(_elements(F, rows)))
-    if (
-        isinstance(F, PrimeField)
-        and a
-        and b
-        and max(len(a), len(b)) >= _PGCD_MIN_LEN[F.p == 2]
-        and (slot := _packed_slot(F, min(len(a), len(b)), F.p - 1))
-    ):
-        return pmonic(F, _pgcd_packed(F.p, a, b, slot))
+        return _pgcd_coords(F, a, b)
+    if isinstance(F, PrimeField) and a and b and max(len(a), len(b)) >= _PGCD_MIN_LEN[F.p == 2]:
+        if slot := _packed_slot(F, min(len(a), len(b)), F.p - 1):
+            return _pgcd_packed(F.p, a, b, slot)
     while b:
         a, b = b, pmod(F, a, b)
-    return pmonic(F, a)
+    return a
 
 
 def _pgcd_packed(p, a, b, slot) -> tuple:
@@ -503,8 +507,8 @@ def _pgcd_coords(F, a, b) -> np.ndarray:
     extension field F, as a (len, prime_dim) array of prime coordinates.
 
     Each elimination step sets r <- lc(s) r - lc(r) x^k s, a nonzero
-    multiple of the step of the division of r by s that it replaces, so
-    no step inverts; scaling by an element is a product with its matrix."""
+    multiple of the division step it replaces, and scales by an element as
+    a product with its matrix, so none inverts: pgcd's pmonic is its one."""
     p, D = F.char, F.prime_dim
     dt = F._mul_layout[1].dtype
     r = np.array(a, dtype=dt).reshape(len(a), D)
@@ -678,14 +682,14 @@ def pirreducible(F, f) -> bool:
     # context, and a candidate they reject never builds one.
     k = 1
     while q**k < d:
-        if k in checks and pdeg(pgcd(F, psub(F, _monomial(F, q**k), x), f)) != 0:
+        if k in checks and not pcoprime(F, psub(F, _monomial(F, q**k), x), f):
             return False
         k += 1
     ctx = _barrett(F, f)
     h = ctx.pack(_monomial(F, q ** (k - 1)))
     for k in range(k, d + 1):
         h = ctx.pow(h, q)
-        if k in checks and pdeg(pgcd(F, psub(F, ctx.unpack(h), x), f)) != 0:
+        if k in checks and not pcoprime(F, psub(F, ctx.unpack(h), x), f):
             return False
     return h == ctx.pack(x)
 
@@ -708,10 +712,17 @@ def rank(rows, F) -> int:
     Gaussian elimination with first-nonzero pivots that clears only the
     rows below each pivot.  Over F_p the rows are packed as in pdivmod: a
     row gains (p - fac) * pivot row at each of at most len(rows) steps,
-    and an entry is reduced mod p only when it is read.  Extension bases,
-    and primes whose sums fit no 8-byte slot, run the loop of field
-    operations."""
+    and an entry is reduced mod p only when it is read.  Over an extension
+    base F_q, q = p^k, the F_q-span of the rows is the F_p-span of their
+    prime coordinates scaled by each F_p-basis scalar of F_q, which has k
+    times the F_q-rank.  Primes whose sums fit no 8-byte slot, and fields
+    the kernel does not know, run the loop of field operations."""
     ncols = len(rows[0]) if rows else 0
+    if isinstance(F, ExtensionField):
+        k, p, dt = F.prime_dim, F.char, _linalg.exact_dtype(F.char)
+        coords = np.array([[F.prime_coords(c) for c in row] for row in rows], dtype=dt)
+        scaled = _linalg.scale_by_basis(coords.reshape(len(rows), ncols * k), F)
+        return rank(scaled.reshape(k * len(rows), ncols * k).tolist(), PrimeField(p)) // k
     r = 0
     if isinstance(F, PrimeField) and (slot := _slot((F.p - 1) + len(rows) * (F.p - 1) ** 2)):
         p, w = F.p, slot[1]
@@ -816,18 +827,24 @@ class ExtensionField:
         slots taken mod p: row s of this (_stride x prime_dim) matrix holds
         the prime coordinates of the element that a one in raw slot s
         stands for.  Returned as a numpy matrix (for _canon) and as one
-        int per row packed in _read_slot (for _read)."""
-        base = self.base
-        if isinstance(base, PrimeField):
-            units = [base.one]
-        else:
-            units = _elements(base, base._fold[0].tolist())
-        rows = []
-        for j in range(2 * self.degree - 1):
-            yj = self._pad(pmod(base, _monomial(base, j), self.modulus))
-            for u in units:
-                rows.append(self.prime_coords(tuple(base.mul(u, c) for c in yj)))
-        return np.array(rows, dtype=np.uint64), [_pack(r, self._read_slot) for r in rows]
+        int per row packed in _read_slot (for _read).  The slots of
+        coefficient j stand for x^j times the base's fold rows: for j < n
+        those rows at coordinate j, and after that the rows of j - 1 times
+        by_x, the prime-coordinate matrix of multiplication by x."""
+        base, p, n, k = self.base, self.char, self.degree, self.base.prime_dim
+        dim, dt = n * k, _linalg.exact_dtype(p, n * k)
+        by_x = np.eye(dim, dim, k, dtype=dt)
+        neg_f = np.array(self.prime_coords(pneg(base, self.modulus[:-1])), dtype=dt)
+        by_x[dim - k :] = neg_f if k == 1 else _linalg.scale_by_basis(neg_f, base)
+        low = np.zeros((n, base._stride, n, k), dtype=dt)
+        low[np.arange(n), :, np.arange(n)] = base._fold[0] if k > 1 else 1
+        rows = [low.reshape(-1, dim)]
+        top = rows[0][-base._stride :]
+        for _ in range(n - 1):
+            top = top @ by_x % p
+            rows.append(top)
+        rows = np.concatenate(rows).astype(np.uint64)
+        return rows, [_pack(r, self._read_slot) for r in rows.tolist()]
 
     @functools.cached_property
     def _mul_layout(self):
@@ -914,9 +931,6 @@ class ExtensionField:
         if not t:
             raise ZeroDivisionError("inverse of zero")
         return self._pad(pinv_mod(self.base, t, self.modulus))
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def pow(self, a, e: int):
         if e < 0:
@@ -1056,7 +1070,9 @@ def extension(field, n: int, modulus=None) -> ExtensionField:
     return ExtensionField(field, coeffs)
 
 
+# Cached: every CLI count/test call and oracle-sweep roots op rebuilt F_q (66 us at q = 4).
+@functools.lru_cache(maxsize=64)
 def field_of_order(q: int):
-    """F_q for a prime power q, built from deterministic moduli."""
+    """F_q for a prime power q, built from deterministic moduli once per q."""
     p, k = counting.prime_power_split(q)
     return base_field(p, k)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _linalg, gf
 from .errors import BudgetExceeded
-from .polyring import NEG_INF, Factorization, Poly, gcd, x_pow_minus_one
+from .polyring import NEG_INF, Factorization, Poly, x_pow_minus_one
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,7 +136,7 @@ class SymbolicFactorization:
             if a.degree is NEG_INF or a.degree < 1 or not a.is_monic():
                 raise ValueError("part associates must be monic of degree >= 1")
         for (a, _), (b, _) in itertools.combinations(self.parts, 2):
-            if gcd(a.associate, b.associate).degree != 0:
+            if not gf.pcoprime(field, a.associate.coeffs, b.associate.coeffs):
                 raise ValueError("parts are not pairwise coprime")
 
 
@@ -202,7 +202,7 @@ def refine(fact: Factorization, part_index: int, g: Poly, h: Poly) -> Factorizat
             raise ValueError("split pieces must be monic")
     if g * h != base:
         raise ValueError("pieces do not multiply to the chosen base")
-    if gcd(g, h).degree != 0:
+    if not gf.pcoprime(g.field, g.coeffs, h.coeffs):
         raise ValueError("pieces are not coprime")
     parts = list(fact.parts)
     parts[part_index : part_index + 1] = [(g, mult), (h, mult)]

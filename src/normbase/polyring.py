@@ -80,9 +80,6 @@ class Poly:
     def monic(self) -> "Poly":
         return Poly(self.field, gf.pmonic(self.field, self.coeffs))
 
-    def scale(self, c) -> "Poly":
-        return Poly(self.field, gf.pscale(self.field, self.coeffs, c))
-
     def _check_same_ring(self, other):
         if not isinstance(other, Poly) or other.field != self.field:
             raise ValueError("polynomials belong to different coefficient fields")
@@ -271,7 +268,7 @@ class Factorization:
             if self.irreducible_parts and not is_irreducible(base):
                 raise ValueError(f"{base!r} is not irreducible")
         for (a, _), (b, _) in itertools.combinations(self.parts, 2):
-            if gcd(a, b).degree != 0:
+            if not gf.pcoprime(a.field, a.coeffs, b.coeffs):
                 raise ValueError(f"parts {a!r} and {b!r} share a factor")
         if expected is not None and self.product() != expected.monic():
             raise ValueError("factorization does not reconstruct the input")

@@ -54,6 +54,20 @@ def linear_map_matrix(func, ext) -> np.ndarray:
     return (np.array(cols, dtype=np.int64).T % ext.char).astype(_linalg.dtype_for(ext.char))
 
 
+def fold_by_pmod(ext) -> np.ndarray:
+    """ext._fold's matrix built one slot at a time: row (j, s) holds the
+    prime coordinates of x^j mod f times the element that a one in the
+    base's raw slot s stands for, by one pmod and one base product each."""
+    base = ext.base
+    units = [base.one] if isinstance(base, gf.PrimeField) else gf._elements(base, base._fold[0].tolist())
+    rows = []
+    for j in range(2 * ext.degree - 1):
+        xj = ext._pad(gf.pmod(base, gf._monomial(base, j), ext.modulus))
+        for u in units:
+            rows.append(ext.prime_coords(tuple(base.mul(u, c) for c in xj)))
+    return np.array(rows, dtype=np.uint64)
+
+
 @contextlib.contextmanager
 def criterion(name):
     """Print one pass/fail line per acceptance criterion."""

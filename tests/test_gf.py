@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from normbase import gf
 from normbase.errors import BudgetExceeded
 
+from conftest import fold_by_pmod
+
 
 def sample_fields():
     return [
@@ -348,6 +350,84 @@ def test_row_reduce_packed_matches_generic_loop(rng):
             got = gf.rank(rows, F)
             assert got == gf.rank(rows, OpaqueField(F)), (p, nrows, ncols)
             assert got <= r
+
+
+def random_product(F, nrows, ncols, r, rng):
+    """The rows of a random (nrows x r) @ (r x ncols) product over F, of
+    rank at most r."""
+    left = [[F.random(rng) for _ in range(r)] for _ in range(nrows)]
+    right = [[F.random(rng) for _ in range(ncols)] for _ in range(r)]
+    rows = []
+    for row in left:
+        out = [F.zero] * ncols
+        for x, right_row in zip(row, right):
+            out = [F.add(acc, F.mul(x, y)) for acc, y in zip(out, right_row)]
+        rows.append(out)
+    return rows
+
+
+def test_rank_over_extension_bases_matches_generic_loop(rng):
+    # The F_q-rank from the F_p-rank of the prime coordinates scaled by
+    # each basis scalar, against the loop of field operations; F_{(2^61-1)^2}
+    # has no 8-byte slot, so its scaled rows run the loop over F_p.
+    F4 = gf.base_field(2, 2)
+    fields = [F4, gf.base_field(2, 3), gf.base_field(3, 2), gf.base_field(2, 4)]
+    fields += [gf.extension(gf.extension(F4, 3), 2), gf.base_field(251, 2), gf.base_field(2**61 - 1, 2)]
+    shapes = ((12, 10, 6), (10, 12, 10), (9, 8, 5), (3, 3, 2), (3, 3, 3), (1, 7, 1), (1, 1, 1), (0, 4, 0), (3, 0, 0))
+    for F in fields:
+        for nrows, ncols, r in shapes:
+            rows = random_product(F, nrows, ncols, r, rng)
+            got = gf.rank(rows, F)
+            assert got == gf.rank(rows, OpaqueField(F)), (F, nrows, ncols)
+            assert got <= r
+        # a row and its multiples by every scalar span one dimension
+        row = [F.random(rng) for _ in range(5)] + [F.one]
+        multiples = [[F.mul(c, x) for x in row] for c in map(F.from_index, range(1, min(F.order, 40)))]
+        assert gf.rank(multiples, F) == 1, F
+
+
+def test_fold_matches_the_pmod_reference():
+    # prime bases (1- to 8-byte read slots), extension bases, a depth-3
+    # tower, degree-1 moduli, and an int64 and an object product dtype
+    F2, F4 = gf.prime_field(2), gf.base_field(2, 2)
+    F64 = gf.extension(F4, 3)
+    fields = [
+        gf.extension(F2, 8), gf.extension(gf.prime_field(3), 5), gf.base_field(251, 3),
+        gf.base_field(65521, 2), gf.extension(F4, 3), gf.extension(gf.base_field(3, 2), 2),
+        gf.extension(gf.base_field(2, 4), 3), F64, gf.extension(F64, 2),
+        gf.ExtensionField(F2, (1, 1)), gf.ExtensionField(F4, (F4.from_index(3), F4.one)),
+        gf.extension(gf.ExtensionField(gf.prime_field(3), (1, 1)), 3),
+        gf.base_field(2**31 - 1, 2), gf.base_field(2**31 + 11, 2),
+    ]
+    for ext in fields:
+        want = fold_by_pmod(ext)
+        matrix, packed = ext._fold
+        assert matrix.dtype == want.dtype and matrix.tobytes() == want.tobytes(), ext
+        assert packed == [gf._pack(r, ext._read_slot) for r in want.tolist()], ext
+
+
+def pcoprime_fields():
+    """One field per path of _pgcd_unit: F_p packed and in the loop (no
+    8-byte slot at 2^61 - 1), extensions with multiplication matrices, one
+    without them, and an opaque field."""
+    F4 = gf.base_field(2, 2)
+    fields = [gf.prime_field(p) for p in (2, 3, 251, 2**61 - 1)]
+    fields += [F4, gf.base_field(3, 2), gf.base_field(2, 4), gf.extension(gf.extension(F4, 3), 2)]
+    return fields + [gf.base_field(2**31 + 11, 2), OpaqueField(F4)]
+
+
+def test_pcoprime_is_a_gcd_of_degree_zero(rng):
+    for F in pcoprime_fields():
+        unit = F.from_index(rng.randrange(1, min(F.order, 2**20)))
+        for la, lb in ((1, 1), (2, 5), (6, 6), (9, 21), (25, 24), (30, 3)):
+            g = (F.random(rng), F.one)
+            a = gf.ptrim(F, [F.random(rng) for _ in range(la - 1)] + [unit])
+            b = gf.ptrim(F, [F.random(rng) for _ in range(lb - 1)] + [F.one])
+            pairs = [(a, b), (b, a), (gf.pmul(F, a, g), gf.pmul(F, b, g)), (a, ()), ((), b), ((), ())]
+            pairs += [((unit,), b), (a, (unit,)), ((unit,), ())]
+            for x, y in pairs:
+                want = gf.pdeg(gf.pgcd(F, x, y)) == 0
+                assert gf.pcoprime(F, x, y) == want, (F, x, y)
 
 
 def loop_field(F):
@@ -694,5 +774,7 @@ def test_field_of_order():
     assert gf.field_of_order(7).order == 7
     assert gf.field_of_order(9).order == 9
     assert gf.field_of_order(16).order == 16
-    with pytest.raises(ValueError):
-        gf.field_of_order(12)
+    assert gf.field_of_order(16) is gf.field_of_order(16)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            gf.field_of_order(12)

@@ -94,6 +94,26 @@ def test_dual_path_agreement_exhaustive():
         assert normals == counting.normal_element_count(n, q)
 
 
+@pytest.mark.parametrize("criterion", ["rank", "gcd"])
+def test_is_normal_raises_when_its_criteria_disagree(criterion, monkeypatch):
+    # Each call runs both criteria: with one of them inverted, every
+    # element of F_{2^3} and of F_{4^2} makes them disagree.
+    real_rank, real_coprime = oracle.rank_over_field, gf.pcoprime
+
+    def flipped_rank(rows, F):  # full rank one short, any other rank full
+        return len(rows) - (real_rank(rows, F) == len(rows))
+
+    if criterion == "rank":
+        monkeypatch.setattr(oracle, "rank_over_field", flipped_rank)
+    else:
+        monkeypatch.setattr(gf, "pcoprime", lambda F, a, b: not real_coprime(F, a, b))
+    for q, n in ((2, 3), (4, 2)):
+        ext = extension_for(q, n)
+        for a in ext.elements():
+            with pytest.raises(VerificationError, match="rank and gcd normality criteria disagree"):
+                is_normal(a, ext)
+
+
 def test_count_normal_elements_examples(f2):
     assert count_normal_elements(gf.extension(f2, 3)) == 3
     assert count_normal_elements(gf.extension(f2, 4)) == 8
