@@ -47,7 +47,6 @@ from .linearized import (
 from .oracle import (
     conjugate_matrix,
     count_normal_elements,
-    count_npolys_and_traces,
     degree_of,
     find_witness,
     full_report,
@@ -64,11 +63,9 @@ from .polyring import (
     enumerate_monic_irreducibles,
     factor,
     factor_xn_minus_1,
-    find_irreducible,
     gcd,
     is_irreducible,
     poly_trace,
-    pow_mod,
     x_pow_minus_one,
 )
 from .textio import format_element, format_poly, parse_element, parse_poly

@@ -147,15 +147,6 @@ def index_coords(idx: np.ndarray, p: int, dim: int) -> np.ndarray:
     return out
 
 
-def all_vectors(p: int, dim: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Base-p digit rows for indices [start, stop), most significant digit
-    first.  Row i equals prime_coords(from_index(start + i)) of a field of
-    order p^dim, so numpy scans walk elements in the canonical order."""
-    if stop is None:
-        stop = p**dim
-    return index_coords(np.arange(start, stop, dtype=np.int64), p, dim)
-
-
 def index_map(mat: np.ndarray, p: int) -> np.ndarray:
     """The map of element indices [0, p^D) that an F_p-linear map with
     (D, D) matrix mat induces: out[i] is the index of mat @ index_coords(i).

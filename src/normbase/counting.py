@@ -277,7 +277,9 @@ def q_adic_valuation(t: int, q: int) -> int:
 
 def witness_lower_bound(n: int, q: int) -> int:
     """q^(1+phi(n)) - q^phi(n) - q for squarefree n with at least two prime
-    factors, all coprime to the characteristic; always >= 1."""
+    factors, all coprime to the characteristic; always >= 1.  It bounds
+    from below the irreducibles of degree n with nonzero trace that are
+    not N-polynomials: nonzero_trace_irr_count - normal_basis_count."""
     p, _ = prime_power_split(q)
     fac = factorize(n)
     if any(e > 1 for e in fac.values()):

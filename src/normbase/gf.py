@@ -772,13 +772,18 @@ def first_irreducible(F, degree: int):
         raise ValueError("degree must be >= 1")
     if degree == 1:
         return (F.zero, F.one)
-    # candidates counted lazily as base-q numbers, constant coefficient first
+    candidates = monic_candidates(F, degree, start=F.order ** (degree - 1))
+    return next(cand for cand in candidates if pirreducible(F, cand))
+
+
+def monic_candidates(F, degree: int, start: int = 0):
+    """The monic polynomials of the given degree, as coefficient tuples in
+    lexicographic order (constant coordinate compared first), from the
+    start-th on.  A lazy base-q counter decoded by from_index: it builds
+    no list of F's elements, which over F_(2^61-1) would not fit."""
     weights = [F.order**i for i in reversed(range(degree))]
-    for num in range(weights[0], F.order * weights[0]):
-        cand = tuple(F.from_index(num // w % F.order) for w in weights) + (F.one,)
-        if pirreducible(F, cand):
-            return cand
-    raise AssertionError("unreachable: an irreducible of every degree exists")
+    for num in range(start, F.order**degree):
+        yield tuple(F.from_index(num // w % F.order) for w in weights) + (F.one,)
 
 
 class ExtensionField:
@@ -898,12 +903,6 @@ class ExtensionField:
     def embed(self, c):
         """Embed a base-field element as a constant."""
         return self._pad((c,) if c != self.base.zero else ())
-
-    def to_base(self, a):
-        """Inverse of embed; fails if any higher coordinate is nonzero."""
-        if any(c != self.base.zero for c in a[1:]):
-            raise ValueError(f"{a!r} does not lie in the base field")
-        return a[0]
 
     def add(self, a, b):
         base = self.base

@@ -23,10 +23,9 @@ themselves: it holds residues mod f in F_p coordinates, so that each
 conjugate of the root is one batched product with a per-candidate
 Frobenius matrix; a fixed-point screen, Rabin's coprimality conditions as
 batched invertibility tests and the normality test run on those
-conjugates.  The witness search reads it, and the test suite holds the
-root census to it wherever both reach.  The per-element count
-(count_normal_elements with method="pure") is kept as the reference the
-batched count is tested against.
+conjugates.  The witness search reads it.  The test suite holds the
+root census to it wherever both reach, and the whole-field counts to
+is_normal over every element.
 """
 
 from __future__ import annotations
@@ -111,18 +110,11 @@ def extension_for(q: int, n: int):
     return gf.extension(gf.field_of_order(q), n)
 
 
-def count_normal_elements(ext, budget=None, method: str = "batched") -> int:
-    """Exhaustive count of normal elements.
-
-    method="batched" (the default) evaluates the rank criterion as batched
+def count_normal_elements(ext, budget=None) -> int:
+    """Exhaustive count of normal elements: the rank criterion as batched
     elimination over F_p on one representative per orbit of <F_q*> x
-    <Frobenius>; method="pure" walks every element through the dual-path
-    is_normal and is the reference the batched count is tested against."""
-    cap = gf.check_element_budget(ext.order, budget)
-    if method == "pure":
-        return sum(1 for a in ext.elements(budget=cap) if is_normal(a, ext))
-    if method != "batched":
-        raise ValueError(f"unknown method {method!r}")
+    <Frobenius>."""
+    gf.check_element_budget(ext.order, budget)
     return _orbit_census(ext, traces=False).v
 
 
@@ -323,7 +315,7 @@ def _scan_chunk(field, n: int, smats, start: int, stop: int):
 
     # Row i: prime coordinates of the low coefficients (a_0 .. a_{n-1}) of
     # the (start + i)-th monic candidate in lexicographic order.
-    coeffs = _linalg.all_vectors(p, dim, start, stop)
+    coeffs = _linalg.index_coords(np.arange(start, stop), p, dim)
     neg_f = multiples(mod(-coeffs.T.astype(wide)), times_y, k)
     one, x = np.zeros((2, dim, len(coeffs)), dtype=wide)
     one[0] = x[k] = 1
@@ -378,16 +370,6 @@ def scan_irreducibles(n: int, q: int, budget=None) -> IrreducibleScan:
         raise ValueError("degree must be >= 1")
     gf.check_poly_budget(q, n, budget)
     return _scan_impl(n, q)
-
-
-def count_npolys_and_traces(n: int, q: int, budget=None) -> tuple[int, int, bool]:
-    """(N-polynomial count, nonzero-trace irreducible count, containment),
-    from the root census of F_{q^n}, held to the element budget.
-    Containment, that every N-polynomial has nonzero trace, is checked
-    inside the census on every normal element, which raises
-    VerificationError otherwise; so it is True whenever this returns."""
-    census = root_census(n, q, budget)
-    return census.npoly, int(census.trace_counts[1:].sum()), True
 
 
 def find_witness(n: int, q: int, budget=None) -> Poly | None:

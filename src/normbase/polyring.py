@@ -56,10 +56,6 @@ class Poly:
     def x(cls, field):
         return cls(field, (field.zero, field.one))
 
-    @classmethod
-    def constant(cls, field, c):
-        return cls(field, (c,))
-
     @property
     def degree(self):
         """The degree, or NEG_INF for the zero polynomial."""
@@ -191,23 +187,12 @@ def gcd(f: Poly, g: Poly) -> Poly:
     return Poly(f.field, gf.pgcd(f.field, f.coeffs, g.coeffs))
 
 
-def pow_mod(f: Poly, e: int, m: Poly) -> Poly:
-    f._check_same_ring(m)
-    return Poly(f.field, gf.ppow_mod(f.field, f.coeffs, e, m.coeffs))
-
-
 def is_irreducible(f: Poly) -> bool:
     """Rabin's criterion: x^(q^n) == x mod f and, for every prime r | n,
     x^(q^(n/r)) - x is coprime to f."""
     if f.degree is NEG_INF or f.degree < 1:
         raise ValueError("irreducibility is undefined for constants")
     return gf.pirreducible(f.field, f.coeffs)
-
-
-def find_irreducible(field, degree: int) -> Poly:
-    """The lexicographically smallest monic irreducible of the given degree
-    (coefficient vectors compared from the constant term upward)."""
-    return Poly(field, gf.first_irreducible(field, degree))
 
 
 def poly_trace(f: Poly):
@@ -224,10 +209,7 @@ def monic_polys(field, degree: int):
     """All monic polynomials of exact degree, in lexicographic order."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    indices = range(field.order)
-    for tail in itertools.product(indices, repeat=degree):
-        coeffs = tuple(field.from_index(i) for i in tail) + (field.one,)
-        yield Poly(field, coeffs)
+    return (Poly(field, coeffs) for coeffs in gf.monic_candidates(field, degree))
 
 
 def enumerate_monic_irreducibles(n: int, field, budget=None):

@@ -135,20 +135,19 @@ def test_criterion_4_npoly_counts(poly_scans):
     grid = pairs_within(SWEEP_Q, POLY_BUDGET)
     with criterion(f"4 N-polynomial counts == lhs/n and rhs/n ({len(grid)} degrees, q^n <= 2^16)"):
         for q, n in grid:
-            npoly, nonzero, containment = oracle.count_npolys_and_traces(
-                n, q, budget=POLY_BUDGET
-            )
+            # containment is checked inside the census, on every normal element
+            census = oracle.root_census(n, q, budget=POLY_BUDGET)
             lhs, rhs = counting.inequality_sides(n, q)
-            assert containment, (q, n)
-            assert npoly * n == lhs, (q, n)
-            assert nonzero * n == rhs, (q, n)
+            assert census.npoly * n == lhs, (q, n)
+            assert int(census.trace_counts[1:].sum()) * n == rhs, (q, n)
             # per-trace-value counts: equal for every nonzero value and
             # tiling the total irreducible count
             scan = poly_scans[q, n]
             assert int(scan.trace_counts.sum()) == counting.total_irr_count(n, q)
             per_value = scan.trace_counts[1:]
             assert (per_value == counting.irr_count_trace(n, q)).all(), (q, n)
-        assert oracle.count_npolys_and_traces(7, 2)[:2] == (7, 9)
+        census = oracle.root_census(7, 2)
+        assert (census.npoly, int(census.trace_counts[1:].sum())) == (7, 9)
 
 
 # --------------------------------------------------------------------------
@@ -211,7 +210,7 @@ def test_criterion_7_operator_laws():
             field = gf.field_of_order(q)
             ext = gf.extension(field, n)
             p = ext.char
-            vecs = _linalg.all_vectors(p, ext.prime_dim)
+            vecs = _linalg.index_coords(np.arange(ext.order), p, ext.prime_dim)
             for trial in range(1000):
                 l1 = _random_qpoly(field, 4, rng)
                 l2 = _random_qpoly(field, 4, rng)

@@ -1,12 +1,13 @@
 """Closed-form counts, the inequality, and its equality classification."""
 
+import contextlib
 import json
 import time
 from fractions import Fraction
 
 import pytest
 
-from normbase import counting, gf
+from normbase import counting, gf, oracle
 from normbase.counting import (
     CSV_COLUMNS,
     build_report,
@@ -235,6 +236,26 @@ def test_witness_lower_bound():
         witness_lower_bound(7, 2)  # single prime factor
     with pytest.raises(ValueError):
         witness_lower_bound(6, 2)  # shares the characteristic
+
+
+def test_witness_lower_bound_bounds_the_non_n_polynomials():
+    # the nonzero-trace irreducibles that are not N-polynomials: by the
+    # closed forms at every cell the bound applies to with q <= 32, n < 40,
+    # and by the root census at the four of them within 2^20 elements
+    bounds = {}
+    for q in prime_powers_up_to(32):
+        for n in range(2, 40):
+            with contextlib.suppress(ValueError):
+                bounds[q, n] = witness_lower_bound(n, q)
+    assert len(bounds) == 159
+    for (q, n), bound in bounds.items():
+        assert bound <= nonzero_trace_irr_count(n, q) - normal_basis_count(n, q), (q, n)
+    gaps = {}
+    for (q, n), bound in bounds.items():
+        if q**n <= 2**20:
+            census = oracle.root_census(n, q)
+            gaps[q, n] = bound, int(census.trace_counts[1:].sum()) - census.npoly
+    assert gaps == {(2, 15): (254, 416), (3, 10): (159, 1360), (5, 6): (95, 528), (7, 6): (287, 8976)}
 
 
 def test_both_sides_divisible_by_n():

@@ -1,6 +1,7 @@
 """Field tower arithmetic: axioms, Frobenius, trace, enumeration order."""
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -196,13 +197,11 @@ def test_validate_rejects_foreign_elements():
         F8.frobenius((0, 1))
 
 
-def test_embed_and_to_base():
+def test_embed():
     F4 = gf.base_field(2, 2)
     F16 = gf.extension(F4, 2)
     for c in F4.elements():
-        assert F16.to_base(F16.embed(c)) == c
-    with pytest.raises(ValueError):
-        F16.to_base(F16.gen)
+        assert F16.embed(c) == (c, F4.zero)
 
 
 def test_degree_one_extension_is_degenerate_identity():
@@ -768,6 +767,16 @@ def test_default_modulus_over_a_huge_prime():
     # candidate; the search counts its candidates lazily, so it never lists
     # the base field's elements
     assert gf.base_field(2**61 - 1, 2).modulus == (1, 0, 1)
+
+
+def test_monic_candidates_walk_the_lexicographic_order():
+    # against itertools.product over the listed elements, constant
+    # coefficient first, from the start and from an offset
+    for F, d in ((gf.prime_field(2), 3), (gf.prime_field(3), 2), (gf.base_field(2, 2), 2)):
+        want = [tail + (F.one,) for tail in itertools.product(list(F.elements()), repeat=d)]
+        assert list(gf.monic_candidates(F, d)) == want
+        assert list(gf.monic_candidates(F, d, start=5)) == want[5:]
+    assert list(gf.monic_candidates(gf.prime_field(5), 0)) == [(1,)]
 
 
 def test_field_of_order():

@@ -88,7 +88,7 @@ def test_divisibility_matches_kernel_containment(f2, f3):
         for i in range(len(divs)):
             for j in range(i, len(divs)):
                 products.append(divs[i] if i == j else divs[i] * divs[j])
-        vecs = _linalg.all_vectors(ext.char, ext.prime_dim)
+        vecs = _linalg.index_coords(np.arange(ext.order), ext.char, ext.prime_dim)
         for a in products:
             for b in products:
                 ka = ~_linalg.apply_map(vecs, operator_matrix(QPoly(a), ext), ext.char).any(axis=1)

@@ -12,7 +12,6 @@ from normbase.errors import BudgetExceeded, VerificationError
 from normbase.oracle import (
     conjugate_matrix,
     count_normal_elements,
-    count_npolys_and_traces,
     degree_of,
     extension_for,
     find_witness,
@@ -169,17 +168,14 @@ def test_reduce_mod_is_exact_on_float64():
 def test_count_methods_agree():
     for q, n in SMALL_EXTENSIONS:
         ext = extension_for(q, n)
-        pure = count_normal_elements(ext, method="pure")
-        batched = count_normal_elements(ext, method="batched")
-        assert pure == batched == counting.normal_element_count(n, q), (q, n)
+        pure = sum(1 for a in ext.elements() if is_normal(a, ext))
+        assert pure == count_normal_elements(ext) == counting.normal_element_count(n, q), (q, n)
 
 
 def test_count_normal_budget():
     ext = extension_for(2, 5)
     with pytest.raises(BudgetExceeded):
         count_normal_elements(ext, budget=16)
-    with pytest.raises(ValueError):
-        count_normal_elements(ext, method="nonsense")
 
 
 def test_is_n_polynomial_examples(f2):
@@ -226,13 +222,13 @@ def test_orbit_structure(f2):
             assert len(orbit) == n
             orbits.add(frozenset(orbit))
         assert len(normals) == n * len(orbits)
-        assert len(orbits) == count_npolys_and_traces(n, q)[0]
+        assert len(orbits) == root_census(n, q).npoly
 
 
-def test_count_npolys_and_traces_examples():
-    assert count_npolys_and_traces(7, 2) == (7, 9, True)
-    assert count_npolys_and_traces(3, 2) == (1, 1, True)
-    assert count_npolys_and_traces(4, 2) == (2, 2, True)
+def test_root_census_examples():
+    for q, n, npoly, nonzero in ((2, 7, 7, 9), (2, 3, 1, 1), (2, 4, 2, 2)):
+        census = root_census(n, q)
+        assert (census.npoly, int(census.trace_counts[1:].sum())) == (npoly, nonzero)
 
 
 def test_scan_matches_pure_enumeration():
@@ -307,9 +303,14 @@ def test_full_report_budget_skips():
 
 def test_root_census_matches_the_scan(poly_scans):
     # the coefficient side certifies the root side wherever both reach:
-    # every cell with q <= 16 and q^n <= 2^16
-    assert len(poly_scans) == 67
-    for (q, n), scan in poly_scans.items():
+    # every cell with q^n <= 2^16, the scans with q <= 16 shared
+    scans = dict(poly_scans)
+    for q in counting.prime_powers_up_to(2**8):
+        for n in range(2, 17):
+            if q > 16 and q**n <= 2**16:
+                scans[q, n] = scan_irreducibles(n, q)
+    assert (len(poly_scans), len(scans)) == (67, 67 + 69)
+    for (q, n), scan in scans.items():
         census = root_census(n, q)
         assert census.npoly == int(scan.npoly.sum()), (q, n)
         assert np.array_equal(census.trace_counts, scan.trace_counts), (q, n)
@@ -383,7 +384,7 @@ def test_survivor_claims_exhaustive_to_spec_scale(rng):
             from normbase.linearized import _survivor_mask
 
             survivors = _survivor_mask(fact, ext)
-            vecs = _linalg.all_vectors(p, ext.prime_dim)
+            vecs = _linalg.index_coords(np.arange(ext.order), p, ext.prime_dim)
             trace_op = QPoly(Poly(field, (field.one,) * n))
             trace_nz = _linalg.apply_map(vecs, operator_matrix(trace_op, ext), p).any(axis=1)
             full_degree = np.ones(len(vecs), dtype=bool)
@@ -430,10 +431,10 @@ def test_linalg_kernels_agree_with_pure_rank(rng):
             assert got[i] == (rank_over_field(rows, field) == m), (p, m, i)
 
 
-def test_all_vectors_matches_field_index_order():
+def test_index_coords_matches_field_index_order():
     for q, n in ((2, 3), (3, 2), (4, 2)):
         ext = extension_for(q, n)
-        vecs = _linalg.all_vectors(ext.char, ext.prime_dim)
+        vecs = _linalg.index_coords(np.arange(ext.order), ext.char, ext.prime_dim)
         for i in (0, 1, ext.order // 2, ext.order - 1):
             assert tuple(int(v) for v in vecs[i]) == ext.prime_coords(ext.from_index(i))
 
@@ -451,7 +452,7 @@ def small_extensions(draw, order=512):
 def test_batched_oracles_match_pure_paths(qn):
     q, n = qn
     ext = extension_for(q, n)
-    assert count_normal_elements(ext) == count_normal_elements(ext, method="pure")
+    assert count_normal_elements(ext) == sum(1 for a in ext.elements() if is_normal(a, ext))
     scan = scan_irreducibles(n, q)
     slow = list(enumerate_monic_irreducibles(n, gf.field_of_order(q)))
     assert scan.polys() == slow
@@ -465,7 +466,7 @@ def test_index_map_matches_the_matrix_product():
             mat = rng.integers(0, p, (dim, dim))
             if _linalg.batched_rank_full(mat[None], p)[0]:
                 break
-        vecs = _linalg.all_vectors(p, dim)
+        vecs = _linalg.index_coords(np.arange(p**dim), p, dim)
         image = vecs.astype(np.int64) @ mat.T % p
         want = image @ p ** np.arange(dim - 1, -1, -1)
         got = _linalg.index_map(mat, p)
@@ -485,7 +486,7 @@ def test_index_map_of_a_singular_map():
         trace_op = linearized.QPoly(Poly(field, (field.one,) * n))
         assert np.array_equal(linearized.operator_matrix(trace_op, ext), trace), (q, n)
         assert not _linalg.batched_rank_full(trace[None], p)[0]
-        image = _linalg.apply_map(_linalg.all_vectors(p, dim), trace, p)
+        image = _linalg.apply_map(_linalg.index_coords(np.arange(p**dim), p, dim), trace, p)
         want = image.astype(np.int64) @ p ** np.arange(dim - 1, -1, -1)
         assert np.array_equal(_linalg.index_map(trace, p), want), (q, n)
         assert not (want % q ** (n - 1)).any(), (q, n)
@@ -592,7 +593,7 @@ def test_orbit_engine_matches_per_element_paths(qn, data):
             a = ext.frobenius(a)
         assert rep[i] in orbit, (q, n, i)
         assert {int(rep[j]) for j in orbit} == {int(rep[i])}, (q, n, i)
-    assert count_normal_elements(ext) == count_normal_elements(ext, method="pure")
+    assert count_normal_elements(ext) == sum(1 for a in ext.elements() if is_normal(a, ext))
     # operator roots, for the whole of x^n - 1 or a part of its factors
     parts = polyring.factor_xn_minus_1(n, F).flatten().parts
     keep = data.draw(st.lists(st.booleans(), min_size=len(parts), max_size=len(parts)))

@@ -17,12 +17,10 @@ from normbase.polyring import (
     enumerate_monic_irreducibles,
     factor,
     factor_xn_minus_1,
-    find_irreducible,
     gcd,
     is_irreducible,
     monic_polys,
     poly_trace,
-    pow_mod,
     squarefree_decomposition,
     x_pow_minus_one,
 )
@@ -110,12 +108,12 @@ def test_gcd_contract(rng):
 
 
 def test_pow_mod(f3):
-    f = P(f3, 1, 0, 1)  # x^2 + 1, irreducible over F_3
-    x = Poly.x(f3)
-    assert pow_mod(x, 9, f) == x % f  # x^(q^2) == x mod an irreducible quadratic
-    assert pow_mod(x, 0, f) == Poly.one(f3)
+    f = (1, 0, 1)  # x^2 + 1, irreducible over F_3
+    x = (0, 1)
+    assert gf.ppow_mod(f3, x, 9, f) == x  # x^(q^2) == x mod an irreducible quadratic
+    assert gf.ppow_mod(f3, x, 0, f) == (1,)
     # modulo a constant every residue is 0, x^0 too
-    assert [pow_mod(x, e, P(f3, 2)) for e in (0, 1, 9)] == [Poly.zero(f3)] * 3
+    assert [gf.ppow_mod(f3, x, e, (2,)) for e in (0, 1, 9)] == [()] * 3
 
 
 def test_derivative(f3):
@@ -165,8 +163,8 @@ def test_is_irreducible_rejects_constants(f2):
 
 
 def test_find_irreducible_examples(f2):
-    assert find_irreducible(f2, 1) == Poly.x(f2)
-    assert find_irreducible(f2, 2) == P(f2, 1, 1, 1)
+    assert Poly(f2, gf.first_irreducible(f2, 1)) == Poly.x(f2)
+    assert Poly(f2, gf.first_irreducible(f2, 2)) == P(f2, 1, 1, 1)
 
 
 def test_find_irreducible_degree4_against_declared_order_scan(f2):
@@ -178,13 +176,13 @@ def test_find_irreducible_degree4_against_declared_order_scan(f2):
             expected = f
             break
     assert expected is not None
-    assert find_irreducible(f2, 4) == expected
+    assert Poly(f2, gf.first_irreducible(f2, 4)) == expected
     assert expected == P(f2, 1, 0, 0, 1, 1)  # x^4 + x^3 + 1 under this order
 
 
 def test_find_irreducible_lex_minimality_other_fields(f3, f4):
     for field, d in ((f3, 3), (f4, 2)):
-        got = find_irreducible(field, d)
+        got = Poly(field, gf.first_irreducible(field, d))
         for f in monic_polys(field, d):
             if f.sort_key() >= got.sort_key():
                 break
@@ -193,7 +191,7 @@ def test_find_irreducible_lex_minimality_other_fields(f3, f4):
 
 
 def test_find_irreducible_over_extension_base(f4):
-    f = find_irreducible(f4, 3)
+    f = Poly(f4, gf.first_irreducible(f4, 3))
     assert f.degree == 3 and is_irreducible(f)
 
 
@@ -220,8 +218,8 @@ def test_factor_recovers_constructed_multiplicities(rng):
     # products with known factor multiplicities, including multiples of the
     # characteristic (which stress the p-th-root path of the squarefree step)
     for field in (gf.prime_field(2), gf.prime_field(3), gf.base_field(3, 2)):
-        irr1 = find_irreducible(field, 1)
-        irr2 = find_irreducible(field, 2)
+        irr1 = Poly(field, gf.first_irreducible(field, 1))
+        irr2 = Poly(field, gf.first_irreducible(field, 2))
         p = field.char
         f = irr1**p * irr2 ** (p + 1)
         fact = factor(f)
@@ -348,7 +346,7 @@ def test_poly_trace_examples(f2, f3):
 
 
 def test_poly_trace_is_negated_field_trace_of_root(f3):
-    f = find_irreducible(f3, 3)
+    f = Poly(f3, gf.first_irreducible(f3, 3))
     ext = gf.extension(f3, 3, modulus=f)
     assert poly_trace(f) == f3.neg(ext.trace(ext.gen))
 
