@@ -105,12 +105,20 @@ def _iroot(n: int, k: int) -> int:
 
 def _prime_power_root(q: int) -> tuple[int, int] | None:
     """(p, k) with q = p^k and p prime, or None; ValueError from is_prime
-    (a probable prime too large to prove) passes through."""
+    (a probable prime too large to prove) passes through.  A q with a
+    prime factor among _MR_BASES is a power of that prime or of none;
+    otherwise p >= 43, so k <= log_43(q)."""
     if q < 2:
         return None
+    for b in _MR_BASES:
+        if q % b == 0:
+            k = 0
+            while q % b == 0:
+                q, k = q // b, k + 1
+            return (b, k) if q == 1 else None
     if is_prime(q):
         return q, 1
-    for k in range(2, q.bit_length()):
+    for k in range(2, int(math.log(q, 43)) + 2):
         r = _iroot(q, k)
         if r**k == q and is_prime(r):
             return r, k

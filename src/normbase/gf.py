@@ -71,8 +71,9 @@ class PrimeField:
         self.degree = 1
         self.base = None
         self.prime_dim = 1
-        # packed-kernel layout: slots per element (see _slots), and the
-        # slot of one product of two elements
+        # packed-kernel layout: slots per element (see _slots); _read_slot,
+        # the slot of one product of two elements, is None where the kernel
+        # does not pack over this field
         self._stride = 1
         self._read_slot = _slot((p - 1) ** 2)
         self.zero = 0
@@ -181,9 +182,6 @@ _BARRETT_MIN_DEGREE = {True: 6, False: 2}
 # pgcd over F_p keeps its operands packed (_pgcd_packed) from
 # _PGCD_MIN_LEN[p == 2] coefficients of the longer one on.
 _PGCD_MIN_LEN = {True: 8, False: 20}
-# ExtensionField.mul packs its operands from this many prime coordinates;
-# below it, pmul and pmod over the base field are faster.
-_PACKED_MUL_MIN_DIM = 4
 
 
 def _slot(bound: int):
@@ -251,7 +249,7 @@ def _canon(F, raw, count: int) -> list:
     # Reduction is F_p-linear on the slots mod p, so one matrix product
     # reduces every element at once.
     slots = np.frombuffer(raw, dtype=raw.typecode).reshape(count, F._stride)
-    return _elements(F, (slots % p @ F._fold[0] % p).tolist())
+    return _elements(F, (slots % p @ F._fold % p).tolist())
 
 
 def _elements(F, rows) -> list:
@@ -261,19 +259,6 @@ def _elements(F, rows) -> list:
         return [tuple(r) for r in rows]
     k = base.prime_dim
     return [tuple(_elements(base, [r[i : i + k] for i in range(0, len(r), k)])) for r in rows]
-
-
-def _read(F, x: int, slot):
-    """The canonical element of an extension field F held raw in the low
-    slots of x: _canon for one element, summing packed rows of F._fold."""
-    p = F.char
-    acc = 0
-    for c, row in zip(_unpack(x, F._stride, slot), F._fold[1]):
-        c %= p
-        if c:
-            acc += c * row
-    coords = [c % p for c in _unpack(acc, F.prime_dim, F._read_slot)]
-    return tuple(coords) if isinstance(F.base, PrimeField) else _elements(F, [coords])[0]
 
 
 def _packed_neg(F, a, slot) -> int:
@@ -423,7 +408,7 @@ def _pdivmod_packed(F, a, b, steps, slot):
     bb = _pack(_slots(F, b), slot)
     for shift in range(steps - 1, -1, -1):
         raw = rem >> (shift + lb - 1) * width & mask
-        coef = raw % p if prime else _read(F, raw, slot)
+        coef = raw % p if prime else _canon(F, _unpack(raw, stride, slot), 1)[0]
         if coef != zero:
             if inv_lead != one:
                 coef = coef * inv_lead % p if prime else mul(coef, inv_lead)
@@ -592,7 +577,7 @@ class _Barrett(_Residues):
             # _fold with its prime coordinates moved to their packed slots
             self.units = _unit_slots(F)
             self.fold = np.zeros((F._stride, F._stride), dtype=np.uint64)
-            self.fold[:, self.units] = F._fold[0]
+            self.fold[:, self.units] = F._fold
         mu = pdivmod(F, _monomial(F, 2 * d - 1), f)[0]
         self.mu = self.pack(mu)
         self.neg_f = self.pack(pneg(F, f))
@@ -812,8 +797,7 @@ class ExtensionField:
         self.char = base.char
         self.order = base.order**degree
         self.prime_dim = degree * base.prime_dim
-        # packed-kernel layout: slots per element (see _slots), and the
-        # slot of one product of two elements, summed by _read; None when
+        # packed-kernel layout as in PrimeField; _read_slot is None when
         # the kernel cannot pack over this field (p too large for 8-byte
         # slots, or a base field of another kind)
         self._stride = (2 * degree - 1) * base._stride
@@ -831,25 +815,23 @@ class ExtensionField:
         """The packed kernel's reduction, which is F_p-linear on the raw
         slots taken mod p: row s of this (_stride x prime_dim) matrix holds
         the prime coordinates of the element that a one in raw slot s
-        stands for.  Returned as a numpy matrix (for _canon) and as one
-        int per row packed in _read_slot (for _read).  The slots of
-        coefficient j stand for x^j times the base's fold rows: for j < n
-        those rows at coordinate j, and after that the rows of j - 1 times
-        by_x, the prime-coordinate matrix of multiplication by x."""
+        stands for.  The slots of coefficient j stand for x^j times the
+        base's fold rows: for j < n those rows at coordinate j, and after
+        that the rows of j - 1 times by_x, the prime-coordinate matrix of
+        multiplication by x."""
         base, p, n, k = self.base, self.char, self.degree, self.base.prime_dim
         dim, dt = n * k, _linalg.exact_dtype(p, n * k)
         by_x = np.eye(dim, dim, k, dtype=dt)
         neg_f = np.array(self.prime_coords(pneg(base, self.modulus[:-1])), dtype=dt)
         by_x[dim - k :] = neg_f if k == 1 else _linalg.scale_by_basis(neg_f, base)
         low = np.zeros((n, base._stride, n, k), dtype=dt)
-        low[np.arange(n), :, np.arange(n)] = base._fold[0] if k > 1 else 1
+        low[np.arange(n), :, np.arange(n)] = base._fold if k > 1 else 1
         rows = [low.reshape(-1, dim)]
         top = rows[0][-base._stride :]
         for _ in range(n - 1):
             top = top @ by_x % p
             rows.append(top)
-        rows = np.concatenate(rows).astype(np.uint64)
-        return rows, [_pack(r, self._read_slot) for r in rows.tolist()]
+        return np.concatenate(rows).astype(np.uint64)
 
     @functools.cached_property
     def _mul_layout(self):
@@ -875,7 +857,7 @@ class ExtensionField:
         at = np.array(_unit_slots(self))
         index = np.full((dim, self._stride), dim)
         index[np.arange(dim)[:, None], at[:, None] + at] = np.arange(dim)
-        return index, self._fold[0].astype(dt)
+        return index, self._fold.astype(dt)
 
     def mul_matrix(self, coords) -> np.ndarray:
         """The (prime_dim x prime_dim) matrices over F_p of multiplication
@@ -916,14 +898,15 @@ class ExtensionField:
         base = self.base
         return tuple(base.neg(x) for x in a)
 
+    @functools.cached_property
+    def _ctx(self):
+        """The arithmetic context modulo the modulus, shared by mul, pow and
+        x_q_powers."""
+        return _barrett(self.base, self.modulus)
+
     def mul(self, a, b):
-        slot = self._read_slot
-        if self.prime_dim < _PACKED_MUL_MIN_DIM or slot is None:
-            prod = pmul(self.base, ptrim(self.base, a), ptrim(self.base, b))
-            return self._pad(pmod(self.base, prod, self.modulus))
-        # one packed product, reduced by the kernel's fold
-        prod = _pack(_slots(self, (a,)), slot) * _pack(_slots(self, (b,)), slot)
-        return _read(self, prod, slot)
+        ctx = self._ctx
+        return self._pad(ctx.unpack(ctx.mul(ctx.pack(a), ctx.pack(b))))
 
     def inv(self, a):
         t = ptrim(self.base, a)
@@ -934,14 +917,8 @@ class ExtensionField:
     def pow(self, a, e: int):
         if e < 0:
             a, e = self.inv(a), -e
-        result = self.one
-        a = tuple(a)
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
+        ctx = self._ctx
+        return self._pad(ctx.unpack(ctx.pow(ctx.pack(a), e)))
 
     def frobenius(self, a):
         """a raised to the order of the base field."""
@@ -950,8 +927,8 @@ class ExtensionField:
 
     def x_q_powers(self) -> list:
         """x^(q*i) mod f for i < n: n - 1 products by h = x^q in one context mod f."""
-        ctx = _barrett(self.base, self.modulus)
-        h = ctx.pow(ctx.pack(ptrim(self.base, self.gen)), self.base.order)
+        ctx = self._ctx
+        h = ctx.pow(ctx.pack(self.gen), self.base.order)
         powers = itertools.accumulate([h] * (self.degree - 1), ctx.mul, initial=ctx.one)
         return [self._pad(ctx.unpack(r)) for r in powers]
 

@@ -59,7 +59,7 @@ def fold_by_pmod(ext) -> np.ndarray:
     prime coordinates of x^j mod f times the element that a one in the
     base's raw slot s stands for, by one pmod and one base product each."""
     base = ext.base
-    units = [base.one] if isinstance(base, gf.PrimeField) else gf._elements(base, base._fold[0].tolist())
+    units = [base.one] if isinstance(base, gf.PrimeField) else gf._elements(base, base._fold.tolist())
     rows = []
     for j in range(2 * ext.degree - 1):
         xj = ext._pad(gf.pmod(base, gf._monomial(base, j), ext.modulus))

@@ -69,6 +69,33 @@ def test_prime_power_split():
     assert is_prime_power(27) and not is_prime_power(10)
 
 
+def test_prime_power_split_of_huge_q():
+    # a small prime factor fixes the only possible base, and otherwise the
+    # base is at least 43, so no root is taken for every exponent up to
+    # q's bit length (2^8000 took 6.4 s that way)
+    start = time.perf_counter()
+    assert prime_power_split(2**20000) == (2, 20000)
+    assert prime_power_split(3**5000) == (3, 5000)
+    assert not is_prime_power(3 * 2**20000)
+    assert time.perf_counter() - start < 2
+
+
+def test_prime_power_split_matches_every_root():
+    def every_root(q):
+        if q < 2:
+            return None
+        if is_prime(q):
+            return q, 1
+        for k in range(2, q.bit_length()):
+            r = counting._iroot(q, k)
+            if r**k == q and is_prime(r):
+                return r, k
+        return None
+
+    for q in range(2**14):
+        assert counting._prime_power_root(q) == every_root(q), q
+
+
 def test_is_prime_matches_sieve():
     limit = 10**5
     sieve = [False, False] + [True] * (limit - 2)

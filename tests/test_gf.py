@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normbase import gf
+from normbase import _linalg, gf
 from normbase.errors import BudgetExceeded
 
 from conftest import fold_by_pmod
@@ -386,7 +386,7 @@ def test_rank_over_extension_bases_matches_generic_loop(rng):
 
 
 def test_fold_matches_the_pmod_reference():
-    # prime bases (1- to 8-byte read slots), extension bases, a depth-3
+    # prime bases (1- to 8-byte product slots), extension bases, a depth-3
     # tower, degree-1 moduli, and an int64 and an object product dtype
     F2, F4 = gf.prime_field(2), gf.base_field(2, 2)
     F64 = gf.extension(F4, 3)
@@ -400,9 +400,7 @@ def test_fold_matches_the_pmod_reference():
     ]
     for ext in fields:
         want = fold_by_pmod(ext)
-        matrix, packed = ext._fold
-        assert matrix.dtype == want.dtype and matrix.tobytes() == want.tobytes(), ext
-        assert packed == [gf._pack(r, ext._read_slot) for r in want.tolist()], ext
+        assert ext._fold.dtype == want.dtype and ext._fold.tobytes() == want.tobytes(), ext
 
 
 def pcoprime_fields():
@@ -465,13 +463,22 @@ def kernel_fields():
     return [(F, loop_field(F)) for F in fields]
 
 
-def check_extension_kernel(F, L, a, b):
+def check_extension_kernel(F, L, a, b, e):
     """pmul, pdivmod and pgcd over F against the loops over L (the same
-    field), and F's multiplication matrices against L's products."""
+    field); for each coefficient pair, F's products, powers (to q and to
+    e) and inverses in its context, and its multiplication matrices,
+    against L's."""
     a, b = gf.ptrim(F, a), gf.ptrim(F, b)
     assert gf.pmul(F, a, b) == gf.pmul(L, a, b)
     if len(a) * len(b) * F.prime_dim <= 400:  # the loop gcd is the slowest reference
         assert gf.pgcd(F, a, b) == gf.pgcd(L, a, b)
+    for i, (x, y) in enumerate(dict.fromkeys(zip(a, b))):  # all-maximal operands repeat one pair
+        assert F.mul(x, y) == L.mul(x, y), (F, x, y)
+        assert F.pow(x, F.base.order) == L.pow(x, F.base.order), (F, x)
+        if i == 0:  # the loop references of these are the slowest
+            assert F.pow(y, e) == L.pow(y, e), (F, y, e)
+            if x != F.zero:
+                assert F.inv(x) == L.inv(x), (F, x)
     if F._mul_layout is not None:
         for x, y in zip(a, b):
             mat = F.mul_matrix(F.prime_coords(x)).astype(np.int64).astype(object)
@@ -502,16 +509,17 @@ def test_extension_kernel_matches_schoolbook_loop(rng):
                 continue  # the loop reference is slow on the larger fields
             a = [F.random(rng) for _ in range(la - 1)] + [max_element(F)]
             b = [F.random(rng) for _ in range(lb - 1)] + [F.random(rng)]
-            check_extension_kernel(F, L, a, b)
-            check_extension_kernel(F, L, b, a)
+            e = rng.randrange(min(F.order, 2**40))
+            check_extension_kernel(F, L, a, b, e)
+            check_extension_kernel(F, L, b, a, e)
             top = max_element(F)
-            check_extension_kernel(F, L, [top] * la, [top] * lb)
+            check_extension_kernel(F, L, [top] * la, [top] * lb, e)
             # zero operands, and a common factor for a gcd of positive degree
-            check_extension_kernel(F, L, (), b)
-            check_extension_kernel(F, L, a, ())
+            check_extension_kernel(F, L, (), b, e)
+            check_extension_kernel(F, L, a, (), e)
             if la * lb * F.prime_dim <= 200:
                 g = [F.random(rng), top, F.one]
-                check_extension_kernel(F, L, gf.pmul(L, a, g), gf.pmul(L, gf.ptrim(F, b), g))
+                check_extension_kernel(F, L, gf.pmul(L, a, g), gf.pmul(L, gf.ptrim(F, b), g), e)
 
 
 def test_extension_kernel_at_slot_boundaries():
@@ -546,7 +554,7 @@ def extension_kernel_operands(draw):
     index = st.integers(0, F.order - 1).map(F.from_index)
     size = 24 if F.prime_dim <= 4 else 8
     coeffs = st.lists(st.one_of(index, st.just(max_element(F))), max_size=size)
-    return F, L, draw(coeffs), draw(coeffs)
+    return F, L, draw(coeffs), draw(coeffs), draw(st.integers(0, 2**40))
 
 
 @settings(max_examples=120, deadline=None)
@@ -690,6 +698,28 @@ def test_pirreducible_builds_a_context_only_to_reduce(monkeypatch):
     assert built == []
     assert gf.pirreducible(F, m)
     assert built == [m]
+
+
+def test_an_extension_field_builds_one_context(monkeypatch, rng):
+    # mul, pow, frobenius, x_q_powers and the Frobenius matrix of a field
+    # all run in the one context mod its modulus (the modulus search,
+    # before the count, builds contexts of its own)
+    fields = [
+        gf.extension(gf.prime_field(2), 8), gf.extension(gf.prime_field(3), 7),
+        gf.extension(gf.base_field(2, 2), 3), gf.base_field(3, 2),
+    ]
+    built = []
+    real = gf._barrett
+    monkeypatch.setattr(gf, "_barrett", lambda F, f: built.append((F, f)) or real(F, f))
+    for ext in fields:
+        a, b = ext.random(rng), ext.random(rng)
+        ext.mul(a, b)
+        ext.pow(a, 5)
+        ext.frobenius(b)
+        assert ext.x_q_powers() == ext.x_q_powers()
+        _linalg.frobenius_matrix(ext)
+        assert built == [(ext.base, ext.modulus)], ext
+        built.clear()
 
 
 def rabin_reference(L, f) -> bool:
