@@ -52,12 +52,27 @@ def exact_dtype(p: int, terms: int = 0) -> np.dtype:
         return np.dtype(object)
 
 
+def dot_dtype(p: int, terms: int) -> np.dtype:
+    """The dtype of a matrix product of residues mod p whose dot products
+    have the given number of terms: float64 while (p-1) + terms*(p-1)^2
+    stays below 2^53, so that every sum is an exact double (the product
+    runs in BLAS, 10-20x faster than numpy's integer matmul at 32-96
+    terms), else uint64 while terms*(p-1)^2 fits in it."""
+    bound = terms * (p - 1) ** 2
+    if (p - 1) + bound < 2**53:
+        return np.dtype(np.float64)
+    if bound >> 64 == 0:
+        return np.dtype(np.uint64)
+    raise ValueError(f"a dot product mod {p} over {terms} terms does not fit in 64 bits")
+
+
 def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
     """x mod p, in place.  numpy vectorises floor division by a scalar but
     not %, so on a large int16 array this is about 3x faster than x % p.
-    On float64 (ExtensionField.mul_matrix) floor division is as slow as %,
-    and floor(x / p) is exact instead: for integers 0 <= x < 2^53 - p the
-    rounding error of x / p is less than its distance to the next integer."""
+    On float64 (products in the dtype of dot_dtype) floor division is as
+    slow as %, and floor(x / p) is exact instead: for integers
+    0 <= x < 2^53 - p the rounding error of x / p is less than its
+    distance to the next integer."""
     if x.dtype.kind == "f":
         x -= np.floor(x / p) * p
     else:
@@ -85,16 +100,12 @@ def frobenius_matrix(ext) -> np.ndarray:
 @functools.lru_cache(maxsize=128)
 def basis_scalar_matrices(field) -> np.ndarray:
     """The k x k matrices of multiplication by each F_p-basis scalar u_j of
-    a field of order p^k, stacked (k, k, k) and read-only: its mul_matrix
-    of the prime units, or, where it has none (a prime field, or sums past
-    64 bits), column t the prime coordinates of u_j * u_t."""
-    k, dt = field.prime_dim, exact_dtype(field.char)
-    if getattr(field, "_mul_layout", None) is not None:
-        mats = field.mul_matrix(np.eye(k)).astype(dt)
-    else:
-        units = [field.from_prime_coords(tuple(row)) for row in np.eye(k, dtype=int).tolist()]
-        prods = [[field.prime_coords(field.mul(u, v)) for v in units] for u in units]
-        mats = np.array(prods, dtype=dt).swapaxes(1, 2)
+    a field of order p^k, stacked (k, k, k) and read-only: column t of the
+    j-th holds the prime coordinates of u_j * u_t."""
+    k = field.prime_dim
+    units = [field.from_prime_coords(tuple(row)) for row in np.eye(k, dtype=int).tolist()]
+    prods = [[field.prime_coords(field.mul(u, v)) for v in units] for u in units]
+    mats = np.array(prods, dtype=exact_dtype(field.char)).swapaxes(1, 2)
     mats.setflags(write=False)
     return mats
 

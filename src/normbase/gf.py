@@ -252,6 +252,17 @@ def _canon(F, raw, count: int) -> list:
     return _elements(F, (slots % p @ F._fold % p).tolist())
 
 
+def _reduce(F, raw: int, n: int, dt) -> int:
+    """The canonical packed form of raw, n packed coefficients over F in
+    slots of the little-endian dtype dt: every slot mod p, and over an
+    extension field one product with its _unit_fold, mod p again."""
+    p = F.char
+    words = np.frombuffer(raw.to_bytes(n * F._stride * dt.itemsize, "little"), dt) % p
+    if isinstance(F, ExtensionField):
+        words = _linalg.reduce_mod(words.reshape(n, F._stride) @ F._unit_fold, p)
+    return int.from_bytes(words.astype(dt, copy=False).tobytes(), "little")
+
+
 def _elements(F, rows) -> list:
     """Elements of F from their prime coordinate rows."""
     base = F.base
@@ -425,16 +436,13 @@ def pmod(F, a, b):
 def pgcd(F, a, b):
     """Monic gcd; the zero polynomial acts as the identity.
 
-    Over an extension field with multiplication matrices (mul_matrix) the
-    Euclid runs fraction-free in prime coordinates (_pgcd_coords), and the
-    only inversion is pmonic's, none for a constant gcd or in pcoprime.
-    Over F_p, where an inversion is one pow, it divides at each step, on
-    operands that stay packed from _PGCD_MIN_LEN coefficients on
-    (_pgcd_packed); over fields the kernel cannot pack it divides by pmod."""
-    g = _pgcd_unit(F, a, b)
-    if isinstance(g, np.ndarray):
-        g = tuple(_elements(F, g.astype(np.int64).tolist()))
-    return pmonic(F, g)
+    Over an extension field the kernel packs, the Euclid runs fraction-free
+    on packed operands (_pgcd_ext_packed), and the only inversion is
+    pmonic's, none for a constant gcd or in pcoprime.  Over F_p, where an
+    inversion is one pow, it divides at each step, on operands that stay
+    packed from _PGCD_MIN_LEN coefficients on (_pgcd_packed); over fields
+    the kernel cannot pack it divides by pmod."""
+    return pmonic(F, _pgcd_unit(F, a, b))
 
 
 def pcoprime(F, a, b) -> bool:
@@ -442,10 +450,10 @@ def pcoprime(F, a, b) -> bool:
     return len(_pgcd_unit(F, a, b)) == 1
 
 
-def _pgcd_unit(F, a, b):
-    """pgcd up to a unit: a coefficient tuple, or _pgcd_coords's array."""
-    if a and b and isinstance(F, ExtensionField) and F._mul_layout is not None:
-        return _pgcd_coords(F, a, b)
+def _pgcd_unit(F, a, b) -> tuple:
+    """pgcd up to a unit."""
+    if a and b and isinstance(F, ExtensionField) and (slot := _packed_slot(F, F.char)):
+        return _pgcd_ext_packed(F, a, b, slot)
     if isinstance(F, PrimeField) and a and b and max(len(a), len(b)) >= _PGCD_MIN_LEN[F.p == 2]:
         if slot := _packed_slot(F, min(len(a), len(b)), F.p - 1):
             return _pgcd_packed(F.p, a, b, slot)
@@ -487,33 +495,34 @@ def _pgcd_packed(p, a, b, slot) -> tuple:
     return tuple(_unpack(r0, n0 + 1, slot))
 
 
-def _pgcd_coords(F, a, b) -> np.ndarray:
-    """gcd(a, b) up to a nonzero factor, for nonzero a and b over an
-    extension field F, as a (len, prime_dim) array of prime coordinates.
+def _pgcd_ext_packed(F, a, b, slot) -> tuple:
+    """gcd(a, b) up to a unit, for nonzero a and b over an extension field
+    F, on packed operands.
 
     Each elimination step sets r <- lc(s) r - lc(r) x^k s, a nonzero
-    multiple of the division step it replaces, and scales by an element as
-    a product with its matrix, so none inverts: pgcd's pmonic is its one."""
-    p, D = F.char, F.prime_dim
-    dt = F._mul_layout[1].dtype
-    r = np.array(a, dtype=dt).reshape(len(a), D)
-    s = np.array(b, dtype=dt).reshape(len(b), D)
-    if len(r) < len(s):
-        r, s = s, r
-    while len(s):
-        by_lead = F.mul_matrix(s[-1]).T
-        while len(r) >= len(s):
-            k = len(r) - len(s)
-            by_neg = F.mul_matrix(-r[-1] % p).T
-            # at most (p - 1) + D (p - 1)^2 before the reduction: no
-            # wrap-around or rounding in the dtype of mul_matrix
-            out = r[:-1] @ by_lead
-            out[k:] += _linalg.reduce_mod(s[:-1] @ by_neg, p)
-            r = _linalg.reduce_mod(out, p)
-            while len(r) and not r[-1].any():
-                r = r[:-1]
-        r, s = s, r
-    return r
+    multiple of the division step it replaces, so none inverts: pgcd's
+    pmonic is the one inversion.  It is two big-int products,
+    r lc(s) + (s ((p - 1) lc(r)) << k w), whose slots sum at most
+    D (p - 1)^2 + D (p - 1)^3 = p D (p - 1)^2 (the slot of
+    _packed_slot(F, p)), then one _reduce of every coefficient below the
+    top one, which cancels."""
+    p = F.char
+    w = F._stride * slot[1]
+    dt = np.dtype(slot[0]).newbyteorder("<")
+    r, s = _pack(_slots(F, a), slot), _pack(_slots(F, b), slot)
+    nr, ns = len(a), len(b)
+    if nr < ns:
+        r, s, nr, ns = s, r, ns, nr
+    while ns > 1:
+        lead = s >> (ns - 1) * w
+        while nr >= ns:
+            raw = r * lead + (s * ((p - 1) * (r >> (nr - 1) * w)) << (nr - ns) * w)
+            r = _reduce(F, raw & (1 << (nr - 1) * w) - 1, nr - 1, dt)
+            nr = (r.bit_length() + w - 1) // w
+        r, s, nr, ns = s, r, ns, nr
+    if ns:  # a constant divides every polynomial
+        r, nr = s, ns
+    return tuple(_canon(F, _unpack(r, nr * F._stride, slot), nr))
 
 
 class _Residues:
@@ -574,10 +583,7 @@ class _Barrett(_Residues):
         two = isinstance(F, PrimeField) and F.p == 2
         self.low_bits = two and {n: _pack([1] * n, slot) for n in (d - 1, d)}
         if isinstance(F, ExtensionField):
-            # _fold with its prime coordinates moved to their packed slots
             self.units = _unit_slots(F)
-            self.fold = np.zeros((F._stride, F._stride), dtype=np.uint64)
-            self.fold[:, self.units] = F._fold
         mu = pdivmod(F, _monomial(F, 2 * d - 1), f)[0]
         self.mu = self.pack(mu)
         self.neg_f = self.pack(pneg(F, f))
@@ -598,12 +604,7 @@ class _Barrett(_Residues):
         """The canonical packed form of the low n coefficients of raw."""
         if self.low_bits:
             return raw & self.low_bits[n]
-        F = self.F
-        raw &= self.masks[n]
-        words = np.frombuffer(raw.to_bytes(n * self.width // 8, "little"), self.dtype) % F.char
-        if isinstance(F, ExtensionField):
-            words = words.reshape(n, F._stride) @ self.fold % F.char
-        return int.from_bytes(words.astype(self.dtype, copy=False).tobytes(), "little")
+        return _reduce(self.F, raw & self.masks[n], n, self.dtype)
 
     def mul(self, a: int, b: int) -> int:
         d, w = self.d, self.width
@@ -834,45 +835,13 @@ class ExtensionField:
         return np.concatenate(rows).astype(np.uint64)
 
     @functools.cached_property
-    def _mul_layout(self):
-        """(index, fold) for mul_matrix.  index[t, s] is the prime
-        coordinate of a multiplicand that the packed product with the t-th
-        prime unit puts in raw slot s, or prime_dim (read as zero) for none;
-        fold is _fold's matrix in a dtype holding every dot product of
-        prime_dim residues.  None where the kernel cannot pack, or no 64-bit
-        type holds such sums.
-
-        That dtype is float64 wherever those sums stay below 2^53, so that
-        they are exact doubles: its products run in BLAS, 10-20x faster than
-        numpy's integer matmul at prime_dim 32-96.  Else it is int64."""
-        if self._read_slot is None:
-            return None
-        p, dim = self.char, self.prime_dim
-        try:
-            dt = _linalg.dtype_for(p, dim)
-        except ValueError:
-            return None
-        if (p - 1) + dim * (p - 1) ** 2 < 2**53:
-            dt = np.float64
-        at = np.array(_unit_slots(self))
-        index = np.full((dim, self._stride), dim)
-        index[np.arange(dim)[:, None], at[:, None] + at] = np.arange(dim)
-        return index, self._fold.astype(dt)
-
-    def mul_matrix(self, coords) -> np.ndarray:
-        """The (prime_dim x prime_dim) matrices over F_p of multiplication
-        by the elements with prime coordinates coords (..., prime_dim):
-        column t holds the prime coordinates of the element times the t-th
-        prime unit.  One gather of the packed slots of these products and
-        one product with the fold, in the dtype of _mul_layout."""
-        if self._mul_layout is None:
-            raise ValueError(f"{self} has no 64-bit multiplication matrices")
-        index, fold = self._mul_layout
-        coords = np.asarray(coords)
-        padded = np.zeros(coords.shape[:-1] + (self.prime_dim + 1,), dtype=fold.dtype)
-        padded[..., :-1] = coords
-        rows = _linalg.reduce_mod(padded[..., index] @ fold, self.char)
-        return rows.swapaxes(-1, -2)
+    def _unit_fold(self):
+        """_fold with its prime coordinates moved to their packed slots: the
+        (_stride x _stride) matrix that _reduce multiplies raw slots by, in
+        the dtype _linalg.dot_dtype picks for its sums."""
+        fold = np.zeros((self._stride, self._stride), _linalg.dot_dtype(self.char, self._stride))
+        fold[:, _unit_slots(self)] = self._fold
+        return fold
 
     def validate(self, a) -> None:
         if not isinstance(a, tuple) or len(a) != self.degree:

@@ -440,10 +440,9 @@ def loop_field(F):
 def kernel_fields():
     """Extension fields for the packed kernel: 1-, 2-, 4- and 8-byte slots,
     towers of depth 2 and 3, and F_{(2^61-1)^2}, whose slots fit in no 8
-    bytes (loop fallback).  F_{(2^31-1)^2} packs, but its multiplication
-    matrices are exact only in int64, not in float64; F_{(2^31+11)^2}
-    packs, and they fit in no 64-bit type (pgcd's loop fallback).  Each is
-    paired with its loop_field."""
+    bytes (loop fallback).  F_{(2^31-1)^2} packs, but the gcd's slots fit
+    in no 8 bytes (pgcd's pmod Euclid); F_{(2^31+11)^2} does not pack.
+    Each is paired with its loop_field."""
     F4 = gf.base_field(2, 2)
     F64 = gf.extension(F4, 3)
     fields = [
@@ -466,8 +465,7 @@ def kernel_fields():
 def check_extension_kernel(F, L, a, b, e):
     """pmul, pdivmod and pgcd over F against the loops over L (the same
     field); for each coefficient pair, F's products, powers (to q and to
-    e) and inverses in its context, and its multiplication matrices,
-    against L's."""
+    e) and inverses in its context against L's."""
     a, b = gf.ptrim(F, a), gf.ptrim(F, b)
     assert gf.pmul(F, a, b) == gf.pmul(L, a, b)
     if len(a) * len(b) * F.prime_dim <= 400:  # the loop gcd is the slowest reference
@@ -479,11 +477,6 @@ def check_extension_kernel(F, L, a, b, e):
             assert F.pow(y, e) == L.pow(y, e), (F, y, e)
             if x != F.zero:
                 assert F.inv(x) == L.inv(x), (F, x)
-    if F._mul_layout is not None:
-        for x, y in zip(a, b):
-            mat = F.mul_matrix(F.prime_coords(x)).astype(np.int64).astype(object)
-            got = tuple(int(c) % F.char for c in mat @ F.prime_coords(y))
-            assert got == F.prime_coords(L.mul(x, y))
     if b:
         q, r = gf.pdivmod(F, a, b)
         assert (q, r) == gf.pdivmod(L, a, b)
@@ -546,6 +539,18 @@ def test_extension_kernel_at_slot_boundaries():
             a = (top,) * n + qb[n:]
             want = (q, gf.psub(L, a[:n], qb[:n]))
             assert gf.pdivmod(F, a, b) == want, (F, n)
+    # pgcd over an extension: the first step adds lc(s) r and -lc(r) x^k s
+    # of all-maximal r and s, so that its middle slot (y^(D-1)) sums D
+    # products (p - 1)^2 and D products (p - 1)^3, D p (p - 1)^2 in all:
+    # 252 for F_{3^21}, in 1-byte slots, and 264 for F_{3^22}
+    for D, width in ((21, 8), (22, 16)):
+        F = gf.base_field(3, D)
+        L, top = loop_field(F), max_element(F)
+        assert gf._packed_slot(F, 3)[1] == width
+        for m, n in ((6, 4), (5, 3)):
+            r, s = (top,) * m, (top,) * n
+            assert gf.pgcd(F, r, s) == gf.pgcd(L, r, s), (F, m, n)
+            assert gf.pcoprime(F, r, s) == gf.pcoprime(L, r, s), (F, m, n)
 
 
 @st.composite
@@ -580,13 +585,21 @@ def test_pdivmod_inverts_only_a_non_monic_leading_coefficient(monkeypatch, rng):
             assert inversions == ([] if lead == F.one else [lead]), (la, lead)
 
 
-def test_multiplication_matrices_are_exact_doubles_or_int64():
-    # float64 (BLAS) only where every dot product of prime_dim residues
-    # stays an exact double; no matrices where int64 cannot hold them
-    layout = [gf.base_field(p, 2)._mul_layout for p in (65521, 2**31 - 1, 2**31 + 11)]
-    assert layout[0][1].dtype == np.float64
-    assert layout[1][1].dtype == np.int64
-    assert layout[2] is None
+def test_extension_gcd_at_large_primes(rng):
+    # F_{65521^2} runs the packed gcd; F_{(2^31-1)^2}, the largest of these
+    # whose products the kernel packs, and F_{(2^31+11)^2}, where it packs
+    # nothing, run the pmod Euclid, as their gcd slots fit in no 8 bytes
+    fields = [(F, L) for F, L in kernel_fields() if F.char in (65521, 2**31 - 1, 2**31 + 11)]
+    assert [gf._packed_slot(F, F.char) is not None for F, _ in fields] == [True, False, False]
+    for F, L in fields:
+        for la, lb in ((7, 5), (4, 4), (9, 2)):
+            a = [F.random(rng) for _ in range(la)]
+            b = [F.random(rng) for _ in range(lb)]
+            g = (F.random(rng), max_element(F), F.one)
+            for x, y in ((a, b), (gf.pmul(L, a, g), gf.pmul(L, b, g))):
+                x, y = gf.ptrim(F, x), gf.ptrim(F, y)
+                assert gf.pgcd(F, x, y) == gf.pgcd(L, x, y), (F, x, y)
+                assert gf.pcoprime(F, x, y) == gf.pcoprime(L, x, y), (F, x, y)
 
 
 def test_pgcd_over_an_extension_inverts_at_most_once(monkeypatch, rng):
@@ -665,6 +678,19 @@ def test_barrett_at_slot_boundaries():
                 a = (top,) * d
                 want = gf.pmod(L, gf.pmul(L, a, a), f)
                 assert ctx.unpack(ctx.mul(ctx.pack(a), ctx.pack(a))) == want, (F, d)
+
+
+def test_barrett_where_the_fold_product_needs_uint64(rng):
+    # Over F_{p^2}, p = 2^28 - 57, the fold's sums 3 (p - 1)^2 pass 2^53,
+    # so _reduce multiplies in uint64, not float64; a context of degree 2
+    # still packs, in 8-byte slots
+    F = gf.base_field(2**28 - 57, 2)
+    assert F._unit_fold.dtype == np.uint64
+    top = max_element(F)
+    f = (F.random(rng), top, F.one)
+    assert isinstance(gf._barrett(F, f), gf._Barrett)
+    operands = [([top] * 2, [top] * 2), ([F.random(rng), top], [F.random(rng), F.random(rng)])]
+    check_barrett(F, loop_field(F), f, operands)
 
 
 def test_ppow_mod_and_pirreducible_without_a_packed_slot(rng):

@@ -115,16 +115,20 @@ def test_evaluate_validates(f2, f3):
         evaluate(Q(f2, 1, 1), (0, 1, 0), F4)
 
 
-def test_operator_matrix_agrees_with_evaluate(f3):
-    F27 = gf.extension(f3, 3)
-    # the zero operator too: its associate has no coefficients
-    for l in (Q(f3, 2, 0, 1), Q(f3)):
-        mat = operator_matrix(l, F27)
-        for a in F27.elements():
-            via_matrix = F27.from_prime_coords(
-                tuple(int(v) for v in (np.array(F27.prime_coords(a)) @ mat.T.astype(int)) % 3)
-            )
-            assert via_matrix == evaluate(l, a, F27)
+def test_operator_matrix_agrees_with_evaluate():
+    # over F_4 and F_9 the coefficients y and top lie outside the prime
+    # field, so that a transposed scalar block shows; the zero operator
+    # too: its associate has no coefficients
+    for q, n in ((3, 3), (4, 3), (9, 2)):
+        F = gf.field_of_order(q)
+        ext = gf.extension(F, n)
+        y, top = F.from_index(1), F.from_index(q - 1)
+        for l in (Q(F, top, F.zero, F.one), Q(F, y, top), Q(F)):
+            mat = operator_matrix(l, ext).astype(int)
+            for a in ext.elements():
+                coords = np.array(ext.prime_coords(a)) @ mat.T % ext.char
+                got = ext.from_prime_coords(tuple(int(v) for v in coords))
+                assert got == evaluate(l, a, ext), (ext, l, a)
 
 
 def test_root_count_examples(f2):

@@ -520,7 +520,7 @@ def _frobenius_fields():
         gf.extension(F3, 4), gf.extension(F4, 1),  # below _BARRETT_MIN_DEGREE
         gf.base_field(65521, 2),
         gf.ExtensionField(gf.prime_field(2**61 - 1), (1, 0, 1)),  # no 8-byte slot
-        gf.extension(gf.base_field(2**61 - 1, 2), 2),  # a base with no mul_matrix
+        gf.extension(gf.base_field(2**61 - 1, 2), 2),  # a base with no 8-byte slot
     ]
 
 
