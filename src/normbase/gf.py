@@ -76,6 +76,7 @@ class PrimeField:
         # does not pack over this field
         self._stride = 1
         self._read_slot = _slot((p - 1) ** 2)
+        self._bits = {} if p == 2 else None  # over F_2, _low_bits's masks
         self.zero = 0
         self.one = 1
 
@@ -161,7 +162,10 @@ class PrimeField:
 # carries into the next.  A raw coefficient is brought back to canonical
 # form only when it is read: its slots mod p, then the F_p-linear map
 # ExtensionField._fold, which reduces mod every modulus of the tower.
+# Over F_2 and its extensions (not towers) it stays in the int: a slot
+# mod 2 is its low bit, then a Barrett quotient in y (_reduce_bits).
 _SLOT_CODES = tuple((code, 8 * array(code).itemsize) for code in "BHIQ")
+_SLOT_DTYPES = {code: np.dtype(code).newbyteorder("<") for code, _ in _SLOT_CODES}
 
 # Crossovers of the packed kernel, measured with timeit (the table is in
 # CHANGES.md).  Over F_p the schoolbook loops are plain integer code, so
@@ -169,7 +173,8 @@ _SLOT_CODES = tuple((code, 8 * array(code).itemsize) for code in "BHIQ")
 # loop step is a field multiplication, and packing pays almost at once.
 # pmul packs from _PMUL_MIN[D == 1] coefficient products; pdivmod packs
 # when lb * D and steps * lb * D reach _PDIVMOD_MIN[D == 1], D being the
-# coefficient field's prime_dim.  rank packs F_p rows at every size.
+# coefficient field's prime_dim.  rank packs F_p rows at every size
+# (over F_2 as bytes, for its XOR basis).
 _PMUL_MIN = {True: 12, False: 4}
 _PDIVMOD_MIN = {True: (9, 128), False: (6, 24)}
 # _barrett gives a packed _Barrett context from modulus degree
@@ -240,27 +245,70 @@ def _unit_slots(F) -> list:
     return [i * F.base._stride + s for i in range(F.degree) for s in inner]
 
 
-def _canon(F, raw, count: int) -> list:
-    """The canonical elements of F that count raw packed elements stand
-    for (raw: their count * F._stride unreduced slots, an array)."""
-    p = F.char
+def _canon(F, raw: int, count: int, slot):
+    """The canonical elements of F, in a list or an array, that count raw
+    packed elements stand for (raw: count * F._stride unreduced slots)."""
+    p, n = F.char, count * F._stride
+    if F._bits is not None:
+        words = _unpack(_reduce_bits(F, raw, count, slot), n, slot)
+        if isinstance(F, PrimeField):
+            return words
+        return [tuple(words[i : i + F.degree]) for i in range(0, n, F._stride)]
+    words = _unpack(raw, n, slot)
     if isinstance(F, PrimeField):
-        return [c % p for c in raw]
+        return [c % p for c in words]
     # Reduction is F_p-linear on the slots mod p, so one matrix product
     # reduces every element at once.
-    slots = np.frombuffer(raw, dtype=raw.typecode).reshape(count, F._stride)
+    slots = np.frombuffer(words, dtype=words.typecode).reshape(count, F._stride)
     return _elements(F, (slots % p @ F._fold % p).tolist())
 
 
-def _reduce(F, raw: int, n: int, dt) -> int:
+def _reduce(F, raw: int, n: int, slot) -> int:
     """The canonical packed form of raw, n packed coefficients over F in
-    slots of the little-endian dtype dt: every slot mod p, and over an
-    extension field one product with its _unit_fold, mod p again."""
-    p = F.char
+    the given slots: _reduce_bits over F_2 and its extensions, else every
+    slot mod p, and over an extension field one product with its
+    _unit_fold, mod p again."""
+    if F._bits is not None:
+        return _reduce_bits(F, raw, n, slot)
+    p, dt = F.char, _SLOT_DTYPES[slot[0]]
     words = np.frombuffer(raw.to_bytes(n * F._stride * dt.itemsize, "little"), dt) % p
     if isinstance(F, ExtensionField):
         words = _linalg.reduce_mod(words.reshape(n, F._stride) @ F._unit_fold, p)
     return int.from_bytes(words.astype(dt, copy=False).tobytes(), "little")
+
+
+def _low_bits(F2, w: int, n: int) -> int:
+    """Bit 0 of each of at least n slots of w bits, to take slots mod 2
+    by one AND: one mask per slot width, kept by F2 = F_2.  An AND of
+    non-negative ints is as long as the shorter, so it serves every
+    shorter operand as it is."""
+    mask = F2._bits.get(w, 0)
+    if mask.bit_length() <= (n - 1) * w:
+        mask = F2._bits[w] = int.from_bytes((b"\1" + bytes(w // 8 - 1)) * n, "little")
+    return mask
+
+
+def _reduce_bits(F, raw: int, n: int, slot) -> int:
+    """_reduce over F_2 or F_2[y]/(f), f of degree d, on the int alone:
+    the slots' low bits, then all n elements mod f at once by Barrett's
+    quotient in y: hi = the bits at y^d .. y^(2d-2), quo =
+    floor(hi mu / y^(d-1)) with mu = floor(y^(2d-1) / f), and the low d
+    bits of r + quo f.  Each product stays in its element's 2d - 1 slots,
+    and a slot sums at most d = prime_dim ones, within every caller's slot."""
+    w, d = slot[1], F.degree
+    r = raw & _low_bits(F.base or F, w, n * F._stride)
+    if d == 1:
+        return r
+    cached = F._bits.get(w)
+    if cached is None or cached[0] < n:
+        # hi, lo: bit 0 at y^0 .. y^(d-2), y^0 .. y^(d-1) of n elements
+        one, zero, s = b"\1" + bytes(w // 8 - 1), bytes(w // 8), 2 * d - 1
+        hi, lo = (int.from_bytes((one * k + zero * (s - k)) * n, "little") for k in (d - 1, d))
+        mu = pdivmod(F.base, _monomial(F.base, 2 * d - 1), F.modulus)[0]
+        cached = F._bits[w] = (n, hi, lo, _pack(mu, slot), _pack(F.modulus, slot))
+    _, hi, lo, mu, f = cached
+    quo = (r >> d * w & hi) * mu >> (d - 1) * w & hi
+    return r + quo * f & lo
 
 
 def _elements(F, rows) -> list:
@@ -270,13 +318,6 @@ def _elements(F, rows) -> list:
         return [tuple(r) for r in rows]
     k = base.prime_dim
     return [tuple(_elements(base, [r[i : i + k] for i in range(0, len(r), k)])) for r in rows]
-
-
-def _packed_neg(F, a, slot) -> int:
-    """-a for an element a of an extension field F, packed as one element
-    with every slot in [0, p)."""
-    p = F.char
-    return _pack([-c % p for c in _slots(F, (a,))], slot)
 
 
 def ptrim(F, c):
@@ -311,6 +352,12 @@ def psub(F, a, b):
     return ptrim(F, out)
 
 
+def psub_x(F, h):
+    """h - x, by changing coefficient 1 of h alone."""
+    h = tuple(h) + (F.zero,) * (2 - len(h))
+    return ptrim(F, h[:1] + (F.sub(h[1], F.one),) + h[2:])
+
+
 def pneg(F, a):
     return tuple(F.neg(x) for x in a)
 
@@ -324,7 +371,7 @@ def pmul(F, a, b):
         # convolution sum, so one big-int product does every step.
         prod = _pack(_slots(F, a), slot) * _pack(_slots(F, b), slot)
         n = la + lb - 1
-        return ptrim(F, _canon(F, _unpack(prod, n * F._stride, slot), n))
+        return ptrim(F, _canon(F, prod, n, slot))
     if isinstance(F, PrimeField):
         p = F.p
         out = []
@@ -406,8 +453,7 @@ def _pdivmod_packed(F, a, b, steps, slot):
     never borrow, and reduce a coefficient only when it is read (the
     leading one at each step, the remainder at the end)."""
     lb = len(b)
-    stride = F._stride
-    width = stride * slot[1]
+    width = F._stride * slot[1]
     mask = (1 << width) - 1
     p, zero, one, mul = F.char, F.zero, F.one, F.mul
     # F_p coefficients are read, scaled and negated inline: a helper call
@@ -419,14 +465,14 @@ def _pdivmod_packed(F, a, b, steps, slot):
     bb = _pack(_slots(F, b), slot)
     for shift in range(steps - 1, -1, -1):
         raw = rem >> (shift + lb - 1) * width & mask
-        coef = raw % p if prime else _canon(F, _unpack(raw, stride, slot), 1)[0]
+        coef = raw % p if prime else _canon(F, raw, 1, slot)[0]
         if coef != zero:
             if inv_lead != one:
                 coef = coef * inv_lead % p if prime else mul(coef, inv_lead)
             quo[shift] = coef
-            rem += (p - coef if prime else _packed_neg(F, coef, slot)) * bb << shift * width
-    low = _unpack(rem & (1 << (lb - 1) * width) - 1, (lb - 1) * stride, slot)
-    return ptrim(F, quo), ptrim(F, _canon(F, low, lb - 1))
+            neg = p - coef if prime else _pack([-c % p for c in _slots(F, (coef,))], slot)
+            rem += neg * bb << shift * width
+    return ptrim(F, quo), ptrim(F, _canon(F, rem & (1 << (lb - 1) * width) - 1, lb - 1, slot))
 
 
 def pmod(F, a, b):
@@ -456,25 +502,21 @@ def _pgcd_unit(F, a, b) -> tuple:
         return _pgcd_ext_packed(F, a, b, slot)
     if isinstance(F, PrimeField) and a and b and max(len(a), len(b)) >= _PGCD_MIN_LEN[F.p == 2]:
         if slot := _packed_slot(F, min(len(a), len(b)), F.p - 1):
-            return _pgcd_packed(F.p, a, b, slot)
+            return _pgcd_packed(F, a, b, slot)
     while b:
         a, b = b, pmod(F, a, b)
     return a
 
 
-def _pgcd_packed(p, a, b, slot) -> tuple:
+def _pgcd_packed(F, a, b, slot) -> tuple:
     """gcd(a, b) up to a unit over F_p, for nonzero a and b, on packed
     operands that stay packed from one Euclid round to the next.  A round
     divides with lazy reduction as _pdivmod_packed does (the divisor's
     slots canonical, so that a dividend slot gains at most (p - 1)^2 from
     each of at most min(len(a), len(b)) steps), and then reduces the
-    remainder's slots mod p once."""
-    w = slot[1]
+    remainder's slots mod p once (_reduce)."""
+    p, w = F.p, slot[1]
     mask = (1 << w) - 1
-    if p == 2:
-        ones = _pack([1] * max(len(a), len(b)), slot)
-    else:
-        ones, dt = None, np.dtype(slot[0]).newbyteorder("<")
     r0, r1, n0, n1 = _pack(a, slot), _pack(b, slot), len(a) - 1, len(b) - 1
     if n0 < n1:
         r0, r1, n0, n1 = r1, r0, n1, n0
@@ -486,11 +528,8 @@ def _pgcd_packed(p, a, b, slot) -> tuple:
             if c:
                 r0 += c * neg_inv % p * r1 << shift
         r0 &= (1 << n1 * w) - 1
-        if ones:
-            r0 &= ones  # a slot mod 2 is its low bit
-        elif r0:
-            words = np.frombuffer(r0.to_bytes(n1 * w // 8, "little"), dt) % p
-            r0 = int.from_bytes(words.astype(dt, copy=False).tobytes(), "little")
+        if r0:  # the last round's zero needs no reduction
+            r0 = _reduce(F, r0, n1, slot)
         r0, r1, n0, n1 = r1, r0, n1, (r0.bit_length() - 1) // w
     return tuple(_unpack(r0, n0 + 1, slot))
 
@@ -508,7 +547,6 @@ def _pgcd_ext_packed(F, a, b, slot) -> tuple:
     top one, which cancels."""
     p = F.char
     w = F._stride * slot[1]
-    dt = np.dtype(slot[0]).newbyteorder("<")
     r, s = _pack(_slots(F, a), slot), _pack(_slots(F, b), slot)
     nr, ns = len(a), len(b)
     if nr < ns:
@@ -517,12 +555,12 @@ def _pgcd_ext_packed(F, a, b, slot) -> tuple:
         lead = s >> (ns - 1) * w
         while nr >= ns:
             raw = r * lead + (s * ((p - 1) * (r >> (nr - 1) * w)) << (nr - ns) * w)
-            r = _reduce(F, raw & (1 << (nr - 1) * w) - 1, nr - 1, dt)
+            r = _reduce(F, raw & (1 << (nr - 1) * w) - 1, nr - 1, slot)
             nr = (r.bit_length() + w - 1) // w
         r, s, nr, ns = s, r, ns, nr
     if ns:  # a constant divides every polynomial
         r, nr = s, ns
-    return tuple(_canon(F, _unpack(r, nr * F._stride, slot), nr))
+    return tuple(_canon(F, r, nr, slot))
 
 
 class _Residues:
@@ -577,11 +615,10 @@ class _Barrett(_Residues):
         self.F, self.d = F, d
         self.slot = slot = _packed_slot(F, 2 * d - 1)
         self.width = F._stride * slot[1]  # bits per coefficient
-        self.dtype = np.dtype(slot[0]).newbyteorder("<")
         self.masks = {n: (1 << n * self.width) - 1 for n in (d - 1, d)}
-        # over F_2 a slot mod 2 is its low bit
+        # over F_2 one AND cuts a product to n slots and takes them mod 2
         two = isinstance(F, PrimeField) and F.p == 2
-        self.low_bits = two and {n: _pack([1] * n, slot) for n in (d - 1, d)}
+        self.low_bits = two and {n: m & _low_bits(F, slot[1], n) for n, m in self.masks.items()}
         if isinstance(F, ExtensionField):
             self.units = _unit_slots(F)
         mu = pdivmod(F, _monomial(F, 2 * d - 1), f)[0]
@@ -604,7 +641,7 @@ class _Barrett(_Residues):
         """The canonical packed form of the low n coefficients of raw."""
         if self.low_bits:
             return raw & self.low_bits[n]
-        return _reduce(self.F, raw & self.masks[n], n, self.dtype)
+        return _reduce(self.F, raw & self.masks[n], n, self.slot)
 
     def mul(self, a: int, b: int) -> int:
         d, w = self.d, self.width
@@ -661,23 +698,22 @@ def pirreducible(F, f) -> bool:
     if d == 1:
         return True
     q = F.order
-    x = (F.zero, F.one)
     checks = {d // r for r in counting.factorize(d)}
     checks.update(1 << i for i in range((d // 2).bit_length()))
     # While q^k < d, h_k is the monomial x^(q^k) itself: its gcds need no
     # context, and a candidate they reject never builds one.
     k = 1
     while q**k < d:
-        if k in checks and not pcoprime(F, psub(F, _monomial(F, q**k), x), f):
+        if k in checks and not pcoprime(F, psub_x(F, _monomial(F, q**k)), f):
             return False
         k += 1
     ctx = _barrett(F, f)
     h = ctx.pack(_monomial(F, q ** (k - 1)))
     for k in range(k, d + 1):
         h = ctx.pow(h, q)
-        if k in checks and not pcoprime(F, psub(F, ctx.unpack(h), x), f):
+        if k in checks and not pcoprime(F, psub_x(F, ctx.unpack(h)), f):
             return False
-    return h == ctx.pack(x)
+    return h == ctx.pack((F.zero, F.one))
 
 
 def _monomial(F, e: int):
@@ -696,19 +732,28 @@ def rank(rows, F) -> int:
     """Rank of a list of equal-length rows over F.
 
     Gaussian elimination with first-nonzero pivots that clears only the
-    rows below each pivot.  Over F_p the rows are packed as in pdivmod: a
-    row gains (p - fac) * pivot row at each of at most len(rows) steps,
-    and an entry is reduced mod p only when it is read.  Over an extension
-    base F_q, q = p^k, the F_q-span of the rows is the F_p-span of their
-    prime coordinates scaled by each F_p-basis scalar of F_q, which has k
-    times the F_q-rank.  Primes whose sums fit no 8-byte slot, and fields
-    the kernel does not know, run the loop of field operations."""
+    rows below each pivot.  Over F_2 a row is an int with one byte per
+    entry, and the rows go into an XOR basis keyed by their top bit.  Over
+    odd p the rows are packed as in pdivmod: a row gains (p - fac) * pivot
+    row at each of at most len(rows) steps, and an entry is reduced mod p
+    only when it is read.  Over an extension base F_q, q = p^k, the
+    F_q-span of the rows is the F_p-span of their prime coordinates
+    scaled by each F_p-basis scalar of F_q, which has k times the F_q-rank.
+    Primes whose sums fit no 8-byte slot, and fields the kernel does not
+    know, run the loop of field operations."""
     ncols = len(rows[0]) if rows else 0
     if isinstance(F, ExtensionField):
         k, p, dt = F.prime_dim, F.char, _linalg.exact_dtype(F.char)
         coords = np.array([[F.prime_coords(c) for c in row] for row in rows], dtype=dt)
         scaled = _linalg.scale_by_basis(coords.reshape(len(rows), ncols * k), F)
         return rank(scaled.reshape(k * len(rows), ncols * k).tolist(), PrimeField(p)) // k
+    if isinstance(F, PrimeField) and F.p == 2:
+        basis = {0: 0}  # top bit -> basis row; key 0 takes the rows that cancel
+        for v in (int.from_bytes(bytes(row), "little") for row in rows):
+            while v and (b := basis.get(v.bit_length())):
+                v ^= b
+            basis[v.bit_length()] = v
+        return len(basis) - 1
     r = 0
     if isinstance(F, PrimeField) and (slot := _slot((F.p - 1) + len(rows) * (F.p - 1) ** 2)):
         p, w = F.p, slot[1]
@@ -804,6 +849,8 @@ class ExtensionField:
         self._stride = (2 * degree - 1) * base._stride
         known = isinstance(base, (PrimeField, ExtensionField)) and base._read_slot
         self._read_slot = _slot(self._stride * (self.char - 1) ** 2) if known else None
+        # over F_2 itself, _reduce_bits's masks, mu and f per slot width
+        self._bits = {} if isinstance(base, PrimeField) and base.p == 2 else None
         self.zero = (base.zero,) * degree
         self.one = self._pad((base.one,))
         self.gen = self._pad(pmod(base, (base.zero, base.one), modulus))

@@ -341,7 +341,7 @@ def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
             packed = ctx.pack(h.coeffs)
         packed = ctx.pow(packed, q)
         h = Poly(F, ctx.unpack(packed))
-        g = gcd(cur, h - Poly.x(F))
+        g = gcd(cur, Poly(F, gf.psub_x(F, h.coeffs)))
         if g.degree != 0:
             out.append((g, d))
             cur = cur // g

@@ -254,6 +254,7 @@ def naive_convolution(a, b, p):
 def check_prime_kernel(F, a, b):
     p = F.p
     a, b = gf.ptrim(F, a), gf.ptrim(F, b)
+    assert gf.psub_x(F, a) == gf.psub(F, a, (0, 1))
     if a and b:
         assert gf.pmul(F, a, b) == gf.ptrim(F, naive_convolution(a, b, p))
     if len(a) * len(b) <= 2500:  # the loop gcd is the slowest reference
@@ -331,10 +332,13 @@ class OpaqueField:
 
 def test_row_reduce_packed_matches_generic_loop(rng):
     # Rank-deficient products (nrows x r) @ (r x ncols), ranked by the
-    # packed prime-field path and by the generic loop; every F_p shape
-    # packs, down to no rows and 1 x 1.
+    # packed prime-field path (over F_2 the XOR basis on byte rows) and by
+    # the generic loop; every F_p shape packs, down to no rows and 1 x 1.
+    # Widths 8, 9, 64 and 65 put a row's top entry on both sides of a word
+    # boundary of the int.
     shapes = (
-        (60, 60, 45), (60, 40, 12), (25, 60, 20), (9, 8, 5),
+        (60, 60, 45), (60, 40, 12), (25, 60, 20), (9, 8, 5), (12, 8, 8), (10, 9, 9),
+        (70, 64, 50), (64, 64, 64), (66, 65, 65), (20, 65, 7),
         (3, 3, 2), (3, 3, 3), (1, 70, 1), (1, 1, 1), (0, 4, 0),
     )
     for p in (2, 3, 251):
@@ -349,6 +353,14 @@ def test_row_reduce_packed_matches_generic_loop(rng):
             got = gf.rank(rows, F)
             assert got == gf.rank(rows, OpaqueField(F)), (p, nrows, ncols)
             assert got <= r
+    # over F_2: all-zero rows, and rows that repeat, also after a zero row
+    F = gf.prime_field(2)
+    for ncols in (1, 8, 9, 64, 65):
+        rows = [[rng.randrange(2) for _ in range(ncols - 1)] + [1] for _ in range(3)]
+        zero = [0] * ncols
+        for case in ([zero] * 4, rows * 3, [zero] + rows + [zero] + rows[::-1], [rows[0]] * 5):
+            assert gf.rank(case, F) == gf.rank(case, OpaqueField(F)), (ncols, case)
+        assert gf.rank([zero] * 4, F) == 0 and gf.rank([rows[0]] * 5, F) == 1
 
 
 def random_product(F, nrows, ncols, r, rng):
@@ -468,6 +480,7 @@ def check_extension_kernel(F, L, a, b, e):
     e) and inverses in its context against L's."""
     a, b = gf.ptrim(F, a), gf.ptrim(F, b)
     assert gf.pmul(F, a, b) == gf.pmul(L, a, b)
+    assert gf.psub_x(F, a) == gf.psub(L, a, (F.zero, F.one))
     if len(a) * len(b) * F.prime_dim <= 400:  # the loop gcd is the slowest reference
         assert gf.pgcd(F, a, b) == gf.pgcd(L, a, b)
     for i, (x, y) in enumerate(dict.fromkeys(zip(a, b))):  # all-maximal operands repeat one pair
@@ -691,6 +704,53 @@ def test_barrett_where_the_fold_product_needs_uint64(rng):
     assert isinstance(gf._barrett(F, f), gf._Barrett)
     operands = [([top] * 2, [top] * 2), ([F.random(rng), top], [F.random(rng), F.random(rng)])]
     check_barrett(F, loop_field(F), f, operands)
+
+
+def check_char2_reduce(F, n, slot, words):
+    """_reduce and _canon over an extension of F_2 on n raw packed elements
+    (words: their slots) against the _unit_fold product that odd p and
+    towers reduce by, and against the _fold matrix."""
+    raw = gf._pack(words, slot)
+    dt = np.dtype(slot[0]).newbyteorder("<")
+    folded = np.array(words, dtype=dt).reshape(n, F._stride) % 2 @ F._unit_fold % 2
+    want = int.from_bytes(folded.astype(dt).tobytes(), "little")
+    assert gf._reduce(F, raw, n, slot) == want, (F, n, slot)
+    coords = np.array(words, dtype=np.uint64).reshape(n, F._stride) % 2 @ F._fold % 2
+    assert gf._canon(F, raw, n, slot) == [F.from_prime_coords(c) for c in coords.tolist()], (F, n)
+
+
+def test_char2_reduce_matches_the_unit_fold_product(rng):
+    # Over F_4, F_8, F_16 and F_{2^8}, raw slots up to the bound of each
+    # caller: Barrett contexts of degree d = 2 and 40 (2d - 1 terms), the
+    # extension gcd (p D (p - 1)^2) and pdivmod (p - 1 plus 9 steps' terms);
+    # 1-byte slots, and 2-byte ones for the degree-40 context over F_16 and
+    # F_{2^8}.  Random slots, and every slot at the bound.
+    for F in (gf.base_field(2, k) for k in (2, 3, 4, 8)):
+        D = F.prime_dim
+        for bound in (3 * D, 79 * D, 2 * D, 1 + 9 * D):
+            slot = gf._slot(bound)
+            for n in (1, 2, 13, 40):
+                check_char2_reduce(F, n, slot, [rng.randrange(bound + 1) for _ in range(n * F._stride)])
+            check_char2_reduce(F, 13, slot, [bound] * (13 * F._stride))
+
+
+def test_char2_reduce_at_the_gcd_slot_edges(rng):
+    # The gcd's slot sums reach 2 D: 254 in 1-byte slots over F_{2^127}
+    # (x^127 + x + 1), and 256 in 2-byte ones over F_{2^128}
+    # (x^128 + x^7 + x^2 + x + 1).  is_normal runs both criteria on x there
+    # and raises if they disagree.
+    from normbase import oracle
+
+    F2 = gf.prime_field(2)
+    for low, width in (((1, 1), 8), ((1, 1, 1, 0, 0, 0, 0, 1), 16)):
+        d = 127 if width == 8 else 128
+        F = gf.ExtensionField(F2, low + (0,) * (d - len(low)) + (1,))
+        slot = gf._packed_slot(F, 2)
+        assert slot[1] == width
+        for n in (1, 2, 13):
+            check_char2_reduce(F, n, slot, [rng.randrange(2 * d + 1) for _ in range(n * F._stride)])
+            check_char2_reduce(F, n, slot, [2 * d] * (n * F._stride))
+        oracle.is_normal(F.gen, F)
 
 
 def test_ppow_mod_and_pirreducible_without_a_packed_slot(rng):
