@@ -76,7 +76,9 @@ class PrimeField:
         # does not pack over this field
         self._stride = 1
         self._read_slot = _slot((p - 1) ** 2)
-        self._bits = {} if p == 2 else None  # over F_2, _low_bits's masks
+        self._bits = {} if p == 2 else None  # over F_2, _mod_slots's masks
+        if 2 < p < 16:  # 1-byte slots: _mod_slots's table of i mod p
+            self._bits = {8: bytes(range(p)) * (256 // p) + bytes(range(256 % p))}
         self.zero = 0
         self.one = 1
 
@@ -162,13 +164,15 @@ class PrimeField:
 # carries into the next.  A raw coefficient is brought back to canonical
 # form only when it is read: its slots mod p, then the F_p-linear map
 # ExtensionField._fold, which reduces mod every modulus of the tower.
-# Over F_2 and its extensions (not towers) it stays in the int: a slot
-# mod 2 is its low bit, then a Barrett quotient in y (_reduce_bits).
+# Over F_p and F_p[y]/(f) (not towers) it stays in the int wherever the
+# slots allow (_reduce_int): a slot mod 2 is its low bit at every width,
+# 1-byte slots over odd p go mod p by one bytes.translate, and then a
+# Barrett quotient in y.  Wider slots over odd p keep numpy.
 _SLOT_CODES = tuple((code, 8 * array(code).itemsize) for code in "BHIQ")
 _SLOT_DTYPES = {code: np.dtype(code).newbyteorder("<") for code, _ in _SLOT_CODES}
 
-# Crossovers of the packed kernel, measured with timeit (the table is in
-# CHANGES.md).  Over F_p the schoolbook loops are plain integer code, so
+# Crossovers of the packed kernel, measured with timeit (the tables are
+# in CHANGES.md).  Over F_p the schoolbook loops are plain integer code, so
 # packing pays only on larger operands; over an extension field every
 # loop step is a field multiplication, and packing pays almost at once.
 # pmul packs from _PMUL_MIN[D == 1] coefficient products; pdivmod packs
@@ -178,15 +182,14 @@ _SLOT_DTYPES = {code: np.dtype(code).newbyteorder("<") for code, _ in _SLOT_CODE
 _PMUL_MIN = {True: 12, False: 4}
 _PDIVMOD_MIN = {True: (9, 128), False: (6, 24)}
 # _barrett gives a packed _Barrett context from modulus degree
-# _BARRETT_MIN_DEGREE[F is F_p with p odd] on, to ppow_mod, pirreducible
-# and the distinct- and equal-degree stages of polyring.factor.  Over odd
-# p its three numpy reductions per product cost more than short
-# schoolbook loops; over F_2 they are big-int ANDs, and over an extension
-# field the loops cost more.
-_BARRETT_MIN_DEGREE = {True: 6, False: 2}
-# pgcd over F_p keeps its operands packed (_pgcd_packed) from
-# _PGCD_MIN_LEN[p == 2] coefficients of the longer one on.
-_PGCD_MIN_LEN = {True: 8, False: 20}
+# _BARRETT_MIN_DEGREE[numpy reduces F = F_p] on, to ppow_mod, pirreducible
+# and both stages of polyring.factor, and pgcd over F_p keeps its operands
+# packed (_pgcd_packed) from _PGCD_MIN_LEN[numpy reduces] coefficients of
+# the longer one on.  numpy's three calls per reduction (odd p, slots
+# wider than a byte) cost more than short schoolbook loops; the int
+# reduction does not, and over an extension field the loops cost more.
+_BARRETT_MIN_DEGREE = {True: 4, False: 2}
+_PGCD_MIN_LEN = {True: 20, False: 8}
 
 
 def _slot(bound: int):
@@ -209,6 +212,8 @@ def _packed_slot(F, terms: int, extra: int = 0):
 
 
 def _pack(coeffs, slot) -> int:
+    if slot[1] == 8:
+        return int.from_bytes(bytes(coeffs), "little")
     words = array(slot[0], coeffs)
     if sys.byteorder == "big":
         words.byteswap()
@@ -249,8 +254,8 @@ def _canon(F, raw: int, count: int, slot):
     """The canonical elements of F, in a list or an array, that count raw
     packed elements stand for (raw: count * F._stride unreduced slots)."""
     p, n = F.char, count * F._stride
-    if F._bits is not None:
-        words = _unpack(_reduce_bits(F, raw, count, slot), n, slot)
+    if _int_reduces(F, slot):
+        words = _unpack(_reduce_int(F, raw, count, slot), n, slot)
         if isinstance(F, PrimeField):
             return words
         return [tuple(words[i : i + F.degree]) for i in range(0, n, F._stride)]
@@ -265,11 +270,11 @@ def _canon(F, raw: int, count: int, slot):
 
 def _reduce(F, raw: int, n: int, slot) -> int:
     """The canonical packed form of raw, n packed coefficients over F in
-    the given slots: _reduce_bits over F_2 and its extensions, else every
-    slot mod p, and over an extension field one product with its
-    _unit_fold, mod p again."""
-    if F._bits is not None:
-        return _reduce_bits(F, raw, n, slot)
+    the given slots: _reduce_int where _int_reduces, else every slot mod p,
+    and over an extension field one product with its _unit_fold, mod p
+    again."""
+    if _int_reduces(F, slot):
+        return _reduce_int(F, raw, n, slot)
     p, dt = F.char, _SLOT_DTYPES[slot[0]]
     words = np.frombuffer(raw.to_bytes(n * F._stride * dt.itemsize, "little"), dt) % p
     if isinstance(F, ExtensionField):
@@ -277,38 +282,52 @@ def _reduce(F, raw: int, n: int, slot) -> int:
     return int.from_bytes(words.astype(dt, copy=False).tobytes(), "little")
 
 
-def _low_bits(F2, w: int, n: int) -> int:
-    """Bit 0 of each of at least n slots of w bits, to take slots mod 2
-    by one AND: one mask per slot width, kept by F2 = F_2.  An AND of
-    non-negative ints is as long as the shorter, so it serves every
-    shorter operand as it is."""
-    mask = F2._bits.get(w, 0)
-    if mask.bit_length() <= (n - 1) * w:
-        mask = F2._bits[w] = int.from_bytes((b"\1" + bytes(w // 8 - 1)) * n, "little")
-    return mask
+def _int_reduces(F, slot) -> bool:
+    """Whether _reduce_int takes F's slots: over F_p and F_p[y]/(f), not
+    towers, at every width for p = 2 and in 1-byte slots for odd p."""
+    return F._bits is not None and (F.char == 2 or slot[1] == 8)
 
 
-def _reduce_bits(F, raw: int, n: int, slot) -> int:
-    """_reduce over F_2 or F_2[y]/(f), f of degree d, on the int alone:
-    the slots' low bits, then all n elements mod f at once by Barrett's
-    quotient in y: hi = the bits at y^d .. y^(2d-2), quo =
+def _mod_slots(Fp, x: int, count: int, w: int) -> int:
+    """Every slot of x (count slots of w bits) mod p on the int: over odd
+    p in 1-byte slots one bytes.translate by the table of i mod p that Fp
+    keeps; over F_2 one AND with bit 0 of each slot, by one mask per slot
+    width kept by Fp (an AND of non-negative ints is as long as the
+    shorter, so a longer mask serves every shorter operand)."""
+    if Fp.p > 2:
+        return int.from_bytes(x.to_bytes(count, "little").translate(Fp._bits[8]), "little")
+    mask = Fp._bits.get(w, 0)
+    if mask.bit_length() <= (count - 1) * w:
+        mask = Fp._bits[w] = int.from_bytes((b"\1" + bytes(w // 8 - 1)) * count, "little")
+    return x & mask
+
+
+def _reduce_int(F, raw: int, n: int, slot) -> int:
+    """_reduce over F_p or F_p[y]/(f), f of degree d, on the int alone:
+    every slot mod p (_mod_slots), then all n elements mod f at once by
+    Barrett's quotient in y: hi = the slots at y^d .. y^(2d-2), quo =
     floor(hi mu / y^(d-1)) with mu = floor(y^(2d-1) / f), and the low d
-    bits of r + quo f.  Each product stays in its element's 2d - 1 slots,
-    and a slot sums at most d = prime_dim ones, within every caller's slot."""
-    w, d = slot[1], F.degree
-    r = raw & _low_bits(F.base or F, w, n * F._stride)
+    slots of r + quo (-f), each cut mod p again (over F_2 the masks keep
+    bit 0 alone).  Each product stays in its element's 2d - 1 slots, and a
+    slot sums at most (d - 1) (p - 1)^2 + p - 1 <= prime_dim (p - 1)^2,
+    within every caller's slot."""
+    Fp, w, d, count = F.base or F, slot[1], F.degree, n * F._stride
+    r = _mod_slots(Fp, raw, count, w)
     if d == 1:
         return r
     cached = F._bits.get(w)
     if cached is None or cached[0] < n:
-        # hi, lo: bit 0 at y^0 .. y^(d-2), y^0 .. y^(d-1) of n elements
-        one, zero, s = b"\1" + bytes(w // 8 - 1), bytes(w // 8), 2 * d - 1
-        hi, lo = (int.from_bytes((one * k + zero * (s - k)) * n, "little") for k in (d - 1, d))
-        mu = pdivmod(F.base, _monomial(F.base, 2 * d - 1), F.modulus)[0]
-        cached = F._bits[w] = (n, hi, lo, _pack(mu, slot), _pack(F.modulus, slot))
-    _, hi, lo, mu, f = cached
+        # hi, lo: the slots at y^0 .. y^(d-2), y^0 .. y^(d-1) of n elements
+        full = b"\1" + bytes(w // 8 - 1) if F.char == 2 else b"\xff"
+        zero, s = bytes(w // 8), 2 * d - 1
+        hi, lo = (int.from_bytes((full * k + zero * (s - k)) * n, "little") for k in (d - 1, d))
+        mu = pdivmod(Fp, _monomial(Fp, 2 * d - 1), F.modulus)[0]
+        cached = F._bits[w] = (n, hi, lo, _pack(mu, slot), _pack(pneg(Fp, F.modulus), slot))
+    _, hi, lo, mu, neg_f = cached
     quo = (r >> d * w & hi) * mu >> (d - 1) * w & hi
-    return r + quo * f & lo
+    if F.char == 2:
+        return r + quo * neg_f & lo
+    return _mod_slots(Fp, r + _mod_slots(Fp, quo, count, w) * neg_f & lo, count, w)
 
 
 def _elements(F, rows) -> list:
@@ -451,14 +470,21 @@ def _pdivmod_packed(F, a, b, steps, slot):
     """pdivmod on packed operands with lazy reduction: for each quotient
     coefficient c add (-c) * b instead of subtracting c * b, so slots
     never borrow, and reduce a coefficient only when it is read (the
-    leading one at each step, the remainder at the end)."""
+    leading one at each step, the remainder at the end).  Over F_2 the
+    slots stay 0 or 1: a step is one XOR, and nothing is reduced."""
     lb = len(b)
+    prime = isinstance(F, PrimeField)
+    if prime and F.p == 2:
+        rem, bb, quo = _pack(a, slot), _pack(b, slot), 0
+        while (k := rem.bit_length() - bb.bit_length()) >= 0:
+            rem ^= bb << k
+            quo |= 1 << k
+        return ptrim(F, _unpack(quo, steps, slot)), ptrim(F, _unpack(rem, lb - 1, slot))
     width = F._stride * slot[1]
     mask = (1 << width) - 1
     p, zero, one, mul = F.char, F.zero, F.one, F.mul
     # F_p coefficients are read, scaled and negated inline: a helper call
     # per step cost F_2 a fifth of its time
-    prime = isinstance(F, PrimeField)
     inv_lead = one if b[-1] == one else F.inv(b[-1])
     quo = [zero] * steps
     rem = _pack(_slots(F, a), slot)
@@ -486,8 +512,8 @@ def pgcd(F, a, b):
     on packed operands (_pgcd_ext_packed), and the only inversion is
     pmonic's, none for a constant gcd or in pcoprime.  Over F_p, where an
     inversion is one pow, it divides at each step, on operands that stay
-    packed from _PGCD_MIN_LEN coefficients on (_pgcd_packed); over fields
-    the kernel cannot pack it divides by pmod."""
+    packed from _PGCD_MIN_LEN coefficients on (_pgcd_packed, by XOR over
+    F_2); over fields the kernel cannot pack it divides by pmod."""
     return pmonic(F, _pgcd_unit(F, a, b))
 
 
@@ -500,8 +526,9 @@ def _pgcd_unit(F, a, b) -> tuple:
     """pgcd up to a unit."""
     if a and b and isinstance(F, ExtensionField) and (slot := _packed_slot(F, F.char)):
         return _pgcd_ext_packed(F, a, b, slot)
-    if isinstance(F, PrimeField) and a and b and max(len(a), len(b)) >= _PGCD_MIN_LEN[F.p == 2]:
-        if slot := _packed_slot(F, min(len(a), len(b)), F.p - 1):
+    if isinstance(F, PrimeField) and a and b:
+        slot = _packed_slot(F, min(len(a), len(b)), F.p - 1)
+        if slot and max(len(a), len(b)) >= _PGCD_MIN_LEN[not _int_reduces(F, slot)]:
             return _pgcd_packed(F, a, b, slot)
     while b:
         a, b = b, pmod(F, a, b)
@@ -514,10 +541,17 @@ def _pgcd_packed(F, a, b, slot) -> tuple:
     divides with lazy reduction as _pdivmod_packed does (the divisor's
     slots canonical, so that a dividend slot gains at most (p - 1)^2 from
     each of at most min(len(a), len(b)) steps), and then reduces the
-    remainder's slots mod p once (_reduce)."""
+    remainder's slots mod p once (_reduce).  Over F_2 the slots stay 0 or
+    1, and a step is one XOR of the divisor shifted under the top slot."""
     p, w = F.p, slot[1]
     mask = (1 << w) - 1
     r0, r1, n0, n1 = _pack(a, slot), _pack(b, slot), len(a) - 1, len(b) - 1
+    if p == 2:
+        while r1:
+            while (k := r0.bit_length() - r1.bit_length()) >= 0:
+                r0 ^= r1 << k
+            r0, r1 = r1, r0
+        return tuple(_unpack(r0, (r0.bit_length() + w - 1) // w, slot))
     if n0 < n1:
         r0, r1, n0, n1 = r1, r0, n1, n0
     while n1 >= 0:
@@ -618,7 +652,7 @@ class _Barrett(_Residues):
         self.masks = {n: (1 << n * self.width) - 1 for n in (d - 1, d)}
         # over F_2 one AND cuts a product to n slots and takes them mod 2
         two = isinstance(F, PrimeField) and F.p == 2
-        self.low_bits = two and {n: m & _low_bits(F, slot[1], n) for n, m in self.masks.items()}
+        self.low_bits = two and {n: _mod_slots(F, m, n, slot[1]) for n, m in self.masks.items()}
         if isinstance(F, ExtensionField):
             self.units = _unit_slots(F)
         mu = pdivmod(F, _monomial(F, 2 * d - 1), f)[0]
@@ -659,8 +693,9 @@ def _barrett(F, f):
     schoolbook _Residues below _BARRETT_MIN_DEGREE and where _packed_slot
     finds no slot."""
     d = len(f) - 1
-    odd_prime = isinstance(F, PrimeField) and F.p > 2
-    if d < _BARRETT_MIN_DEGREE[odd_prime] or not _packed_slot(F, 2 * d - 1):
+    slot = _packed_slot(F, 2 * d - 1)
+    numpy_prime = isinstance(F, PrimeField) and not (slot and _int_reduces(F, slot))
+    if not slot or d < _BARRETT_MIN_DEGREE[numpy_prime]:
         return _Residues(F, f)
     return _Barrett(F, f)
 
@@ -744,8 +779,8 @@ def rank(rows, F) -> int:
     ncols = len(rows[0]) if rows else 0
     if isinstance(F, ExtensionField):
         k, p, dt = F.prime_dim, F.char, _linalg.exact_dtype(F.char)
-        coords = np.array([[F.prime_coords(c) for c in row] for row in rows], dtype=dt)
-        scaled = _linalg.scale_by_basis(coords.reshape(len(rows), ncols * k), F)
+        coords = np.array(rows, dtype=dt).reshape(len(rows), ncols * k)
+        scaled = _linalg.scale_by_basis(coords, F)
         return rank(scaled.reshape(k * len(rows), ncols * k).tolist(), PrimeField(p)) // k
     if isinstance(F, PrimeField) and F.p == 2:
         basis = {0: 0}  # top bit -> basis row; key 0 takes the rows that cancel
@@ -849,8 +884,8 @@ class ExtensionField:
         self._stride = (2 * degree - 1) * base._stride
         known = isinstance(base, (PrimeField, ExtensionField)) and base._read_slot
         self._read_slot = _slot(self._stride * (self.char - 1) ** 2) if known else None
-        # over F_2 itself, _reduce_bits's masks, mu and f per slot width
-        self._bits = {} if isinstance(base, PrimeField) and base.p == 2 else None
+        # over F_p itself, _reduce_int's masks, mu and -f per slot width
+        self._bits = {} if isinstance(base, PrimeField) and base._bits is not None else None
         self.zero = (base.zero,) * degree
         self.one = self._pad((base.one,))
         self.gen = self._pad(pmod(base, (base.zero, base.one), modulus))

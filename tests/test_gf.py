@@ -239,8 +239,8 @@ def test_field_equality_and_hash():
 
 # One prime per slot width of the packed kernel (1, 2, 4 and 8 bytes, by
 # operand length) and 2^32 + 15 and 2^61 - 1, whose products fit no 8-byte
-# slot.
-KERNEL_PRIMES = (2, 3, 181, 251, 257, 65521, 2**32 + 15, 2**61 - 1)
+# slot; 5, 7 and 13 also take their 1-byte slots mod p by bytes.translate.
+KERNEL_PRIMES = (2, 3, 5, 7, 13, 181, 251, 257, 65521, 2**32 + 15, 2**61 - 1)
 
 
 def naive_convolution(a, b, p):
@@ -706,17 +706,21 @@ def test_barrett_where_the_fold_product_needs_uint64(rng):
     check_barrett(F, loop_field(F), f, operands)
 
 
-def check_char2_reduce(F, n, slot, words):
-    """_reduce and _canon over an extension of F_2 on n raw packed elements
-    (words: their slots) against the _unit_fold product that odd p and
-    towers reduce by, and against the _fold matrix."""
-    raw = gf._pack(words, slot)
+def check_int_reduce(F, n, slot, words):
+    """_reduce and _canon on the int over F_p or F_p[y]/(f), on n raw packed
+    elements (words: their slots), against the slots mod p and, over an
+    extension, the _unit_fold product that towers and wider odd-p slots
+    reduce by, and the _fold matrix."""
+    assert gf._int_reduces(F, slot), (F, slot)
+    p, raw = F.char, gf._pack(words, slot)
     dt = np.dtype(slot[0]).newbyteorder("<")
-    folded = np.array(words, dtype=dt).reshape(n, F._stride) % 2 @ F._unit_fold % 2
-    want = int.from_bytes(folded.astype(dt).tobytes(), "little")
-    assert gf._reduce(F, raw, n, slot) == want, (F, n, slot)
-    coords = np.array(words, dtype=np.uint64).reshape(n, F._stride) % 2 @ F._fold % 2
-    assert gf._canon(F, raw, n, slot) == [F.from_prime_coords(c) for c in coords.tolist()], (F, n)
+    slots = np.array(words, dtype=np.uint64).reshape(n, F._stride) % p
+    if isinstance(F, gf.PrimeField):
+        want, coords = slots, slots
+    else:
+        want, coords = slots @ F._unit_fold.astype(np.uint64) % p, slots @ F._fold % p
+    assert gf._reduce(F, raw, n, slot) == int.from_bytes(want.astype(dt).tobytes(), "little"), (F, n, slot)
+    assert list(gf._canon(F, raw, n, slot)) == [F.from_prime_coords(c) for c in coords.tolist()], (F, n)
 
 
 def test_char2_reduce_matches_the_unit_fold_product(rng):
@@ -730,8 +734,8 @@ def test_char2_reduce_matches_the_unit_fold_product(rng):
         for bound in (3 * D, 79 * D, 2 * D, 1 + 9 * D):
             slot = gf._slot(bound)
             for n in (1, 2, 13, 40):
-                check_char2_reduce(F, n, slot, [rng.randrange(bound + 1) for _ in range(n * F._stride)])
-            check_char2_reduce(F, 13, slot, [bound] * (13 * F._stride))
+                check_int_reduce(F, n, slot, [rng.randrange(bound + 1) for _ in range(n * F._stride)])
+            check_int_reduce(F, 13, slot, [bound] * (13 * F._stride))
 
 
 def test_char2_reduce_at_the_gcd_slot_edges(rng):
@@ -748,9 +752,73 @@ def test_char2_reduce_at_the_gcd_slot_edges(rng):
         slot = gf._packed_slot(F, 2)
         assert slot[1] == width
         for n in (1, 2, 13):
-            check_char2_reduce(F, n, slot, [rng.randrange(2 * d + 1) for _ in range(n * F._stride)])
-            check_char2_reduce(F, n, slot, [2 * d] * (n * F._stride))
+            check_int_reduce(F, n, slot, [rng.randrange(2 * d + 1) for _ in range(n * F._stride)])
+            check_int_reduce(F, n, slot, [2 * d] * (n * F._stride))
         oracle.is_normal(F.gen, F)
+
+
+def test_odd_byte_reduce_matches_the_unit_fold_product(rng):
+    # 1-byte slots over odd p go mod p by one bytes.translate, and over
+    # F_p[y]/(f) through Barrett's quotient in y.  Raw slots up to the bound
+    # of each caller whose sums fit a byte: t = D (p - 1)^2 per product
+    # (pmul, Barrett contexts), p t (the extension gcd), p - 1 plus as many
+    # terms as fit (pdivmod, the F_p gcd), and 255, every byte.  F_{3^21}
+    # is the widest field whose gcd slot stays 1-byte (3 * 21 * 4 = 252).
+    fields = [gf.prime_field(p) for p in (3, 5, 7, 11, 13)]
+    fields += [gf.base_field(p, k) for p, k in ((3, 2), (5, 2), (3, 3), (3, 21))]
+    slot = ("B", 8)
+    for F in fields:
+        p, t = F.char, F.prime_dim * (F.char - 1) ** 2
+        bounds = {t, 255 // t * t, p - 1 + (256 - p) // t * t, 255}
+        bounds |= {p * t} if p * t <= 255 else set()
+        for bound in sorted(bounds):
+            for n in (1, 2, 13, 40):
+                check_int_reduce(F, n, slot, [rng.randrange(bound + 1) for _ in range(n * F._stride)])
+            check_int_reduce(F, 13, slot, [bound] * (13 * F._stride))
+        # wider slots keep numpy
+        assert not gf._int_reduces(F, ("H", 16)), F
+    assert gf._packed_slot(fields[-1], 3) == slot
+
+
+def test_char2_euclid_and_division_by_xor(rng):
+    # _pgcd_packed and _pdivmod_packed over F_2, one XOR per step, against
+    # the schoolbook loops, in 1- and 2-byte slots: constant, equal-degree
+    # and dividing operands, a == b, and zero through pgcd and pdivmod
+    F, L = gf.prime_field(2), loop_field(gf.prime_field(2))
+
+    def poly(n):
+        return tuple(rng.randrange(2) for _ in range(n - 1)) + (1,)
+
+    for la, lb in ((1, 1), (5, 1), (1, 5), (2, 2), (7, 7), (9, 4), (33, 32), (64, 20), (300, 299)):
+        a, b = poly(la), poly(lb)
+        pairs = [(a, b), (gf.pmul(F, a, b), b), (a, a), (gf.pmul(F, a, poly(3)), gf.pmul(F, b, poly(3)))]
+        for x, y in pairs:
+            for slot in (("B", 8), ("H", 16)):
+                assert gf._pgcd_packed(F, x, y, slot) == gf._pgcd_unit(L, x, y), (x, y, slot)
+                if len(x) >= len(y):
+                    got = gf._pdivmod_packed(F, x, y, len(x) - len(y) + 1, slot)
+                    assert got == gf.pdivmod(L, x, y), (x, y, slot)
+            assert gf.pgcd(F, x, y) == gf.pgcd(L, x, y), (x, y)
+            assert gf.pdivmod(F, x, y) == gf.pdivmod(L, x, y), (x, y)
+        for x in (a, ()):
+            assert gf.pgcd(F, x, ()) == gf.pgcd(F, (), x) == gf.pgcd(L, x, ()), x
+            assert gf.pdivmod(F, (), x or (1,)) == ((), ())
+
+
+def test_rank_reads_prime_coordinates_in_one_array(monkeypatch, rng):
+    # rank over an extension base builds its prime coordinates by one
+    # np.array of the nested element tuples; they must come out in
+    # prime_coords order, towers included
+    seen = []
+    real = _linalg.scale_by_basis
+    monkeypatch.setattr(_linalg, "scale_by_basis", lambda coords, F: seen.append(coords) or real(coords, F))
+    F4 = gf.base_field(2, 2)
+    for F in (F4, gf.base_field(3, 2), gf.base_field(2, 4), gf.extension(gf.extension(F4, 2), 2)):
+        rows = [[F.random(rng) for _ in range(5)] for _ in range(4)]
+        seen.clear()
+        gf.rank(rows, F)
+        want = [[x for c in row for x in F.prime_coords(c)] for row in rows]
+        assert seen[0].tolist() == want, F
 
 
 def test_ppow_mod_and_pirreducible_without_a_packed_slot(rng):

@@ -516,8 +516,9 @@ def _frobenius_fields():
         gf.extension(F2, 7), gf.extension(F3, 7), gf.extension(gf.prime_field(7), 3),
         gf.extension(F4, 3), gf.extension(F9, 2), gf.extension(gf.field_of_order(16), 4),
         gf.extension(gf.extension(F4, 2), 3),  # a depth-3 tower
-        gf.extension(F2, 1), gf.extension(F9, 1),
-        gf.extension(F3, 4), gf.extension(F4, 1),  # below _BARRETT_MIN_DEGREE
+        gf.extension(F3, 4),  # a byte Barrett context over odd p
+        gf.extension(F2, 1), gf.extension(F9, 1), gf.extension(F4, 1),  # below _BARRETT_MIN_DEGREE
+        gf.extension(gf.prime_field(11), 3),  # below it where numpy reduces F_p
         gf.base_field(65521, 2),
         gf.ExtensionField(gf.prime_field(2**61 - 1), (1, 0, 1)),  # no 8-byte slot
         gf.extension(gf.base_field(2**61 - 1, 2), 2),  # a base with no 8-byte slot
