@@ -182,12 +182,13 @@ _SLOT_DTYPES = {code: np.dtype(code).newbyteorder("<") for code, _ in _SLOT_CODE
 _PMUL_MIN = {True: 12, False: 4}
 _PDIVMOD_MIN = {True: (9, 128), False: (6, 24)}
 # _barrett gives a packed _Barrett context from modulus degree
-# _BARRETT_MIN_DEGREE[numpy reduces F = F_p] on, to ppow_mod, pirreducible
-# and both stages of polyring.factor, and pgcd over F_p keeps its operands
-# packed (_pgcd_packed) from _PGCD_MIN_LEN[numpy reduces] coefficients of
-# the longer one on.  numpy's three calls per reduction (odd p, slots
-# wider than a byte) cost more than short schoolbook loops; the int
-# reduction does not, and over an extension field the loops cost more.
+# _BARRETT_MIN_DEGREE[numpy reduces F = F_p] on, to ppow_mod, the
+# distinct-degree chain and the equal-degree split, and pgcd over F_p
+# keeps its operands packed (_pgcd_packed) from _PGCD_MIN_LEN[numpy
+# reduces] coefficients of the longer one on.  numpy's three calls per
+# reduction (odd p, slots wider than a byte) cost more than short
+# schoolbook loops; the int reduction does not, and over an extension
+# field the loops cost more.
 _BARRETT_MIN_DEGREE = {True: 4, False: 2}
 _PGCD_MIN_LEN = {True: 20, False: 8}
 
@@ -435,8 +436,11 @@ def pdivmod(F, a, b):
     steps = la - lb + 1
     D, p = F.prime_dim, F.char
     min_width, min_work = _PDIVMOD_MIN[D == 1]
+    # over F_2 a step is one XOR, which sums nothing: 1-byte slots at
+    # every length
+    terms = min(steps, lb) if D * p > 2 else 0
     if lb * D >= min_width and steps * lb * D >= min_work and (
-        slot := _packed_slot(F, min(steps, lb), p - 1)
+        slot := _packed_slot(F, terms, p - 1)
     ):
         return _pdivmod_packed(F, a, b, steps, slot)
     # a monic divisor, the common case, needs no inversion
@@ -527,7 +531,8 @@ def _pgcd_unit(F, a, b) -> tuple:
     if a and b and isinstance(F, ExtensionField) and (slot := _packed_slot(F, F.char)):
         return _pgcd_ext_packed(F, a, b, slot)
     if isinstance(F, PrimeField) and a and b:
-        slot = _packed_slot(F, min(len(a), len(b)), F.p - 1)
+        # over F_2, one XOR per step, as in pdivmod
+        slot = _packed_slot(F, min(len(a), len(b)) if F.p > 2 else 0, F.p - 1)
         if slot and max(len(a), len(b)) >= _PGCD_MIN_LEN[not _int_reduces(F, slot)]:
             return _pgcd_packed(F, a, b, slot)
     while b:
@@ -720,35 +725,51 @@ def pinv_mod(F, a, mod):
     return pmod(F, pscale(F, s0, F.inv(r0[0])), mod)
 
 
+def pdistinct_degree(F, f):
+    """The distinct-degree factorization of f (degree >= 1), lazily: yields
+    (g, k) for k = 1, 2, ... with g the product of the irreducible factors
+    of degree k of a squarefree monic f, up to a unit (made monic only when
+    the chain goes on, so a caller that stops at a block inverts nothing),
+    then the cofactor left when 2k passes its degree, which is irreducible,
+    with k its degree.
+
+    One Frobenius chain h_k = x^(q^k) mod f serves every k: a gcd(h_k - x,
+    f) at each step while 2k <= deg f, and f divided by each g found (an
+    irreducible of degree e divides x^(q^k) - x exactly when e | k, and a
+    reducible f of degree d has a factor of degree at most d/2: Ben-Or's
+    test).  While q^k < deg f, h_k is the monomial x^(q^k) itself, so its
+    gcds need no context, and no context is built for a modulus that one
+    of them splits; after that, one context per cofactor reduces the
+    chain."""
+    q, k = F.order, 0
+    h, ctx = (F.zero, F.one), None  # h = h_k, a residue mod f
+    while 2 * (k + 1) <= pdeg(f):
+        k += 1
+        if ctx is None and q**k < pdeg(f):
+            h = _monomial(F, q**k)
+        else:
+            if ctx is None:
+                ctx = _barrett(F, f)
+                packed = ctx.pack(h)
+            packed = ctx.pow(packed, q)
+            h = ctx.unpack(packed)
+        g = _pgcd_unit(F, psub_x(F, h), f)
+        if len(g) > 1:
+            yield g, k
+            f = pdivmod(F, f, pmonic(F, g))[0]
+            h, ctx = pmod(F, h, f), None
+    if len(f) > 1:
+        yield f, pdeg(f)
+
+
 def pirreducible(F, f) -> bool:
-    """Rabin's test on one Frobenius chain h_k = x^(q^k) mod f: f of
-    degree d is irreducible exactly when h_d == x and h_(d/r) - x is
-    coprime to f for every prime r | d.  The chain also stops at the first
-    k = 1, 2, 4, ... <= d/2 where gcd(h_k - x, f) != 1 (Ben-Or's early
-    exit, sound because an irreducible f of degree d > k divides no
-    x^(q^k) - x), which rejects most reducible f after a few steps."""
+    """Whether f of degree d is irreducible (Ben-Or's test): the chain of
+    pdistinct_degree finds no factor of degree up to d/2, so its first
+    block is the cofactor f itself, with k = d."""
     d = pdeg(f)
     if d < 1:
         raise ValueError("irreducibility is undefined for constants")
-    if d == 1:
-        return True
-    q = F.order
-    checks = {d // r for r in counting.factorize(d)}
-    checks.update(1 << i for i in range((d // 2).bit_length()))
-    # While q^k < d, h_k is the monomial x^(q^k) itself: its gcds need no
-    # context, and a candidate they reject never builds one.
-    k = 1
-    while q**k < d:
-        if k in checks and not pcoprime(F, psub_x(F, _monomial(F, q**k)), f):
-            return False
-        k += 1
-    ctx = _barrett(F, f)
-    h = ctx.pack(_monomial(F, q ** (k - 1)))
-    for k in range(k, d + 1):
-        h = ctx.pow(h, q)
-        if k in checks and not pcoprime(F, psub_x(F, ctx.unpack(h)), f):
-            return False
-    return h == ctx.pack((F.zero, F.one))
+    return next(pdistinct_degree(F, f))[1] == d
 
 
 def _monomial(F, e: int):
@@ -832,8 +853,9 @@ def first_irreducible(F, degree: int):
 
     Candidates with zero constant term are divisible by x and are skipped
     wholesale (they fill the entire first stretch of the lexicographic
-    order); pirreducible's first gcd rejects every other one with a root
-    in F."""
+    order).  pirreducible's chain rejects each other candidate at its first
+    gcd(x^(q^k) - x, f) != 1, which is at k = 1 for one with a root in F;
+    only the irreducible one it returns runs every step to k = degree/2."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
     if degree == 1:

@@ -188,8 +188,8 @@ def gcd(f: Poly, g: Poly) -> Poly:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin's criterion: x^(q^n) == x mod f and, for every prime r | n,
-    x^(q^(n/r)) - x is coprime to f."""
+    """Ben-Or's criterion: x^(q^k) - x is coprime to f for every
+    k <= deg(f) / 2 (gf.pirreducible)."""
     if f.degree is NEG_INF or f.degree < 1:
         raise ValueError("irreducibility is undefined for constants")
     return gf.pirreducible(f.field, f.coeffs)
@@ -325,33 +325,6 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     return [(g, mult) for mult, g in sorted(out.items())]
 
 
-def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
-    """Split squarefree monic f into (product of its degree-d factors, d)."""
-    F = f.field
-    q = F.order
-    out = []
-    h = Poly.x(F) % f  # x^(q^d) mod cur
-    cur = f
-    d = 0
-    ctx = None  # one context per cur, built at its first step
-    while cur.degree >= 2 * (d + 1):
-        d += 1
-        if ctx is None:
-            ctx = gf._barrett(F, cur.coeffs)
-            packed = ctx.pack(h.coeffs)
-        packed = ctx.pow(packed, q)
-        h = Poly(F, ctx.unpack(packed))
-        g = gcd(cur, Poly(F, gf.psub_x(F, h.coeffs)))
-        if g.degree != 0:
-            out.append((g, d))
-            cur = cur // g
-            h = h % cur
-            ctx = None
-    if cur.degree != 0:
-        out.append((cur, int(cur.degree)))
-    return out
-
-
 def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     """Cantor-Zassenhaus splitting of a squarefree monic f whose irreducible
     factors all have degree d."""
@@ -398,7 +371,8 @@ def factor(f: Poly, rng: random.Random | None = None, seed: int | None = None) -
         rng = random.Random(DEFAULT_FACTOR_SEED if seed is None else seed)
     found: dict[Poly, int] = {}
     for g, mult in squarefree_decomposition(f):
-        for block, d in _distinct_degree(g):
+        for coeffs, d in gf.pdistinct_degree(g.field, g.coeffs):
+            block = Poly(g.field, coeffs).monic()
             if block.degree == d:
                 pieces = [block]
             else:

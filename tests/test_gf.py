@@ -805,6 +805,25 @@ def test_char2_euclid_and_division_by_xor(rng):
             assert gf.pdivmod(F, (), x or (1,)) == ((), ())
 
 
+def test_char2_xor_slots_stay_one_byte(monkeypatch, rng):
+    # Over F_2 the Euclid and the division XOR and never sum, so pgcd and
+    # pdivmod pack 1-byte slots also past the 255 coefficients from which
+    # a summing slot would need 2 bytes
+    F, L = gf.prime_field(2), loop_field(gf.prime_field(2))
+    slots = []
+    for name in ("_pgcd_packed", "_pdivmod_packed"):
+        real = getattr(gf, name)
+        monkeypatch.setattr(gf, name, lambda *args, real=real: slots.append(args[-1]) or real(*args))
+    for n in (300, 511):
+        a = tuple(rng.randrange(2) for _ in range(n - 1)) + (1,)
+        b = tuple(rng.randrange(2) for _ in range(n - 2)) + (1,)
+        ab = gf.pmul(F, a, b)
+        for x, y in ((a, b), (ab, a), (ab, gf.pmul(F, b, (1, 1)))):
+            assert gf.pgcd(F, x, y) == gf.pgcd(L, x, y), (n, x, y)
+            assert gf.pdivmod(F, x, y) == gf.pdivmod(L, x, y), (n, x, y)
+    assert len(slots) == 12 and set(slots) == {("B", 8)}
+
+
 def test_rank_reads_prime_coordinates_in_one_array(monkeypatch, rng):
     # rank over an extension base builds its prime coordinates by one
     # np.array of the nested element tuples; they must come out in
@@ -910,15 +929,33 @@ def test_pirreducible_matches_the_degree_scan_exhaustively():
 
 @st.composite
 def irreducibility_operands(draw):
-    F, L = draw(st.sampled_from(barrett_fields()[:6]))
-    d = draw(st.integers(1, 7 if F.prime_dim <= 2 else 4))
-    index = st.integers(0, F.order - 1).map(F.from_index)
-    coeffs = draw(st.lists(index, min_size=d, max_size=d))
+    """A candidate of degree d <= 12 (4 over F_16) times a nonzero lead:
+    random, or one of the reducible shapes that Ben-Or's gcds must reject
+    by k = d/2, with no check at k = d: g^2 h, a product of two
+    irreducibles of degree d/2, and x h."""
+    F5 = gf.prime_field(5)
+    F, L = draw(st.sampled_from(barrett_fields()[:6] + [(F5, loop_field(F5))]))
+    d = draw(st.integers(1, 12 if F.prime_dim <= 2 else 4))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def monic(n):
+        return tuple(F.random(rng) for _ in range(n)) + (F.one,)
+
+    shape = draw(st.sampled_from(("random", "square", "halves", "by_x")))
+    f = monic(d)
+    if shape == "square" and d >= 2:
+        g = monic(rng.randint(1, d // 2))
+        f = gf.pmul(F, gf.pmul(F, g, g), monic(d + 2 - 2 * len(g)))
+    elif shape == "halves" and d % 2 == 0:
+        g, h = (next(c for c in iter(lambda: monic(d // 2), None) if gf.pirreducible(F, c)) for _ in range(2))
+        f = gf.pmul(F, g, h)
+    elif shape == "by_x":
+        f = (F.zero,) + monic(d - 1)
     lead = draw(st.integers(1, F.order - 1).map(F.from_index))
-    return F, L, tuple(coeffs) + (lead,)
+    return F, L, gf.pscale(F, f, lead)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(irreducibility_operands())
 def test_pirreducible_property(operands):
     # non-monic candidates too: the verdict is that of the monic associate

@@ -1,16 +1,17 @@
 """Polynomial arithmetic, irreducibility, factorization, cyclotomics.
 
 The expected values for everything nontrivial come from an in-test trial
-division oracle that knows nothing about Rabin tests or Cantor-Zassenhaus.
+division oracle that knows nothing about Ben-Or's test or Cantor-Zassenhaus.
 """
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from normbase import counting, gf
 from normbase.errors import BudgetExceeded
 from normbase.polyring import (
     NEG_INF,
-    _distinct_degree,
     Factorization,
     Poly,
     cyclotomic,
@@ -276,32 +277,58 @@ def test_factor_splits_x_qk_minus_x_at_small_q(q, kmax):
             assert factor(f, seed=seed).parts == want, (q, k, seed)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 4, 5, 9)), st.integers(1, 12), st.randoms(use_true_random=False))
+def test_distinct_degree_blocks_group_the_factors_by_degree(q, d, rng):
+    # On a random squarefree f the chain's blocks multiply back to f, each
+    # block's degree is a multiple of its k, and the block at k is the
+    # product of the factors of degree k that factor returns
+    F = gf.field_of_order(q)
+    f = Poly(F, tuple(F.random(rng) for _ in range(d)) + (F.one,))
+    assume(gcd(f, f.derivative()).degree == 0)
+    blocks = [(Poly(F, g).monic(), k) for g, k in gf.pdistinct_degree(F, f.coeffs)]
+    product = Poly.one(F)
+    for g, k in blocks:
+        assert g.degree % k == 0, (f, g, k)
+        product = product * g
+    assert product == f
+    want = {}
+    for g, _ in factor(f).parts:
+        want[g.degree] = want.get(g.degree, Poly.one(F)) * g
+    assert [k for _, k in blocks] == sorted(want) and {k: g for g, k in blocks} == want, f
+
+
 def test_distinct_degree_builds_one_context_per_modulus(f2, monkeypatch):
-    # The stage reduces by one context per modulus it steps on, rebuilt only
-    # when a factor is divided out and the loop goes on.  cyclotomic(511) is
-    # 48 irreducibles of degree 9 over F_2: nine steps on one modulus.
-    # x^63 - 1 has blocks of degree 1, 2, 6 and 54 at d = 1, 2, 3 and 6; the
-    # loop ends when the last is divided out.
+    # gf.pdistinct_degree, the chain behind factor and pirreducible, builds
+    # a context for a modulus only from the first step k where x^(2^k)
+    # reaches its degree, and again only after a factor is divided out.
+    # cyclotomic(511) is 48 irreducibles of degree 9 over F_2: one context,
+    # at k = 9.  x^63 - 1 has blocks of degree 1, 2, 6 and 54 at k = 1, 2, 3
+    # and 6, all but the last found on monomials.  The product of the
+    # irreducibles of degree 4 and 11 builds a context at k = 4, splits off
+    # the quartic there, and builds one for the cofactor at k = 5.
     built, steps = [], []
-    pgcd = gf.pgcd
+    gcd_unit = gf._pgcd_unit
 
     class Counting(gf._Barrett):
         def __init__(self, F, f):
             built.append(len(f) - 1)
             super().__init__(F, f)
 
-    for f, blocks, moduli in (
-        (cyclotomic(511, f2), [(432, 9)], [432]),
-        (x_pow_minus_one(63, f2), [(1, 1), (2, 2), (6, 3), (54, 6)], [63, 62, 60, 54]),
+    product = Poly(f2, gf.first_irreducible(f2, 4)) * Poly(f2, gf.first_irreducible(f2, 11))
+    for f, blocks, moduli, k in (
+        (cyclotomic(511, f2), [(432, 9)], [432], 9),
+        (x_pow_minus_one(63, f2), [(1, 1), (2, 2), (6, 3), (54, 6)], [54], 6),
+        (product, [(4, 4), (11, 11)], [15, 11], 5),
     ):
         built.clear()
         steps.clear()
         with monkeypatch.context() as m:
             m.setattr(gf, "_Barrett", Counting)
-            m.setattr(gf, "pgcd", lambda F, a, b: steps.append(a) or pgcd(F, a, b))
-            got = _distinct_degree(f)
-        assert [(g.degree, d) for g, d in got] == blocks
-        assert built == moduli and len(built) < len(steps) == blocks[-1][1]
+            m.setattr(gf, "_pgcd_unit", lambda F, a, b: steps.append(a) or gcd_unit(F, a, b))
+            got = list(gf.pdistinct_degree(f2, f.coeffs))
+        assert [(len(g) - 1, d) for g, d in got] == blocks
+        assert built == moduli and len(steps) == k
 
 
 @pytest.mark.parametrize("q, n", [(2, 255), (3, 80)])
