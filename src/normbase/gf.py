@@ -177,10 +177,11 @@ _SLOT_DTYPES = {code: np.dtype(code).newbyteorder("<") for code, _ in _SLOT_CODE
 # loop step is a field multiplication, and packing pays almost at once.
 # pmul packs from _PMUL_MIN[D == 1] coefficient products; pdivmod packs
 # when lb * D and steps * lb * D reach _PDIVMOD_MIN[D == 1], D being the
-# coefficient field's prime_dim.  rank packs F_p rows at every size
+# coefficient field's prime_dim (over F_p about the same for F_2's XOR
+# and every reduction of odd p).  rank packs F_p rows at every size
 # (over F_2 as bytes, for its XOR basis).
 _PMUL_MIN = {True: 12, False: 4}
-_PDIVMOD_MIN = {True: (9, 128), False: (6, 24)}
+_PDIVMOD_MIN = {True: (3, 48), False: (6, 24)}
 # _barrett gives a packed _Barrett context from modulus degree
 # _BARRETT_MIN_DEGREE[numpy reduces F = F_p] on, to ppow_mod, the
 # distinct-degree chain and the equal-degree split, and pgcd over F_p

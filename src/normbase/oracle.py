@@ -4,7 +4,8 @@ Everything here counts by looking at actual elements and actual polynomials.
 The per-element normality test runs two independent criteria and insists
 they agree: the definitional one (the conjugates' coordinate matrix has full
 rank over F_q) and the gcd one (x^n - 1 is coprime to the polynomial whose
-coefficients are the conjugates).
+coefficients are the conjugates, folded mod x^m - 1 for n = p^e m, p not
+dividing m, so that at n = p^e it asks whether the trace is nonzero).
 
 The whole-field counts come from the roots, up to the element budget
 (2^20 by default).  A monic irreducible of degree n over F_q is a
@@ -45,13 +46,18 @@ _SCAN_ENTRIES = 2**19
 
 def conjugate_matrix(a, ext) -> list:
     """The conjugates a^(q^i), i < n: a's prime coordinates through the Frobenius matrix."""
+    return gf._elements(ext, _conjugate_coords(a, ext).tolist())
+
+
+def _conjugate_coords(a, ext) -> np.ndarray:
+    """The (n, prime_dim) prime coordinate rows of a's conjugates."""
     ext.validate(a)
     mat = _linalg.frobenius_matrix(ext).T.astype(_linalg.exact_dtype(ext.char, ext.prime_dim))
     rows = [np.array(ext.prime_coords(a), dtype=mat.dtype)]
     for _ in range(ext.degree - 1):
         # not apply_map: its dtype steps made this 2-3x slower on one row
         rows.append(rows[-1] @ mat % ext.char)
-    return gf._elements(ext, np.array(rows).tolist())
+    return np.array(rows)
 
 
 def rank_over_field(rows, field) -> int:
@@ -66,10 +72,18 @@ def is_normal(a, ext) -> bool:
     """Whether the conjugates of a form a basis of ext over its base field.
 
     Runs both the rank criterion and the gcd criterion and raises if they
-    ever disagree, so a bug in either cannot pass silently."""
-    rows = conjugate_matrix(a, ext)
+    ever disagree, so a bug in either cannot pass silently.  The gcd
+    criterion folds g = sum a^(q^i) x^i mod x^m - 1, n = p^e m with p not
+    dividing m: x^n - 1 = (x^m - 1)^(p^e) has the same roots, and at
+    n = p^e it is the paper's trace test, Tr(a) != 0."""
+    coords = _conjugate_coords(a, ext)
+    rows = gf._elements(ext, coords.tolist())
     by_rank = rank_over_field(rows, ext.base) == ext.degree
-    by_gcd = gf.pcoprime(ext, polyring.x_pow_minus_one(ext.degree, ext).coeffs, gf.ptrim(ext, rows))
+    n, p = ext.degree, ext.char
+    m = counting.split_n(n, p).m
+    if m < n:  # g mod (x^m - 1): the rows summed over i = j mod m
+        rows = gf._elements(ext, (coords.reshape(n // m, m, -1).sum(axis=0) % p).tolist())
+    by_gcd = gf.pcoprime(ext, polyring.x_pow_minus_one(m, ext).coeffs, gf.ptrim(ext, rows))
     if by_rank != by_gcd:
         raise VerificationError(f"rank and gcd normality criteria disagree at {a!r} in {ext!r}")
     return by_rank

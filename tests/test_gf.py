@@ -741,9 +741,10 @@ def test_char2_reduce_matches_the_unit_fold_product(rng):
 def test_char2_reduce_at_the_gcd_slot_edges(rng):
     # The gcd's slot sums reach 2 D: 254 in 1-byte slots over F_{2^127}
     # (x^127 + x + 1), and 256 in 2-byte ones over F_{2^128}
-    # (x^128 + x^7 + x^2 + x + 1).  is_normal runs both criteria on x there
-    # and raises if they disagree.
-    from normbase import oracle
+    # (x^128 + x^7 + x^2 + x + 1).  The gcd of x^d - 1 with x's conjugate
+    # polynomial runs there unfolded (is_normal's criterion folds it to
+    # x - 1 at d = 128) and must agree with the rank criterion.
+    from normbase import oracle, polyring
 
     F2 = gf.prime_field(2)
     for low, width in (((1, 1), 8), ((1, 1, 1, 0, 0, 0, 0, 1), 16)):
@@ -754,7 +755,9 @@ def test_char2_reduce_at_the_gcd_slot_edges(rng):
         for n in (1, 2, 13):
             check_int_reduce(F, n, slot, [rng.randrange(2 * d + 1) for _ in range(n * F._stride)])
             check_int_reduce(F, n, slot, [2 * d] * (n * F._stride))
-        oracle.is_normal(F.gen, F)
+        rows = oracle.conjugate_matrix(F.gen, F)
+        coprime = gf.pcoprime(F, polyring.x_pow_minus_one(d, F).coeffs, gf.ptrim(F, rows))
+        assert coprime == (oracle.rank_over_field(rows, F2) == d)
 
 
 def test_odd_byte_reduce_matches_the_unit_fold_product(rng):

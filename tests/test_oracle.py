@@ -93,6 +93,31 @@ def test_dual_path_agreement_exhaustive():
         assert normals == counting.normal_element_count(n, q)
 
 
+def test_folded_gcd_criterion_matches_the_unfolded_one(rng):
+    # is_normal's gcd criterion folds g = sum a^(q^i) x^i mod x^m - 1,
+    # n = p^e m; the reference is gcd(x^n - 1, g) on the unfolded g.
+    def unfolded(a, ext):
+        xn1 = polyring.x_pow_minus_one(ext.degree, ext).coeffs
+        return gf.pcoprime(ext, xn1, gf.ptrim(ext, conjugate_matrix(a, ext)))
+
+    every = [(2, 8), (2, 6), (4, 4), (3, 6), (9, 3), (16, 2)]
+    sampled = [(2, 32), (2, 24), (4, 8), (3, 12), (5, 12)]
+    for q, n in every + sampled:
+        ext = extension_for(q, n)
+        elems = ext.elements() if (q, n) in every else [ext.random(rng) for _ in range(12)]
+        for a in elems:
+            assert is_normal(a, ext) == unfolded(a, ext), (q, n, a)
+
+
+def test_is_normal_at_a_power_of_p_is_the_trace_test():
+    # The paper's first case: at n = p^e, x^n - 1 = (x - 1)^n, so a is
+    # normal exactly when Tr(a) != 0.
+    for q, n in [(2, 8), (4, 4), (3, 3), (9, 3), (5, 5)]:
+        ext = extension_for(q, n)
+        for a in ext.elements():
+            assert is_normal(a, ext) == (ext.trace(a) != ext.base.zero), (q, n, a)
+
+
 @pytest.mark.parametrize("criterion", ["rank", "gcd"])
 def test_is_normal_raises_when_its_criteria_disagree(criterion, monkeypatch):
     # Each call runs both criteria: with one of them inverted, every
