@@ -522,9 +522,14 @@ def pgcd(F, a, b):
     return pmonic(F, _pgcd_unit(F, a, b))
 
 
-def pcoprime(F, a, b) -> bool:
-    """pdeg(pgcd(F, a, b)) == 0, read from the gcd before pmonic."""
-    return len(_pgcd_unit(F, a, b)) == 1
+def pcoprime(F, a, *bs) -> bool:
+    """Whether the gcd of a and every b has degree 0, read before pmonic;
+    the gcd is taken one b at a time and stops at the first constant."""
+    for b in bs:
+        if len(a) == 1:
+            break
+        a = _pgcd_unit(F, a, b)
+    return len(a) == 1
 
 
 def _pgcd_unit(F, a, b) -> tuple:

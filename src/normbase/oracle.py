@@ -3,9 +3,11 @@
 Everything here counts by looking at actual elements and actual polynomials.
 The per-element normality test runs two independent criteria and insists
 they agree: the definitional one (the conjugates' coordinate matrix has full
-rank over F_q) and the gcd one (x^n - 1 is coprime to the polynomial whose
+rank over F_q) and the gcd one (x^n - 1 is coprime to the polynomial g whose
 coefficients are the conjugates, folded mod x^m - 1 for n = p^e m, p not
-dividing m, so that at n = p^e it asks whether the trace is nonzero).
+dividing m, so that at n = p^e it asks whether the trace is nonzero).  The
+gcd runs over F_q on g's F_q-coordinate polynomials, as the Frobenius on
+coefficients fixes gcd(x^m - 1, g), which therefore lies in F_q[x].
 
 The whole-field counts come from the roots, up to the element budget
 (2^20 by default).  A monic irreducible of degree n over F_q is a
@@ -75,7 +77,10 @@ def is_normal(a, ext) -> bool:
     ever disagree, so a bug in either cannot pass silently.  The gcd
     criterion folds g = sum a^(q^i) x^i mod x^m - 1, n = p^e m with p not
     dividing m: x^n - 1 = (x^m - 1)^(p^e) has the same roots, and at
-    n = p^e it is the paper's trace test, Tr(a) != 0."""
+    n = p^e it is the paper's trace test, Tr(a) != 0.  The gcd is taken
+    over F_q with g's F_q-coordinate polynomials g_t, as x sigma(g) = g
+    mod x^m - 1 for the q-Frobenius sigma on coefficients, so that sigma
+    fixes d = gcd(x^m - 1, g), d is in F_q[x], and d | g iff d | every g_t."""
     coords = _conjugate_coords(a, ext)
     rows = gf._elements(ext, coords.tolist())
     by_rank = rank_over_field(rows, ext.base) == ext.degree
@@ -83,7 +88,9 @@ def is_normal(a, ext) -> bool:
     m = counting.split_n(n, p).m
     if m < n:  # g mod (x^m - 1): the rows summed over i = j mod m
         rows = gf._elements(ext, (coords.reshape(n // m, m, -1).sum(axis=0) % p).tolist())
-    by_gcd = gf.pcoprime(ext, polyring.x_pow_minus_one(m, ext).coeffs, gf.ptrim(ext, rows))
+    F = ext.base  # coordinate t of the rows is g_t
+    coord_polys = [gf.ptrim(F, g_t) for g_t in zip(*rows)]
+    by_gcd = gf.pcoprime(F, polyring.x_pow_minus_one(m, F).coeffs, *coord_polys)
     if by_rank != by_gcd:
         raise VerificationError(f"rank and gcd normality criteria disagree at {a!r} in {ext!r}")
     return by_rank

@@ -178,6 +178,11 @@ def test_cmd_test_normal(capsys):
         capsys, "test", "normal", "--q", "2", "--modulus", "1,0,1,1", "--element", "1"
     )
     assert out.startswith("false (conjugate rank")  # trace(1) = 1 for odd n
+    # F_{3^4}, 3 not dividing 4: nonzero traces, so the gcd criterion
+    # decides; 1 + y + 2y^2 lies in F_9
+    f81 = ("test", "normal", "--q", "3", "--modulus", "1,0,1,1,1", "--element")
+    assert run(capsys, *f81, "0,0,1,1")[1] == "true\n"
+    assert run(capsys, *f81, "1,1,2")[1] == "false (conjugate rank 2 < 4)\n"
     code, _, err = run(
         capsys, "test", "normal", "--q", "2", "--modulus", "1,0,1", "--element", "1"
     )

@@ -434,9 +434,12 @@ def test_pcoprime_is_a_gcd_of_degree_zero(rng):
             b = gf.ptrim(F, [F.random(rng) for _ in range(lb - 1)] + [F.one])
             pairs = [(a, b), (b, a), (gf.pmul(F, a, g), gf.pmul(F, b, g)), (a, ()), ((), b), ((), ())]
             pairs += [((unit,), b), (a, (unit,)), ((unit,), ())]
+            z = gf.pmul(F, b, g)
             for x, y in pairs:
                 want = gf.pdeg(gf.pgcd(F, x, y)) == 0
                 assert gf.pcoprime(F, x, y) == want, (F, x, y)
+                want = gf.pdeg(gf.pgcd(F, gf.pgcd(F, x, y), z)) == 0
+                assert gf.pcoprime(F, x, y, z) == want, (F, x, y, z)
 
 
 def loop_field(F):

@@ -1,5 +1,6 @@
 """Brute-force oracles: normality, N-polynomials, exhaustive counts."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -109,6 +110,39 @@ def test_folded_gcd_criterion_matches_the_unfolded_one(rng):
             assert is_normal(a, ext) == unfolded(a, ext), (q, n, a)
 
 
+def test_base_field_gcd_is_the_extension_gcd(rng, monkeypatch):
+    # is_normal hands gf.pcoprime x^m - 1 over F_q and the F_q-coordinate
+    # polynomials of g mod (x^m - 1), g = sum a^(q^i) x^i; their gcd,
+    # embedded into F_{q^n} and made monic, is gcd(x^m - 1, g) over F_{q^n}.
+    seen, real_coprime = [], gf.pcoprime
+
+    def recording(F, *polys):
+        seen.append(polys)
+        return real_coprime(F, *polys)
+
+    monkeypatch.setattr(gf, "pcoprime", recording)
+    every = [(2, 6), (3, 4), (4, 3), (9, 2), (5, 4), (2, 12)]
+    sampled = [(4, 6), (5, 12), (13, 10), (3, 32)]
+    positive = 0
+    for q, n in every + sampled:
+        ext = extension_for(q, n)
+        F, m = ext.base, counting.split_n(n, ext.char).m
+        xm1 = polyring.x_pow_minus_one(m, ext).coeffs
+        elems = ext.elements() if (q, n) in every else [ext.random(rng) for _ in range(12)]
+        for a in elems:
+            g = gf.pmod(ext, gf.ptrim(ext, conjugate_matrix(a, ext)), xm1)
+            g += (ext.zero,) * (m - len(g))
+            coord_polys = tuple(gf.ptrim(F, g_t) for g_t in zip(*g))
+            seen.clear()
+            is_normal(a, ext)
+            assert seen == [(polyring.x_pow_minus_one(m, F).coeffs,) + coord_polys], (q, n, a)
+            d = functools.reduce(functools.partial(gf.pgcd, F), seen[0])
+            want = gf.pgcd(ext, xm1, gf.ptrim(ext, g))
+            assert tuple(ext.embed(c) for c in d) == want, (q, n, a)
+            positive += len(d) > 1
+    assert positive > 0  # subfield elements, among others, have a gcd of positive degree
+
+
 def test_is_normal_at_a_power_of_p_is_the_trace_test():
     # The paper's first case: at n = p^e, x^n - 1 = (x - 1)^n, so a is
     # normal exactly when Tr(a) != 0.
@@ -130,7 +164,7 @@ def test_is_normal_raises_when_its_criteria_disagree(criterion, monkeypatch):
     if criterion == "rank":
         monkeypatch.setattr(oracle, "rank_over_field", flipped_rank)
     else:
-        monkeypatch.setattr(gf, "pcoprime", lambda F, a, b: not real_coprime(F, a, b))
+        monkeypatch.setattr(gf, "pcoprime", lambda F, *polys: not real_coprime(F, *polys))
     for q, n in ((2, 3), (4, 2)):
         ext = extension_for(q, n)
         for a in ext.elements():
