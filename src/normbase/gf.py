@@ -431,6 +431,8 @@ def pmonic(F, a):
 def pdivmod(F, a, b):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    if len(b) == 1:  # a constant divisor is a scaling
+        return (a if b[0] == F.one else pscale(F, a, F.inv(b[0]))), ()
     if len(a) < len(b):
         return (), a
     la, lb = len(a), len(b)
@@ -522,9 +524,10 @@ def pgcd(F, a, b):
     return pmonic(F, _pgcd_unit(F, a, b))
 
 
-def pcoprime(F, a, *bs) -> bool:
-    """Whether the gcd of a and every b has degree 0, read before pmonic;
-    the gcd is taken one b at a time and stops at the first constant."""
+def pcoprime(F, a, bs) -> bool:
+    """Whether the gcd of a and every b of the iterable bs has degree 0,
+    read before pmonic; the gcd is taken one b at a time and stops at the
+    first constant, reading at most one b past it."""
     for b in bs:
         if len(a) == 1:
             break
@@ -739,31 +742,56 @@ def pdistinct_degree(F, f):
     then the cofactor left when 2k passes its degree, which is irreducible,
     with k its degree.
 
-    One Frobenius chain h_k = x^(q^k) mod f serves every k: a gcd(h_k - x,
-    f) at each step while 2k <= deg f, and f divided by each g found (an
-    irreducible of degree e divides x^(q^k) - x exactly when e | k, and a
-    reducible f of degree d has a factor of degree at most d/2: Ben-Or's
-    test).  While q^k < deg f, h_k is the monomial x^(q^k) itself, so its
-    gcds need no context, and no context is built for a modulus that one
-    of them splits; after that, one context per cofactor reduces the
-    chain."""
-    q, k = F.order, 0
+    One Frobenius chain h_k = x^(q^k) mod f serves every k, and f is divided
+    by each g found (an irreducible of degree e divides x^(q^k) - x exactly
+    when e | k, and a reducible f of degree d has a factor of degree at most
+    d/2).  Until f first splits, the chain takes gcd(h_k - x, f) at every
+    step while 2k <= deg f (Ben-Or mode: Ben-Or's test stops at that split).
+    After it, the steps k = s .. min(2s - 1, deg f // 2) past the monomials
+    form one block (factoring mode, Gao and Panario): their h_k - x are
+    multiplied mod f and the block takes one gcd with f, and only a
+    nontrivial block gcd is resolved, by gcd(h_k - x, g) for increasing k.
+    Each of those is exactly the degree-k part, as every factor of degree
+    below s is already divided out.  While q^k < deg f, h_k is the monomial
+    x^(q^k) itself, and while q^k < 2 deg f it is one division of that
+    monomial by f, no longer than the one that builds a context; a context
+    is built only at the first step that must raise a residue to the q-th
+    power, so a candidate rejected before it builds none, and again only
+    after a factor is divided out."""
+    q, k, split = F.order, 0, False
     h, ctx = (F.zero, F.one), None  # h = h_k, a residue mod f
-    while 2 * (k + 1) <= pdeg(f):
-        k += 1
-        if ctx is None and q**k < pdeg(f):
-            h = _monomial(F, q**k)
-        else:
-            if ctx is None:
-                ctx = _barrett(F, f)
-                packed = ctx.pack(h)
-            packed = ctx.pow(packed, q)
-            h = ctx.unpack(packed)
-        g = _pgcd_unit(F, psub_x(F, h), f)
-        if len(g) > 1:
-            yield g, k
-            f = pdivmod(F, f, pmonic(F, g))[0]
-            h, ctx = pmod(F, h, f), None
+    while 2 * (k + 1) <= (d := len(f) - 1):
+        s = t = k + 1
+        if split and q**s >= d:  # factoring mode, past the monomials
+            t = min(2 * s - 1, d // 2)
+        parts = []  # h_k - x for k = s .. t
+        while k < t:
+            k += 1
+            if (e := q**k) < d:
+                h = _monomial(F, e)
+            elif e < 2 * d:
+                h = pdivmod(F, _monomial(F, e), f)[1]
+            else:
+                if ctx is None:
+                    ctx = _barrett(F, f)
+                    packed = ctx.pack(h)
+                packed = ctx.pow(packed, q)
+                h = ctx.unpack(packed)
+            parts.append(psub_x(F, h))
+        # a block's product mod f: its steps after the first square in ctx
+        g = parts[0] if s == t else ctx.unpack(functools.reduce(ctx.mul, map(ctx.pack, parts)))
+        if len(g := _pgcd_unit(F, g, f)) == 1:
+            continue
+        split, rest = True, g
+        for j, a in enumerate(parts[:-1], s):  # a block, resolved by degree
+            if len(gj := _pgcd_unit(F, pmod(F, a, rest), rest)) > 1:
+                yield gj, j
+                if len(rest := pdivmod(F, rest, pmonic(F, gj))[0]) == 1:
+                    break
+        else:  # what is left is the degree-t part
+            yield rest, t
+        f = pdivmod(F, f, pmonic(F, g))[0]
+        h, ctx = pmod(F, h, f), None
     if len(f) > 1:
         yield f, pdeg(f)
 

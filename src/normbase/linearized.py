@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _linalg, gf
 from .errors import BudgetExceeded
-from .polyring import NEG_INF, Factorization, Poly, x_pow_minus_one
+from .polyring import NEG_INF, Factorization, Poly, product, x_pow_minus_one
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,10 +119,7 @@ class SymbolicFactorization:
         return self.parts[0][0].field
 
     def associate(self) -> Poly:
-        out = Poly.one(self.field)
-        for part, mult in self.parts:
-            out = out * part.associate**mult
-        return out
+        return product(self.field, (part.associate**mult for part, mult in self.parts))
 
     def total_degree(self) -> int:
         return sum(int(part.degree) * mult for part, mult in self.parts)
@@ -144,7 +141,7 @@ class SymbolicFactorization:
             if a.degree is NEG_INF or a.degree < 1 or not a.is_monic():
                 raise ValueError("part associates must be monic of degree >= 1")
         for (a, _), (b, _) in itertools.combinations(self.parts, 2):
-            if not gf.pcoprime(field, a.associate.coeffs, b.associate.coeffs):
+            if not gf.pcoprime(field, a.associate.coeffs, (b.associate.coeffs,)):
                 raise ValueError("parts are not pairwise coprime")
 
 
@@ -210,7 +207,7 @@ def refine(fact: Factorization, part_index: int, g: Poly, h: Poly) -> Factorizat
             raise ValueError("split pieces must be monic")
     if g * h != base:
         raise ValueError("pieces do not multiply to the chosen base")
-    if not gf.pcoprime(g.field, g.coeffs, h.coeffs):
+    if not gf.pcoprime(g.field, g.coeffs, (h.coeffs,)):
         raise ValueError("pieces are not coprime")
     parts = list(fact.parts)
     parts[part_index : part_index + 1] = [(g, mult), (h, mult)]

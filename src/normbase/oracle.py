@@ -89,8 +89,8 @@ def is_normal(a, ext) -> bool:
     if m < n:  # g mod (x^m - 1): the rows summed over i = j mod m
         rows = gf._elements(ext, (coords.reshape(n // m, m, -1).sum(axis=0) % p).tolist())
     F = ext.base  # coordinate t of the rows is g_t
-    coord_polys = [gf.ptrim(F, g_t) for g_t in zip(*rows)]
-    by_gcd = gf.pcoprime(F, polyring.x_pow_minus_one(m, F).coeffs, *coord_polys)
+    coord_polys = (gf.ptrim(F, g_t) for g_t in zip(*rows))
+    by_gcd = gf.pcoprime(F, polyring.x_pow_minus_one(m, F).coeffs, coord_polys)
     if by_rank != by_gcd:
         raise VerificationError(f"rank and gcd normality criteria disagree at {a!r} in {ext!r}")
     return by_rank

@@ -6,11 +6,17 @@ comparisons and degree arithmetic stay honest.  Beyond ring arithmetic this
 module provides irreducibility testing, complete factorization, cyclotomic
 polynomials, and the structured factorization of x^n - 1 grouped by divisor.
 
-Factorization is deterministic: the equal-degree stage is Cantor-Zassenhaus
-at every field size (the F_2-trace map in characteristic 2), drawing from a
-random.Random seeded with DEFAULT_FACTOR_SEED unless the caller overrides
-it.  Factor lists are always sorted by (degree, lexicographic coefficients),
-so they do not depend on the seed.
+Factorization is squarefree decomposition, then gf.pdistinct_degree's
+Frobenius chain, then equal-degree splitting.  The chain takes a gcd at
+every step until f first splits (Ben-Or mode, the test of is_irreducible);
+after that it takes one gcd per block of steps k = s .. 2s - 1 and resolves
+only a nontrivial one by degree (factoring mode).  While x^(q^k) has
+degree below 2 deg f it is one division by f, so a context mod f is built
+only at the first step that squares a residue.  The equal-degree stage is
+Cantor-Zassenhaus at every field size (the F_2-trace map in characteristic
+2), drawing from a random.Random seeded with DEFAULT_FACTOR_SEED unless the
+caller overrides it.  Factor lists are always sorted by (degree,
+lexicographic coefficients), so they do not depend on the seed.
 """
 
 from __future__ import annotations
@@ -96,15 +102,16 @@ class Poly:
         return Poly(self.field, gf.pmul(self.field, self.coeffs, other.coeffs))
 
     def __pow__(self, e: int):
+        """Square and multiply from the top bit of e: base**1 is base."""
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        if not e:
+            return Poly.one(self.field)
+        result = self
+        for bit in bin(e)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __divmod__(self, other):
@@ -181,6 +188,15 @@ def gf_int(F, i: int):
     return F.embed(gf_int(F.base, i))
 
 
+def product(field, polys) -> Poly:
+    """The product of polys over the field (one for none), multiplied
+    pairwise in a balanced tree, so that the packed products stay short."""
+    polys = list(polys) or [Poly.one(field)]
+    while len(polys) > 1:
+        polys = [a * b for a, b in zip(polys[::2], polys[1::2])] + polys[len(polys) & ~1 :]
+    return polys[0]
+
+
 def gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd; gcd(f, 0) is monic(f) and gcd(0, 0) is 0."""
     f._check_same_ring(g)
@@ -232,10 +248,7 @@ class Factorization:
     def product(self) -> Poly:
         if not self.parts:
             raise ValueError("empty factorization")
-        out = Poly.one(self.parts[0][0].field)
-        for base, mult in self.parts:
-            out = out * base**mult
-        return out
+        return product(self.parts[0][0].field, (base**mult for base, mult in self.parts))
 
     def validate(self, expected: Poly | None = None) -> None:
         if not self.parts:
@@ -250,7 +263,7 @@ class Factorization:
             if self.irreducible_parts and not is_irreducible(base):
                 raise ValueError(f"{base!r} is not irreducible")
         for (a, _), (b, _) in itertools.combinations(self.parts, 2):
-            if not gf.pcoprime(a.field, a.coeffs, b.coeffs):
+            if not gf.pcoprime(a.field, a.coeffs, (b.coeffs,)):
                 raise ValueError(f"parts {a!r} and {b!r} share a factor")
         if expected is not None and self.product() != expected.monic():
             raise ValueError("factorization does not reconstruct the input")
@@ -408,15 +421,11 @@ def cyclotomic(d: int, field) -> Poly:
         raise ValueError("d must be >= 1")
     if d % field.char == 0:
         raise ValueError(f"{d} is divisible by the characteristic {field.char}")
-    num = Poly.one(field)
-    den = Poly.one(field)
+    terms = {1: [], -1: []}
     for e in counting.divisors(d):
-        mu = counting.moebius(e)
-        if mu == 1:
-            num = num * x_pow_minus_one(d // e, field)
-        elif mu == -1:
-            den = den * x_pow_minus_one(d // e, field)
-    quo, rem = divmod(num, den)
+        if mu := counting.moebius(e):
+            terms[mu].append(x_pow_minus_one(d // e, field))
+    quo, rem = divmod(product(field, terms[1]), product(field, terms[-1]))
     if not rem.is_zero():
         raise VerificationError(f"cyclotomic division left a remainder at d={d}")
     if quo.degree != counting.euler_phi(d):

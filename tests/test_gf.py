@@ -437,9 +437,9 @@ def test_pcoprime_is_a_gcd_of_degree_zero(rng):
             z = gf.pmul(F, b, g)
             for x, y in pairs:
                 want = gf.pdeg(gf.pgcd(F, x, y)) == 0
-                assert gf.pcoprime(F, x, y) == want, (F, x, y)
+                assert gf.pcoprime(F, x, (y,)) == want, (F, x, y)
                 want = gf.pdeg(gf.pgcd(F, gf.pgcd(F, x, y), z)) == 0
-                assert gf.pcoprime(F, x, y, z) == want, (F, x, y, z)
+                assert gf.pcoprime(F, x, (y, z)) == want, (F, x, y, z)
 
 
 def loop_field(F):
@@ -566,7 +566,7 @@ def test_extension_kernel_at_slot_boundaries():
         for m, n in ((6, 4), (5, 3)):
             r, s = (top,) * m, (top,) * n
             assert gf.pgcd(F, r, s) == gf.pgcd(L, r, s), (F, m, n)
-            assert gf.pcoprime(F, r, s) == gf.pcoprime(L, r, s), (F, m, n)
+            assert gf.pcoprime(F, r, (s,)) == gf.pcoprime(L, r, (s,)), (F, m, n)
 
 
 @st.composite
@@ -601,6 +601,27 @@ def test_pdivmod_inverts_only_a_non_monic_leading_coefficient(monkeypatch, rng):
             assert inversions == ([] if lead == F.one else [lead]), (la, lead)
 
 
+def test_pdivmod_by_a_constant_is_a_scaling(monkeypatch, rng):
+    # A constant divisor c gives (a c^-1, ()), with no long division: the
+    # packed division and the field's subtraction (the loop's inner step)
+    # are never called.  Over F_2, F_5, F_4, F_9, a depth-2 tower and the
+    # loop field, for c = 1 and c != 1, and for a = ().
+    F4 = gf.base_field(2, 2)
+    fields = [gf.prime_field(2), gf.prime_field(5), F4, gf.base_field(3, 2), gf.extension(F4, 3)]
+    fields.append(loop_field(F4))
+    real_packed, divided = gf._pdivmod_packed, []
+    monkeypatch.setattr(gf, "_pdivmod_packed", lambda F, *args: divided.append(F) or real_packed(F, *args))
+    for F in fields:
+        for c in {F.one, F.from_index(F.order - 1)}:
+            for la in (0, 1, 2, 7, 40):
+                a = gf.ptrim(F, [F.random(rng) for _ in range(la - 1)] + [F.one][: la > 0])
+                want = tuple(F.mul(x, F.inv(c)) for x in a)
+                with monkeypatch.context() as m:
+                    m.setattr(F, "sub", None)
+                    assert gf.pdivmod(F, a, (c,)) == (want, ()), (F, c, la)
+                assert gf.pmul(F, want, (c,)) == a and F not in divided, (F, c, la)
+
+
 def test_extension_gcd_at_large_primes(rng):
     # F_{65521^2} runs the packed gcd; F_{(2^31-1)^2}, the largest of these
     # whose products the kernel packs, and F_{(2^31+11)^2}, where it packs
@@ -615,7 +636,7 @@ def test_extension_gcd_at_large_primes(rng):
             for x, y in ((a, b), (gf.pmul(L, a, g), gf.pmul(L, b, g))):
                 x, y = gf.ptrim(F, x), gf.ptrim(F, y)
                 assert gf.pgcd(F, x, y) == gf.pgcd(L, x, y), (F, x, y)
-                assert gf.pcoprime(F, x, y) == gf.pcoprime(L, x, y), (F, x, y)
+                assert gf.pcoprime(F, x, (y,)) == gf.pcoprime(L, x, (y,)), (F, x, y)
 
 
 def test_pgcd_over_an_extension_inverts_at_most_once(monkeypatch, rng):
@@ -759,7 +780,7 @@ def test_char2_reduce_at_the_gcd_slot_edges(rng):
             check_int_reduce(F, n, slot, [rng.randrange(2 * d + 1) for _ in range(n * F._stride)])
             check_int_reduce(F, n, slot, [2 * d] * (n * F._stride))
         rows = oracle.conjugate_matrix(F.gen, F)
-        coprime = gf.pcoprime(F, polyring.x_pow_minus_one(d, F).coeffs, gf.ptrim(F, rows))
+        coprime = gf.pcoprime(F, polyring.x_pow_minus_one(d, F).coeffs, (gf.ptrim(F, rows),))
         assert coprime == (oracle.rank_over_field(rows, F2) == d)
 
 

@@ -99,7 +99,7 @@ def test_folded_gcd_criterion_matches_the_unfolded_one(rng):
     # n = p^e m; the reference is gcd(x^n - 1, g) on the unfolded g.
     def unfolded(a, ext):
         xn1 = polyring.x_pow_minus_one(ext.degree, ext).coeffs
-        return gf.pcoprime(ext, xn1, gf.ptrim(ext, conjugate_matrix(a, ext)))
+        return gf.pcoprime(ext, xn1, (gf.ptrim(ext, conjugate_matrix(a, ext)),))
 
     every = [(2, 8), (2, 6), (4, 4), (3, 6), (9, 3), (16, 2)]
     sampled = [(2, 32), (2, 24), (4, 8), (3, 12), (5, 12)]
@@ -116,9 +116,10 @@ def test_base_field_gcd_is_the_extension_gcd(rng, monkeypatch):
     # embedded into F_{q^n} and made monic, is gcd(x^m - 1, g) over F_{q^n}.
     seen, real_coprime = [], gf.pcoprime
 
-    def recording(F, *polys):
+    def recording(F, a, bs):
+        polys = (a, *bs)
         seen.append(polys)
-        return real_coprime(F, *polys)
+        return real_coprime(F, a, polys[1:])
 
     monkeypatch.setattr(gf, "pcoprime", recording)
     every = [(2, 6), (3, 4), (4, 3), (9, 2), (5, 4), (2, 12)]
@@ -164,7 +165,7 @@ def test_is_normal_raises_when_its_criteria_disagree(criterion, monkeypatch):
     if criterion == "rank":
         monkeypatch.setattr(oracle, "rank_over_field", flipped_rank)
     else:
-        monkeypatch.setattr(gf, "pcoprime", lambda F, *polys: not real_coprime(F, *polys))
+        monkeypatch.setattr(gf, "pcoprime", lambda F, a, bs: not real_coprime(F, a, bs))
     for q, n in ((2, 3), (4, 2)):
         ext = extension_for(q, n)
         for a in ext.elements():

@@ -4,6 +4,9 @@ The expected values for everything nontrivial come from an in-test trial
 division oracle that knows nothing about Ben-Or's test or Cantor-Zassenhaus.
 """
 
+import itertools
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -22,6 +25,7 @@ from normbase.polyring import (
     is_irreducible,
     monic_polys,
     poly_trace,
+    product,
     squarefree_decomposition,
     x_pow_minus_one,
 )
@@ -299,14 +303,20 @@ def test_distinct_degree_blocks_group_the_factors_by_degree(q, d, rng):
 
 
 def test_distinct_degree_builds_one_context_per_modulus(f2, monkeypatch):
-    # gf.pdistinct_degree, the chain behind factor and pirreducible, builds
-    # a context for a modulus only from the first step k where x^(2^k)
-    # reaches its degree, and again only after a factor is divided out.
-    # cyclotomic(511) is 48 irreducibles of degree 9 over F_2: one context,
-    # at k = 9.  x^63 - 1 has blocks of degree 1, 2, 6 and 54 at k = 1, 2, 3
-    # and 6, all but the last found on monomials.  The product of the
-    # irreducibles of degree 4 and 11 builds a context at k = 4, splits off
-    # the quartic there, and builds one for the cofactor at k = 5.
+    # gf.pdistinct_degree, the chain behind factor and pirreducible, takes
+    # h_k = x^(2^k) mod f as the monomial while 2^k < deg f and by one
+    # division while 2^k < 2 deg f, so it builds a context for a modulus
+    # only at the first step that squares a residue, and again only after
+    # a factor is divided out.  cyclotomic(511) is 48 irreducibles of
+    # degree 9 over F_2: x^512 mod f at k = 9 is one division, so no
+    # context, and one gcd per step.  x^63 - 1 has blocks of degree 1, 2, 6
+    # and 54 at k = 1, 2, 3 and 6: once it has split, k = 4 and 5 are
+    # single gcds on monomials, k = 6 .. 11 one block (h_6 by division, a
+    # context from k = 7) with one gcd, and one more gcd resolves it at
+    # k = 6.  The product of the irreducibles of degree 4 and 11 splits
+    # off the quartic at k = 4 by division and builds one context, for the
+    # cofactor, at k = 5.  A degree-64 candidate with a factor of degree 6
+    # is rejected at k = 6, the division step, and builds no context.
     built, steps = [], []
     gcd_unit = gf._pgcd_unit
 
@@ -315,20 +325,136 @@ def test_distinct_degree_builds_one_context_per_modulus(f2, monkeypatch):
             built.append(len(f) - 1)
             super().__init__(F, f)
 
-    product = Poly(f2, gf.first_irreducible(f2, 4)) * Poly(f2, gf.first_irreducible(f2, 11))
-    for f, blocks, moduli, k in (
-        (cyclotomic(511, f2), [(432, 9)], [432], 9),
-        (x_pow_minus_one(63, f2), [(1, 1), (2, 2), (6, 3), (54, 6)], [54], 6),
-        (product, [(4, 4), (11, 11)], [15, 11], 5),
+    def irreducible(d):
+        return Poly(f2, gf.first_irreducible(f2, d))
+
+    pair = irreducible(4) * irreducible(11)
+    rejected = irreducible(6) * irreducible(58)
+    # (f, blocks, contexts, gcds, blocks read: all, or the first as
+    # pirreducible reads them)
+    for f, blocks, moduli, gcds, limit in (
+        (cyclotomic(511, f2), [(432, 9)], [], 9, None),
+        (x_pow_minus_one(63, f2), [(1, 1), (2, 2), (6, 3), (54, 6)], [54], 7, None),
+        (pair, [(4, 4), (11, 11)], [11], 5, None),
+        (rejected, [(6, 6)], [], 6, 1),
     ):
         built.clear()
         steps.clear()
         with monkeypatch.context() as m:
             m.setattr(gf, "_Barrett", Counting)
             m.setattr(gf, "_pgcd_unit", lambda F, a, b: steps.append(a) or gcd_unit(F, a, b))
-            got = list(gf.pdistinct_degree(f2, f.coeffs))
+            got = list(itertools.islice(gf.pdistinct_degree(f2, f.coeffs), limit))
         assert [(len(g) - 1, d) for g, d in got] == blocks
-        assert built == moduli and len(steps) == k
+        assert built == moduli and len(steps) == gcds
+
+
+def per_step_chain(F, f):
+    """The distinct-degree factorization of a squarefree monic f with a gcd
+    at every step: h_k = x^(q^k) mod f by gf.ppow_mod from x, the monic
+    gf.pgcd(h_k - x, f) while 2k <= deg f, each block divided out of f,
+    then the cofactor."""
+    x, k, out = (F.zero, F.one), 0, []
+    while 2 * (k + 1) <= len(f) - 1:
+        k += 1
+        g = gf.pgcd(F, gf.psub(F, gf.ppow_mod(F, x, F.order**k, f), x), f)
+        if len(g) > 1:
+            out.append((g, k))
+            f = gf.pdivmod(F, f, g)[0]
+    return out + [(f, len(f) - 1)] * (len(f) > 1)
+
+
+def product_of_irreducibles(F, degrees, rng):
+    """The product of random monic irreducibles of the given degrees over
+    F, each drawn once: a repeat is dropped, so the product is squarefree
+    (over F_2 there is one irreducible of degree 2)."""
+    parts = set()
+    for d in degrees:
+        draws = iter(lambda: tuple(F.random(rng) for _ in range(d)) + (F.one,), None)
+        parts.add(next(g for g in draws if gf.pirreducible(F, g)))
+    return product(F, (Poly(F, g) for g in parts))
+
+
+def check_factoring_mode(F, f):
+    got = [(gf.pmonic(F, g), k) for g, k in gf.pdistinct_degree(F, f.coeffs)]
+    assert got == per_step_chain(F, f.coeffs), f
+
+
+# Degrees of distinct irreducibles whose product puts a factor on the
+# first block's start s and on its end 2s - 1, and leaves a cofactor past
+# deg f // 2 after a split.  The degree-1 factor splits f at k = 1; over
+# F_2, [1, 4, 11] has deg f = 15 after it, monomial steps k = 2, 3 and
+# the block k = 4 .. 7, with the cofactor 11 after it; [1, 7, 9] the block
+# 4 .. 7 at deg 16; [1, 2, 6, 11, 40] the block 6 .. 11 at deg 57, then
+# 12 .. 20 and the cofactor 40; [1, 7, 9, 20, 40] the blocks 7 .. 13 at
+# deg 76 (h_7 by division) and 14 .. 27 at deg 60, which finds 20 from
+# h_13 reduced mod the cofactor.  Over F_3, [1, 3, 5, 17] the block 3 .. 5;
+# over F_4, [1, 2, 3, 9] the block 2 .. 3, and over F_9, [1, 2, 3, 7].
+BLOCK_EDGES = [
+    (2, (1, 4, 11)), (2, (1, 7, 9)), (2, (1, 2, 6, 11, 40)), (2, (1, 7, 9, 20, 40)),
+    (3, (1, 3, 5, 17)), (4, (1, 2, 3, 9)), (9, (1, 2, 3, 7)),
+]
+
+
+@pytest.mark.parametrize("q, degrees", BLOCK_EDGES)
+def test_factoring_mode_at_block_edges(q, degrees):
+    F = gf.field_of_order(q)
+    for seed in range(3):
+        check_factoring_mode(F, product_of_irreducibles(F, degrees, random.Random(seed)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((2, 3, 4, 9)).flatmap(
+        lambda q: st.tuples(
+            st.just(q), st.lists(st.integers(1, 40 if q < 4 else 16), min_size=1, max_size=5)
+        )
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_factoring_mode_matches_a_gcd_at_every_step(field_degrees, rng):
+    # Once f has split, the chain multiplies the h_k - x of a block and
+    # takes one gcd; its blocks and their k are those of a gcd at every k
+    q, degrees = field_degrees
+    F = gf.field_of_order(q)
+    check_factoring_mode(F, product_of_irreducibles(F, degrees, rng))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((2, 3, 4)),
+    st.lists(
+        st.tuples(st.lists(st.integers(0, 15), min_size=2, max_size=7), st.integers(1, 4)),
+        min_size=1,
+        max_size=9,
+    ),
+)
+def test_factorization_product_is_the_serial_product(q, parts):
+    # the balanced product tree against the serial product, for part lists
+    # of odd and even length with multiplicities 1 to 4
+    F = gf.field_of_order(q)
+    parts = [(Poly(F, [F.from_index(c % q) for c in coeffs]), mult) for coeffs, mult in parts]
+    serial = Poly.one(F)
+    for base, mult in parts:
+        for _ in range(mult):
+            serial = serial * base
+    assert Factorization(parts).product() == serial
+    assert product(F, []) == Poly.one(F)
+
+
+def test_pow_is_repeated_multiplication(rng, monkeypatch):
+    # square and multiply from the top bit: bit_length - 1 squarings and
+    # one product per further set bit, so base**1 multiplies nothing
+    F = gf.field_of_order(4)
+    base = Poly(F, tuple(F.random(rng) for _ in range(5)) + (F.one,))
+    products, real_mul = [], Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(1) or real_mul(a, b))
+    want = Poly.one(F)
+    for e in range(10):
+        products.clear()
+        assert base**e == want, e
+        assert len(products) == max(0, e.bit_length() + bin(e).count("1") - 2), e
+        want = real_mul(want, base)
+    assert base**1 is base
 
 
 @pytest.mark.parametrize("q, n", [(2, 255), (3, 80)])
