@@ -60,7 +60,6 @@ from .polyring import (
     Factorization,
     Poly,
     cyclotomic,
-    enumerate_monic_irreducibles,
     factor,
     factor_xn_minus_1,
     gcd,

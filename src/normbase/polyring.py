@@ -228,15 +228,6 @@ def monic_polys(field, degree: int):
     return (Poly(field, coeffs) for coeffs in gf.monic_candidates(field, degree))
 
 
-def enumerate_monic_irreducibles(n: int, field, budget=None):
-    """Every monic irreducible of degree n, in lexicographic order.  Scans
-    all q^n monic candidates, so q^n must fit the polynomial-scan budget."""
-    gf.check_poly_budget(field.order, n, budget)
-    for f in monic_polys(field, n):
-        if n == 1 or is_irreducible(f):
-            yield f
-
-
 @dataclasses.dataclass
 class Factorization:
     """Pairwise-coprime monic parts with multiplicities; when

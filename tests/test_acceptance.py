@@ -178,8 +178,9 @@ def test_criterion_6_witness_iff_strict(poly_scans):
     grid = pairs_within(SWEEP_Q, POLY_BUDGET)
     with criterion(f"6 witness exists iff the inequality is strict ({len(grid)} degrees)"):
         for q, n in grid:
-            # find_witness(n, q) is this scan's witness
-            witness = poly_scans[q, n].witness()
+            # the census and the walk give the coefficient scan's witness
+            witness = oracle.find_witness(n, q)
+            assert witness == poly_scans[q, n].witness(), (q, n)
             predicate = counting.equality_predicate(n, q)
             assert (witness is None) == predicate, (q, n)
             if witness is not None:

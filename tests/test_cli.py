@@ -219,6 +219,10 @@ def test_cmd_witness(capsys):
     assert code == EXIT_OK and out.startswith("none (")
     code, _, _ = run(capsys, "witness", "--n", "18", "--q", "2")
     assert code == EXIT_BUDGET
+    # past the default 2^16 candidates, the census of F_{2^17} and the walk
+    # both run under the raised budget
+    code, out, _ = run(capsys, "witness", "--q", "2", "--n", "17", "--budget", "131072")
+    assert code == EXIT_OK and out == "1,0,0,0,0,0,0,1,0,0,0,0,0,0,0,1,1,1\n"
 
 
 def test_full_grid_sweep_without_oracle(capsys):

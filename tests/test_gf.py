@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from normbase import _linalg, gf
 from normbase.errors import BudgetExceeded
 
-from conftest import fold_by_pmod
+from conftest import coefficient_scan, fold_by_pmod
 
 
 def sample_fields():
@@ -938,13 +938,11 @@ def rabin_reference(L, f) -> bool:
 
 def test_pirreducible_matches_the_degree_scan_exhaustively():
     # every monic polynomial of each degree against the irreducibles of the
-    # numpy degree scan, which runs Rabin's test on its own
-    from normbase.oracle import scan_irreducibles
-
+    # numpy coefficient scan, which runs Rabin's test on its own
     for q, top in ((2, 10), (3, 6), (4, 5)):
         F = gf.field_of_order(q)
         for d in range(1, top + 1):
-            rows = scan_irreducibles(d, q).coeff_rows.tolist()
+            rows = coefficient_scan(d, q).coeff_rows.tolist()
             want = {tuple(F.from_index(int(i)) for i in row) for row in rows}
             got = set()
             for num in range(q**d):

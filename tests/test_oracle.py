@@ -23,9 +23,9 @@ from normbase.oracle import (
     root_census,
     scan_irreducibles,
 )
-from normbase.polyring import Poly, enumerate_monic_irreducibles, is_irreducible, poly_trace
+from normbase.polyring import Poly, is_irreducible, poly_trace
 
-from conftest import linear_map_matrix
+from conftest import coefficient_scan, linear_map_matrix
 
 
 def P(field, *coeffs):
@@ -190,7 +190,7 @@ def test_counts_past_the_int16_ceiling():
         ext = extension_for(q, 2)
         assert count_normal_elements(ext) == counting.normal_element_count(2, q), q
     for q in (241, 251):
-        scan = scan_irreducibles(2, q)
+        scan = coefficient_scan(2, q)
         assert scan.count == counting.total_irr_count(2, q), q
         report = counting.build_report(q, 2)
         assert int(scan.trace_nonzero.sum()) == report.irr_nonzero_trace, q
@@ -200,8 +200,8 @@ def test_counts_past_the_int16_ceiling():
 
 def test_scan_past_field_order_256():
     # residues of F_257 no longer fit in uint8; the scan takes every dtype
-    # from dtype_for and is bounded only by its candidate budget
-    scan = scan_irreducibles(2, 257, budget=2**17)
+    # from dtype_for
+    scan = coefficient_scan(2, 257)
     assert scan.count == counting.total_irr_count(2, 257)
     assert (scan.trace_counts[1:] == counting.irr_count_trace(2, 257)).all()
 
@@ -292,7 +292,7 @@ def test_root_census_examples():
 
 
 def test_scan_matches_pure_enumeration():
-    # the vectorized scan must reproduce the lazy scanner and the
+    # the vectorized scan must reproduce the lazy walk and the
     # per-polynomial N-test exactly, including order; the composite degrees
     # 10, 6 and 4 have reducible survivors of the fixed-point screen (at
     # n = 6, a product of two distinct cubics) for Rabin's completion to reject;
@@ -300,8 +300,8 @@ def test_scan_matches_pure_enumeration():
     cases = [(2, 2), (2, 3), (2, 4), (2, 6), (2, 8), (2, 10), (3, 2), (3, 3), (3, 4), (3, 6), (4, 2), (4, 3), (4, 4), (5, 2), (7, 2), (8, 2), (8, 3), (9, 2), (16, 2), (27, 2)]
     for q, n in cases:
         field = gf.field_of_order(q)
-        scan = scan_irreducibles(n, q)
-        slow = list(enumerate_monic_irreducibles(n, field))
+        scan = coefficient_scan(n, q)
+        slow = list(scan_irreducibles(n, q))
         assert scan.polys() == slow, (q, n)
         assert list(scan.npoly) == [is_n_polynomial(f) for f in slow], (q, n)
         assert list(scan.trace_nonzero) == [
@@ -311,7 +311,7 @@ def test_scan_matches_pure_enumeration():
 
 def test_scan_trace_counts():
     for q, n in ((3, 3), (4, 2), (5, 3)):
-        scan = scan_irreducibles(n, q)
+        scan = coefficient_scan(n, q)
         counts = scan.trace_counts
         assert counts.sum() == scan.count == counting.total_irr_count(n, q)
         nonzero = counts[1:]
@@ -321,24 +321,49 @@ def test_scan_trace_counts():
 
 
 def test_scan_budget():
+    # the lazy walk checks its degree and budget at the call
     with pytest.raises(BudgetExceeded):
         scan_irreducibles(17, 2, budget=2**16)
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        scan_irreducibles(0, 2)
 
 
-def test_find_witness_examples(f2):
+def test_find_witness_examples():
     w = find_witness(7, 2)
     assert w is not None
     assert is_irreducible(w) and poly_trace(w) != 0 and not is_n_polynomial(w)
     # lexicographically smallest, by independent filtering
     slow = [
         f
-        for f in enumerate_monic_irreducibles(7, f2)
+        for f in coefficient_scan(7, 2).polys()
         if poly_trace(f) != 0 and not is_n_polynomial(f)
     ]
     assert len(slow) == 2  # 9 nonzero-trace irreducibles, 7 N-polynomials
     assert w == slow[0]
     assert find_witness(3, 2) is None
     assert find_witness(4, 2) is None
+
+
+def test_find_witness_walks_only_where_the_census_counts_differ(monkeypatch):
+    # a strict cell whose walk finds no witness names the stage and the point
+    monkeypatch.setattr(oracle, "is_n_polynomial", lambda f: True)
+    with pytest.raises(VerificationError, match="witness walk at q=2, n=6"):
+        find_witness(6, 2)
+
+    # at an equality cell the census answers, and no candidate is tested
+    def untested(f):
+        raise AssertionError(f"is_n_polynomial({f!r}) at an equality cell")
+
+    monkeypatch.setattr(oracle, "is_n_polynomial", untested)
+    assert find_witness(8, 2) is None
+
+
+def test_find_witness_holds_the_census_to_the_callers_budget(f2, monkeypatch):
+    # the census of F_{2^7} runs under the 128 passed, not the variable's 64
+    monkeypatch.setenv(gf.BUDGET_ENV_VAR, "64")
+    assert find_witness(7, 2, budget=128) == P(f2, 1, 0, 0, 0, 1, 1, 1, 1)
+    with pytest.raises(BudgetExceeded, match=r"^scanning 2\^7 candidates exceeds the budget 64$"):
+        find_witness(7, 2)
 
 
 def test_full_report_with_oracle():
@@ -368,7 +393,7 @@ def test_root_census_matches_the_scan(poly_scans):
     for q in counting.prime_powers_up_to(2**8):
         for n in range(2, 17):
             if q > 16 and q**n <= 2**16:
-                scans[q, n] = scan_irreducibles(n, q)
+                scans[q, n] = coefficient_scan(n, q)
     assert (len(poly_scans), len(scans)) == (67, 67 + 69)
     for (q, n), scan in scans.items():
         census = root_census(n, q)
@@ -513,8 +538,8 @@ def test_batched_oracles_match_pure_paths(qn):
     q, n = qn
     ext = extension_for(q, n)
     assert count_normal_elements(ext) == sum(1 for a in ext.elements() if is_normal(a, ext))
-    scan = scan_irreducibles(n, q)
-    slow = list(enumerate_monic_irreducibles(n, gf.field_of_order(q)))
+    scan = coefficient_scan(n, q)
+    slow = list(scan_irreducibles(n, q))
     assert scan.polys() == slow
     assert list(scan.npoly) == [is_n_polynomial(f) for f in slow]
 

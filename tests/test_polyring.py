@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 from normbase import counting, gf
 from normbase.errors import BudgetExceeded
+from normbase.oracle import scan_irreducibles
 from normbase.polyring import (
     NEG_INF,
     Factorization,
     Poly,
     cyclotomic,
-    enumerate_monic_irreducibles,
     factor,
     factor_xn_minus_1,
     gcd,
@@ -275,7 +275,7 @@ def test_factor_splits_x_qk_minus_x_at_small_q(q, kmax):
     field = gf.field_of_order(q)
     for k in range(1, kmax + 1):
         f = x_pow_minus_one(q**k - 1, field) * Poly.x(field)
-        irreducibles = [g for d in counting.divisors(k) for g in enumerate_monic_irreducibles(d, field)]
+        irreducibles = [g for d in counting.divisors(k) for g in scan_irreducibles(d, q)]
         want = [(g, 1) for g in sorted(irreducibles, key=Poly.sort_key)]
         for seed in range(10):
             assert factor(f, seed=seed).parts == want, (q, k, seed)
@@ -576,27 +576,29 @@ def test_factor_xn_minus_1_degree_profile(f3, f4):
 
 
 # ---------------------------------------------------------------------------
-# Monic irreducible enumeration
+# Monic irreducible enumeration (oracle.scan_irreducibles, the lazy walk)
 # ---------------------------------------------------------------------------
 
 
-def test_enumerate_monic_irreducibles_examples(f2, f3):
-    assert [f.coeffs for f in enumerate_monic_irreducibles(2, f2)] == [(1, 1, 1)]
-    got = list(enumerate_monic_irreducibles(3, f2))
+def test_enumerate_monic_irreducibles_examples():
+    assert [f.coeffs for f in scan_irreducibles(2, 2)] == [(1, 1, 1)]
+    got = list(scan_irreducibles(3, 2))
     assert {f.coeffs for f in got} == {(1, 1, 0, 1), (1, 0, 1, 1)}
     keys = [f.sort_key() for f in got]
     assert keys == sorted(keys)
-    assert len(list(enumerate_monic_irreducibles(2, f3))) == (9 - 3) // 2
+    assert len(list(scan_irreducibles(2, 3))) == (9 - 3) // 2
+    # degree 1 runs Ben-Or's test too: every monic linear is irreducible
+    for q in (3, 4):
+        assert [f.coeffs for f in scan_irreducibles(1, q)] == list(gf.monic_candidates(gf.field_of_order(q), 1))
 
 
 def test_enumerate_counts_match_moebius_formula():
-    for field, max_n in ((gf.prime_field(2), 8), (gf.prime_field(3), 5), (gf.base_field(2, 2), 4)):
-        q = field.order
+    for q, max_n in ((2, 8), (3, 5), (4, 4)):
         for n in range(1, max_n + 1):
-            got = sum(1 for _ in enumerate_monic_irreducibles(n, field))
+            got = sum(1 for _ in scan_irreducibles(n, q))
             assert got == counting.total_irr_count(n, q)
 
 
-def test_enumerate_budget(f2):
+def test_enumerate_budget():
     with pytest.raises(BudgetExceeded):
-        list(enumerate_monic_irreducibles(5, f2, budget=16))
+        scan_irreducibles(5, 2, budget=16)

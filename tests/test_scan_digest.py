@@ -1,10 +1,12 @@
-"""The degree scan's output pinned by hash.
+"""The coefficient scan's output pinned by hash.
 
 tests/data/scan_digest.json holds, per cell (q, n) with prime-power
-q <= 256, n >= 2 and q^n <= 2^12, a sha256 of the scan's coeff_rows,
-trace_nonzero, npoly and trace_counts, each normalised to one dtype so
-that a change of internal dtype does not move the hash.  Regenerate it
-(only from a tree whose scan is trusted) with
+q <= 256, n >= 2 and q^n <= 2^12, a sha256 of the coeff_rows,
+trace_nonzero, npoly and trace_counts of conftest.coefficient_scan, the
+batched reference scan that the test suite holds the library to, each
+normalised to one dtype so that a change of internal dtype does not move
+the hash.  Regenerate it (only from a tree whose reference scan is
+trusted) with
 
     PYTHONPATH=src python tests/test_scan_digest.py
 """
@@ -14,7 +16,8 @@ import json
 import pathlib
 
 from normbase import counting
-from normbase.oracle import scan_irreducibles
+
+from conftest import coefficient_scan
 
 DIGEST_PATH = pathlib.Path(__file__).parent / "data" / "scan_digest.json"
 MAX_CANDIDATES = 2**12
@@ -49,10 +52,10 @@ def test_scan_matches_pinned_digest():
     cells = digest_cells()
     assert sorted(pinned) == sorted(f"{q},{n}" for q, n in cells)
     for q, n in cells:
-        assert scan_digest(scan_irreducibles(n, q)) == pinned[f"{q},{n}"], (q, n)
+        assert scan_digest(coefficient_scan(n, q)) == pinned[f"{q},{n}"], (q, n)
 
 
 if __name__ == "__main__":
-    table = {f"{q},{n}": scan_digest(scan_irreducibles(n, q)) for q, n in digest_cells()}
+    table = {f"{q},{n}": scan_digest(coefficient_scan(n, q)) for q, n in digest_cells()}
     DIGEST_PATH.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table)} cells to {DIGEST_PATH}")
