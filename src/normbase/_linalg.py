@@ -5,7 +5,11 @@ scalar multiplication, any linearized operator) is also F_p-linear and so
 becomes a D x D integer matrix mod p, and a bijective one also permutes the
 element indices.  Whole-field scans then reduce to index gathers, matrix
 products and a batched Gaussian elimination, which is what makes
-enumerating 2^20 elements practical in pure Python + numpy.
+enumerating 2^20 elements practical in pure Python + numpy.  Every dtype
+of residues is picked here: dtype_for and exact_dtype store them, and
+matmul_mod multiplies matrices of them in the dtype of one rule, dot_dtype,
+which also types gf._reduce's fold.  Only gf._canon's packed read and the
+one-row chain of oracle._conjugate_coords multiply in dtypes of their own.
 
 field_orbits is the one whole-field engine: Frobenius and the scalars of
 F_q* permute the elements, normality and every operator built from
@@ -21,13 +25,12 @@ import numpy as np
 
 from . import counting
 
-_UNSIGNED = (np.uint8, np.uint16, np.uint32, np.uint64)
-_SIGNED = (np.int16, np.int32, np.int64)
+_UNSIGNED = tuple((np.dtype(t), int(np.iinfo(t).max)) for t in (np.uint8, np.uint16, np.uint32, np.uint64))
+_SIGNED = tuple((np.dtype(t), int(np.iinfo(t).max)) for t in (np.int16, np.int32, np.int64))
 
 
 def dtype_for(p: int, terms: int = 0) -> np.dtype:
-    """The numpy dtype for arithmetic mod p; every dtype of the scans is
-    chosen here, so that none of them can wrap around.
+    """The numpy dtype for arithmetic mod p, chosen so that it cannot wrap.
 
     terms=0 gives the narrowest unsigned type storing residues in [0, p).
     terms=t >= 1 gives the narrowest signed type, int16 at least, holding
@@ -38,9 +41,9 @@ def dtype_for(p: int, terms: int = 0) -> np.dtype:
         bound, ladder = p - 1, _UNSIGNED
     else:
         bound, ladder = (p - 1) + terms * (p - 1) ** 2, _SIGNED
-    for dt in ladder:
-        if bound <= np.iinfo(dt).max:
-            return np.dtype(dt)
+    for dt, top in ladder:
+        if bound <= top:
+            return dt
     raise ValueError(f"arithmetic mod {p} over {terms} terms does not fit in 64 bits")
 
 
@@ -53,17 +56,25 @@ def exact_dtype(p: int, terms: int = 0) -> np.dtype:
 
 
 def dot_dtype(p: int, terms: int) -> np.dtype:
-    """The dtype of a matrix product of residues mod p whose dot products
-    have the given number of terms: float64 while (p-1) + terms*(p-1)^2
-    stays below 2^53, so that every sum is an exact double (the product
-    runs in BLAS, 10-20x faster than numpy's integer matmul at 32-96
-    terms), else uint64 while terms*(p-1)^2 fits in it."""
+    """The dtype of every product of residues mod p with dot products of the
+    given number of terms: float64 while (p-1) + terms*(p-1)^2 < 2^53, so
+    that every sum is an exact double (BLAS, 10-20x faster than numpy's integer
+    matmul at 32-96 terms), else uint64 while terms*(p-1)^2 fits, else object."""
     bound = terms * (p - 1) ** 2
     if (p - 1) + bound < 2**53:
         return np.dtype(np.float64)
     if bound >> 64 == 0:
         return np.dtype(np.uint64)
-    raise ValueError(f"a dot product mod {p} over {terms} terms does not fit in 64 bits")
+    return np.dtype(object)
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for residue arrays, broadcast as @ does, in dot_dtype; returned in exact_dtype(p)."""
+    dt = dot_dtype(p, a.shape[-1])
+    prod = a.astype(dt, copy=False) @ b.astype(dt, copy=False)
+    if dt.kind == "f":  # reduced in the integers that hold its sums: 3x faster on 2^21 entries
+        prod = prod.astype(exact_dtype(p, a.shape[-1]))
+    return reduce_mod(prod, p).astype(exact_dtype(p), copy=False)
 
 
 def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -88,10 +99,8 @@ def frobenius_matrix(ext) -> np.ndarray:
     F_q, q = p^k, and sends x^i to h_i = x^(q*i) mod f (ext.x_q_powers),
     so column i*k + j holds the prime coordinates of u_j * h_i, u_j the
     j-th prime unit of F_q."""
-    p, dim = ext.char, ext.prime_dim
-    cols = np.array([ext.prime_coords(h) for h in ext.x_q_powers()], dtype=exact_dtype(p))
-    cols = scale_by_basis(cols, ext.base).swapaxes(0, 1)
-    mat = np.ascontiguousarray(cols.reshape(dim, dim).T.astype(exact_dtype(p)))
+    cols = np.array([ext.prime_coords(h) for h in ext.x_q_powers()], dtype=exact_dtype(ext.char))
+    mat = np.ascontiguousarray(scale_by_basis(cols, ext.base).reshape(ext.prime_dim, -1).T)
     mat.setflags(write=False)
     return mat
 
@@ -112,37 +121,28 @@ def basis_scalar_matrices(field) -> np.ndarray:
 
 def scale_by_basis(vectors: np.ndarray, field) -> np.ndarray:
     """Prime coordinates (..., n*k) over field = F_q, q = p^k, times each
-    F_p-basis scalar of F_q, as (k, ..., n*k): one matmul, for few rows."""
-    k, p, smats = field.prime_dim, field.char, basis_scalar_matrices(field)
-    blocks = vectors.reshape(vectors.shape[:-1] + (vectors.shape[-1] // k, k))
-    by = smats.swapaxes(1, 2).reshape((k,) + (1,) * (blocks.ndim - 2) + (k, k))
-    return reduce_mod(blocks.astype(exact_dtype(p, k)) @ by, p).reshape((k,) + vectors.shape)
+    F_p-basis scalar u_j of F_q, as (..., k, n*k): one product of inner
+    dimension k."""
+    k, smats = field.prime_dim, basis_scalar_matrices(field)
+    lead, n = vectors.shape[:-1], vectors.shape[-1] // k
+    by = smats.transpose(2, 0, 1).reshape(k, k * k)  # by[t, j*k + u]: coordinate u of u_j * u_t
+    prod = matmul_mod(vectors.reshape(-1, k), by, field.char).reshape(lead + (n, k, k))
+    return prod.swapaxes(-3, -2).reshape(lead + (k, n * k))
 
 
 def apply_map(vectors: np.ndarray, mat: np.ndarray, p: int) -> np.ndarray:
     """(N, D) coordinate rows through a (D, D) map, reduced mod p."""
-    # int32 at least: int16 was no faster overall for these shapes.
-    wide = np.promote_types(dtype_for(p, mat.shape[1]), np.int32)
-    prod = vectors.astype(wide) @ mat.T.astype(wide)
-    return reduce_mod(prod, p).astype(dtype_for(p))
+    return matmul_mod(vectors, mat.T, p)
 
 
-def independent_over_base(coords: np.ndarray, smats: np.ndarray, p: int) -> np.ndarray:
+def independent_over_base(coords: np.ndarray, field) -> np.ndarray:
     """For a (B, n, n*k) batch of n elements each of a degree-n extension of
-    F_q, q = p^k, given by prime coordinates, whether each member's n
-    elements are independent over F_q.  That is full F_p-rank of the
-    elements scaled by every F_p-basis scalar of F_q (smats, from
-    basis_scalar_matrices); over a prime field it is the rank of coords.
-    A scalar acts on each F_q coordinate separately, here as strided
-    multiply-adds: about 3x faster than a matmul of inner dimension k."""
-    k, n = len(smats), coords.shape[1]
-    if k > 1:
-        blocks = coords.reshape(len(coords), n, n, k).astype(exact_dtype(p, k))
-        out = np.zeros((len(coords), k, n, n, k), dtype=blocks.dtype)
-        for j, u, t in zip(*np.nonzero(smats)):
-            out[:, j, ..., u] += int(smats[j, u, t]) * blocks[..., t]
-        coords = reduce_mod(out, p).reshape(len(coords), k * n, n * k)
-    return batched_rank_full(coords, p)
+    field = F_q, q = p^k, given by prime coordinates, whether each member's
+    n elements are independent over F_q: full F_p-rank of the elements
+    scaled by every F_p-basis scalar of F_q, or over F_p of coords."""
+    if field.prime_dim > 1:
+        coords = scale_by_basis(coords, field).reshape(len(coords), coords.shape[2], coords.shape[2])
+    return batched_rank_full(coords, field.char)
 
 
 def index_coords(idx: np.ndarray, p: int, dim: int) -> np.ndarray:

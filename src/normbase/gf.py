@@ -959,7 +959,7 @@ class ExtensionField:
         that the rows of j - 1 times by_x, the prime-coordinate matrix of
         multiplication by x."""
         base, p, n, k = self.base, self.char, self.degree, self.base.prime_dim
-        dim, dt = n * k, _linalg.exact_dtype(p, n * k)
+        dim, dt = n * k, _linalg.exact_dtype(p)
         by_x = np.eye(dim, dim, k, dtype=dt)
         neg_f = np.array(self.prime_coords(pneg(base, self.modulus[:-1])), dtype=dt)
         by_x[dim - k :] = neg_f if k == 1 else _linalg.scale_by_basis(neg_f, base)
@@ -968,7 +968,7 @@ class ExtensionField:
         rows = [low.reshape(-1, dim)]
         top = rows[0][-base._stride :]
         for _ in range(n - 1):
-            top = top @ by_x % p
+            top = _linalg.matmul_mod(top, by_x, p)
             rows.append(top)
         return np.concatenate(rows).astype(np.uint64)
 

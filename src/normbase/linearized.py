@@ -79,28 +79,28 @@ def evaluate(l: QPoly, a, ext):
 
 def operator_matrix(l: QPoly, ext):
     """The operator as an F_p matrix acting on ext's prime coordinates,
-    sum_i (multiply-by-c_i) . frobenius^i, in Horner form from the top
-    coefficient down on the field's one Frobenius matrix.  Multiplying by
-    c_i in F_q scales each of ext's n coordinates over F_q alike, so its
-    matrix is block diagonal: n copies of c_i's combination of the
-    basis-scalar matrices of F_q."""
+    sum_i S_i F^i, S_i multiplication by c_i and F the field's one Frobenius
+    matrix, in Horner form from the top coefficient down: acc F + S_i is
+    one product [acc | S_i] [F; I].  Multiplying by c_i in F_q scales each
+    of ext's n coordinates over F_q alike, so S_i is block diagonal: n copies
+    of the block whose column j is c_i times the j-th prime unit of F_q."""
     if ext.base != l.field:
         raise ValueError("operator coefficients do not live in ext's base field")
     F = l.field
     p, n, k = ext.char, ext.degree, F.prime_dim
     coeffs = l.associate.coeffs
     if not coeffs:
-        return np.zeros((ext.prime_dim, ext.prime_dim), dtype=_linalg.dtype_for(p))
-    frob = _linalg.frobenius_matrix(ext).astype(np.int64)
-    coords = np.array([F.prime_coords(c) for c in coeffs], dtype=np.int64)
-    blocks = np.tensordot(coords, _linalg.basis_scalar_matrices(F).astype(np.int64), 1) % p
-    scalars = np.zeros((len(coeffs), n, k, n, k), dtype=np.int64)
-    scalars[:, np.arange(n), :, np.arange(n)] = blocks
+        return np.zeros((ext.prime_dim, ext.prime_dim), dtype=_linalg.exact_dtype(p))
+    frob = _linalg.frobenius_matrix(ext)
+    coords = np.array([F.prime_coords(c) for c in coeffs], dtype=frob.dtype)
+    scalars = np.zeros((len(coeffs), n, k, n, k), dtype=frob.dtype)
+    scalars[:, np.arange(n), :, np.arange(n)] = _linalg.scale_by_basis(coords, F).swapaxes(1, 2)
     scalars = scalars.reshape(len(coeffs), n * k, n * k)
+    step = np.concatenate([frob, np.eye(n * k, dtype=frob.dtype)])
     acc = scalars[-1]
     for s in scalars[-2::-1]:
-        acc = (acc @ frob + s) % p
-    return acc.astype(_linalg.dtype_for(p))
+        acc = _linalg.matmul_mod(np.concatenate([acc, s], axis=1), step, p)
+    return acc
 
 
 @dataclasses.dataclass

@@ -54,7 +54,7 @@ def _conjugate_coords(a, ext) -> np.ndarray:
     mat = _linalg.frobenius_matrix(ext).T.astype(_linalg.exact_dtype(ext.char, ext.prime_dim))
     rows = [np.array(ext.prime_coords(a), dtype=mat.dtype)]
     for _ in range(ext.degree - 1):
-        # not apply_map: its dtype steps made this 2-3x slower on one row
+        # not _linalg.matmul_mod: its float64 casts made this 1.5-3x slower at n <= 16
         rows.append(rows[-1] @ mat % ext.char)
     return np.array(rows)
 
@@ -175,7 +175,7 @@ def _orbit_census(ext, traces: bool) -> RootCensus:
         trace_nonzero = np.bitwise_xor.reduce(conj[normal, :n], axis=1) != 0
     else:
         rows = _linalg.index_coords(conj[:, :n], p, ext.prime_dim)
-        normal = _linalg.independent_over_base(rows, _linalg.basis_scalar_matrices(ext.base), p)
+        normal = _linalg.independent_over_base(rows, ext.base)
         trace = rows[normal].sum(axis=1, dtype=_linalg.dtype_for(p, n))
         trace_nonzero = _linalg.reduce_mod(trace, p).any(axis=1)
     where = f"normal-element enumeration at q={q}, n={n}"

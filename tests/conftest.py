@@ -203,11 +203,11 @@ def _scan_chunk(field, n: int, smats, start: int, stop: int):
         for r in primes:
             g = mod(conj[n // r] - conj[0])
             rows = multiples(g, times_x, n).transpose(2, 0, 1)
-            irreducible &= _linalg.independent_over_base(rows, smats, p)
+            irreducible &= _linalg.independent_over_base(rows, field)
 
     # Normality of the canonical root: its conjugates are conj[0..n-1].
     rows = conj[..., irreducible].transpose(2, 0, 1)
-    normal = _linalg.independent_over_base(rows, smats, p)
+    normal = _linalg.independent_over_base(rows, field)
     digits = coeffs[irreducible].reshape(-1, n, k).astype(np.int64)
     encoded = digits @ (p ** np.arange(k - 1, -1, -1, dtype=np.int64))
     return encoded.astype(_linalg.dtype_for(field.order)), normal

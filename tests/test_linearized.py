@@ -115,7 +115,7 @@ def test_evaluate_validates(f2, f3):
         evaluate(Q(f2, 1, 1), (0, 1, 0), F4)
 
 
-def test_operator_matrix_agrees_with_evaluate():
+def test_operator_matrix_agrees_with_evaluate(rng):
     # over F_4 and F_9 the coefficients y and top lie outside the prime
     # field, so that a transposed scalar block shows; the zero operator
     # too: its associate has no coefficients
@@ -129,6 +129,19 @@ def test_operator_matrix_agrees_with_evaluate():
                 coords = np.array(ext.prime_coords(a)) @ mat.T % ext.char
                 got = ext.from_prime_coords(tuple(int(v) for v in coords))
                 assert got == evaluate(l, a, ext), (ext, l, a)
+    # past 2^32 a product of two residues passes 64 bits: column j of the
+    # matrix against the image of the j-th prime unit, for random
+    # associates of degree n
+    for p in (2**32 + 15, 2**61 - 1):
+        F = gf.prime_field(p)
+        for n in (2, 3):
+            ext = gf.extension(F, n)
+            for _ in range(5):
+                l = Q(F, *(F.random(rng) for _ in range(n)), rng.randrange(1, p))
+                mat = operator_matrix(l, ext)
+                for j, unit in enumerate(np.eye(n, dtype=int).tolist()):
+                    got = ext.from_prime_coords(tuple(int(v) for v in mat[:, j]))
+                    assert got == evaluate(l, ext.from_prime_coords(tuple(unit)), ext), (ext, l, j)
 
 
 def test_root_count_examples(f2):

@@ -216,6 +216,21 @@ def test_dtype_for_keeps_small_primes_narrow():
         _linalg.dtype_for(2**32 + 15, 1)
 
 
+def test_matmul_mod_takes_each_product_tier_at_its_edge():
+    # at p = 2^26 - 5 the sums of 2 products are the last exact doubles,
+    # 3 products take uint64, and 4097 pass 2^64; the top residues and
+    # random ones against Python ints
+    p = 2**26 - 5
+    rng = np.random.default_rng(27)
+    for terms, dt in ((2, np.float64), (3, np.uint64), (4097, object)):
+        assert _linalg.dot_dtype(p, terms) == dt
+        a = np.vstack([np.full(terms, p - 1), rng.integers(0, p, (3, terms))]).astype(np.uint32)
+        b = np.hstack([np.full((terms, 1), p - 1), rng.integers(0, p, (terms, 2))]).astype(np.uint32)
+        want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a]
+        got = _linalg.matmul_mod(a, b, p)
+        assert got.dtype == _linalg.exact_dtype(p) and got.tolist() == want, terms
+
+
 def test_reduce_mod_is_exact_on_float64():
     # at multiples of p, one below them and p - 1 below them, up to 2^53 - p
     p = 65521
