@@ -99,8 +99,9 @@ def cmd_verify(args) -> int:
     qs = parse_q_list(args.q)
     ns = parse_n_spec(args.n)
     grid = [(q, n, args.oracle, args.budget) for q in qs for n in ns]
-    if args.workers > 1:
-        with multiprocessing.Pool(args.workers) as pool:
+    workers = min(args.workers, len(grid))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             reports = pool.map(_verify_point, grid)
     else:
         reports = [_verify_point(job) for job in grid]

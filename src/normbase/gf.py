@@ -171,28 +171,6 @@ class PrimeField:
 _SLOT_CODES = tuple((code, 8 * array(code).itemsize) for code in "BHIQ")
 _SLOT_DTYPES = {code: np.dtype(code).newbyteorder("<") for code, _ in _SLOT_CODES}
 
-# Crossovers of the packed kernel, measured with timeit (the tables are
-# in CHANGES.md).  Over F_p the schoolbook loops are plain integer code, so
-# packing pays only on larger operands; over an extension field every
-# loop step is a field multiplication, and packing pays almost at once.
-# pmul packs from _PMUL_MIN[D == 1] coefficient products; pdivmod packs
-# when lb * D and steps * lb * D reach _PDIVMOD_MIN[D == 1], D being the
-# coefficient field's prime_dim (over F_p about the same for F_2's XOR
-# and every reduction of odd p).  rank packs F_p rows at every size
-# (over F_2 as bytes, for its XOR basis).
-_PMUL_MIN = {True: 12, False: 4}
-_PDIVMOD_MIN = {True: (3, 48), False: (6, 24)}
-# _barrett gives a packed _Barrett context from modulus degree
-# _BARRETT_MIN_DEGREE[numpy reduces F = F_p] on, to ppow_mod, the
-# distinct-degree chain and the equal-degree split, and pgcd over F_p
-# keeps its operands packed (_pgcd_packed) from _PGCD_MIN_LEN[numpy
-# reduces] coefficients of the longer one on.  numpy's three calls per
-# reduction (odd p, slots wider than a byte) cost more than short
-# schoolbook loops; the int reduction does not, and over an extension
-# field the loops cost more.
-_BARRETT_MIN_DEGREE = {True: 4, False: 2}
-_PGCD_MIN_LEN = {True: 20, False: 8}
-
 
 def _slot(bound: int):
     """(array typecode, bit width) of the narrowest slot holding values up
@@ -206,8 +184,8 @@ def _slot(bound: int):
 def _packed_slot(F, terms: int, extra: int = 0):
     """The slot of a packed pmul or pdivmod over F whose slots sum up to
     terms products of prime coordinates per y-power of every level, plus
-    extra; or None when the schoolbook loop runs instead: when no 8-byte
-    slot fits, and for field objects the kernel does not know."""
+    extra; or None when the loop of field operations runs instead: when
+    no 8-byte slot fits, and for field objects the kernel does not know."""
     if not isinstance(F, (PrimeField, ExtensionField)) or F._read_slot is None:
         return None
     return _slot(extra + terms * F.prime_dim * (F.char - 1) ** 2)
@@ -222,8 +200,11 @@ def _pack(coeffs, slot) -> int:
     return int.from_bytes(words.tobytes(), "little")
 
 
-def _unpack(x: int, n: int, slot) -> array:
-    """The n slots of x, lowest first, as unreduced integers."""
+def _unpack(x: int, n: int, slot):
+    """The n slots of x, lowest first, as unreduced integers (bytes for
+    1-byte slots, else an array)."""
+    if slot[1] == 8:
+        return x.to_bytes(n, "little")
     words = array(slot[0])
     words.frombytes(x.to_bytes(n * slot[1] // 8, "little"))
     if sys.byteorder == "big":
@@ -253,7 +234,7 @@ def _unit_slots(F) -> list:
 
 
 def _canon(F, raw: int, count: int, slot):
-    """The canonical elements of F, in a list or an array, that count raw
+    """The canonical elements of F (list, array or bytes) that count raw
     packed elements stand for (raw: count * F._stride unreduced slots)."""
     p, n = F.char, count * F._stride
     if _int_reduces(F, slot):
@@ -266,7 +247,7 @@ def _canon(F, raw: int, count: int, slot):
         return [c % p for c in words]
     # Reduction is F_p-linear on the slots mod p, so one matrix product
     # reduces every element at once.
-    slots = np.frombuffer(words, dtype=words.typecode).reshape(count, F._stride)
+    slots = np.frombuffer(words, dtype=slot[0]).reshape(count, F._stride)
     return _elements(F, (slots % p @ F._fold % p).tolist())
 
 
@@ -274,7 +255,9 @@ def _reduce(F, raw: int, n: int, slot) -> int:
     """The canonical packed form of raw, n packed coefficients over F in
     the given slots: _reduce_int where _int_reduces, else every slot mod p,
     and over an extension field one product with its _unit_fold, mod p
-    again."""
+    again.  Zero is canonical and costs nothing."""
+    if not raw:
+        return 0
     if _int_reduces(F, slot):
         return _reduce_int(F, raw, n, slot)
     p, dt = F.char, _SLOT_DTYPES[slot[0]]
@@ -387,21 +370,11 @@ def pmul(F, a, b):
     if not a or not b:
         return ()
     la, lb = len(a), len(b)
-    if la * lb >= _PMUL_MIN[F.prime_dim == 1] and (slot := _packed_slot(F, min(la, lb))):
+    if slot := _packed_slot(F, min(la, lb)):
         # Kronecker substitution: each product slot holds an exact
         # convolution sum, so one big-int product does every step.
         prod = _pack(_slots(F, a), slot) * _pack(_slots(F, b), slot)
-        n = la + lb - 1
-        return ptrim(F, _canon(F, prod, n, slot))
-    if isinstance(F, PrimeField):
-        p = F.p
-        out = []
-        for k in range(la + lb - 1):
-            s = 0
-            for i in range(max(0, k - lb + 1), min(k, la - 1) + 1):
-                s += a[i] * b[k - i]
-            out.append(s % p)
-        return ptrim(F, out)
+        return ptrim(F, _canon(F, prod, la + lb - 1, slot))
     out = [F.zero] * (la + lb - 1)
     for i, x in enumerate(a):
         if x == F.zero:
@@ -438,27 +411,12 @@ def pdivmod(F, a, b):
     la, lb = len(a), len(b)
     steps = la - lb + 1
     D, p = F.prime_dim, F.char
-    min_width, min_work = _PDIVMOD_MIN[D == 1]
     # over F_2 a step is one XOR, which sums nothing: 1-byte slots at
     # every length
     terms = min(steps, lb) if D * p > 2 else 0
-    if lb * D >= min_width and steps * lb * D >= min_work and (
-        slot := _packed_slot(F, terms, p - 1)
-    ):
+    if slot := _packed_slot(F, terms, p - 1):
         return _pdivmod_packed(F, a, b, steps, slot)
     # a monic divisor, the common case, needs no inversion
-    if isinstance(F, PrimeField):
-        inv_lead = 1 if b[-1] == 1 else pow(b[-1], -1, p)
-        quo = [0] * steps
-        rem = list(a)
-        for shift in range(steps - 1, -1, -1):
-            coef = rem[shift + lb - 1]
-            if coef:
-                fac = coef * inv_lead % p
-                quo[shift] = fac
-                for i in range(lb):
-                    rem[shift + i] = (rem[shift + i] - fac * b[i]) % p
-        return ptrim(F, quo), ptrim(F, rem)
     inv_lead = F.one if b[-1] == F.one else F.inv(b[-1])
     rem = list(a)
     quo = [F.zero] * steps
@@ -481,31 +439,31 @@ def _pdivmod_packed(F, a, b, steps, slot):
     slots stay 0 or 1: a step is one XOR, and nothing is reduced."""
     lb = len(b)
     prime = isinstance(F, PrimeField)
+    rem, bb = _pack(_slots(F, a), slot), _pack(_slots(F, b), slot)
     if prime and F.p == 2:
-        rem, bb, quo = _pack(a, slot), _pack(b, slot), 0
+        quo = 0
         while (k := rem.bit_length() - bb.bit_length()) >= 0:
             rem ^= bb << k
             quo |= 1 << k
-        return ptrim(F, _unpack(quo, steps, slot)), ptrim(F, _unpack(rem, lb - 1, slot))
+        return tuple(_unpack(quo, steps, slot)), ptrim(F, _unpack(rem, lb - 1, slot))
     width = F._stride * slot[1]
     mask = (1 << width) - 1
-    p, zero, one, mul = F.char, F.zero, F.one, F.mul
+    p, zero, one = F.char, F.zero, F.one
     # F_p coefficients are read, scaled and negated inline: a helper call
     # per step cost F_2 a fifth of its time
     inv_lead = one if b[-1] == one else F.inv(b[-1])
     quo = [zero] * steps
-    rem = _pack(_slots(F, a), slot)
-    bb = _pack(_slots(F, b), slot)
     for shift in range(steps - 1, -1, -1):
         raw = rem >> (shift + lb - 1) * width & mask
         coef = raw % p if prime else _canon(F, raw, 1, slot)[0]
         if coef != zero:
             if inv_lead != one:
-                coef = coef * inv_lead % p if prime else mul(coef, inv_lead)
+                coef = coef * inv_lead % p if prime else F.mul(coef, inv_lead)
             quo[shift] = coef
             neg = p - coef if prime else _pack([-c % p for c in _slots(F, (coef,))], slot)
             rem += neg * bb << shift * width
-    return ptrim(F, quo), ptrim(F, _canon(F, rem & (1 << (lb - 1) * width) - 1, lb - 1, slot))
+    # a's leading coefficient over b's is the quotient's, never zero
+    return tuple(quo), ptrim(F, _canon(F, rem & (1 << (lb - 1) * width) - 1, lb - 1, slot))
 
 
 def pmod(F, a, b):
@@ -519,8 +477,8 @@ def pgcd(F, a, b):
     on packed operands (_pgcd_ext_packed), and the only inversion is
     pmonic's, none for a constant gcd or in pcoprime.  Over F_p, where an
     inversion is one pow, it divides at each step, on operands that stay
-    packed from _PGCD_MIN_LEN coefficients on (_pgcd_packed, by XOR over
-    F_2); over fields the kernel cannot pack it divides by pmod."""
+    packed (_pgcd_packed, by XOR over F_2); where _packed_slot finds no
+    slot it divides by pmod."""
     return pmonic(F, _pgcd_unit(F, a, b))
 
 
@@ -537,12 +495,15 @@ def pcoprime(F, a, bs) -> bool:
 
 def _pgcd_unit(F, a, b) -> tuple:
     """pgcd up to a unit."""
-    if a and b and isinstance(F, ExtensionField) and (slot := _packed_slot(F, F.char)):
+    if not a or not b:
+        return a or b
+    if len(a) == 1 or len(b) == 1:  # a constant divides every polynomial
+        return (F.one,)
+    if isinstance(F, ExtensionField) and (slot := _packed_slot(F, F.char)):
         return _pgcd_ext_packed(F, a, b, slot)
-    if isinstance(F, PrimeField) and a and b:
+    if isinstance(F, PrimeField):
         # over F_2, one XOR per step, as in pdivmod
-        slot = _packed_slot(F, min(len(a), len(b)) if F.p > 2 else 0, F.p - 1)
-        if slot and max(len(a), len(b)) >= _PGCD_MIN_LEN[not _int_reduces(F, slot)]:
+        if slot := _packed_slot(F, min(len(a), len(b)) if F.p > 2 else 0, F.p - 1):
             return _pgcd_packed(F, a, b, slot)
     while b:
         a, b = b, pmod(F, a, b)
@@ -561,25 +522,24 @@ def _pgcd_packed(F, a, b, slot) -> tuple:
     mask = (1 << w) - 1
     r0, r1, n0, n1 = _pack(a, slot), _pack(b, slot), len(a) - 1, len(b) - 1
     if p == 2:
-        while r1:
+        while r1 > 1:
             while (k := r0.bit_length() - r1.bit_length()) >= 0:
                 r0 ^= r1 << k
             r0, r1 = r1, r0
-        return tuple(_unpack(r0, (r0.bit_length() + w - 1) // w, slot))
+        return (1,) if r1 else tuple(_unpack(r0, (r0.bit_length() + w - 1) // w, slot))
     if n0 < n1:
         r0, r1, n0, n1 = r1, r0, n1, n0
-    while n1 >= 0:
+    while n1 > 0:
         # r1 is canonical: its top slot is its leading coefficient
         neg_inv = p - pow(r1 >> n1 * w, -1, p)
         for shift in range((n0 - n1) * w, -1, -w):
             c = (r0 >> shift + n1 * w & mask) % p
             if c:
                 r0 += c * neg_inv % p * r1 << shift
-        r0 &= (1 << n1 * w) - 1
-        if r0:  # the last round's zero needs no reduction
-            r0 = _reduce(F, r0, n1, slot)
+        r0 = _reduce(F, r0 & (1 << n1 * w) - 1, n1, slot)
         r0, r1, n0, n1 = r1, r0, n1, (r0.bit_length() - 1) // w
-    return tuple(_unpack(r0, n0 + 1, slot))
+    # a constant remainder divides every polynomial
+    return (1,) if n1 == 0 else tuple(_unpack(r0, n0 + 1, slot))
 
 
 def _pgcd_ext_packed(F, a, b, slot) -> tuple:
@@ -613,10 +573,11 @@ def _pgcd_ext_packed(F, a, b, slot) -> tuple:
 
 class _Residues:
     """Arithmetic modulo one polynomial f over F on residues held as
-    coefficient tuples, by the schoolbook loops of pmul and pmod.  _Barrett
-    is its packed twin with the same pack, unpack, mul, add and pow, so a
-    caller holds one context per modulus without asking which it got.
-    pack takes a residue (degree below that of f)."""
+    coefficient tuples, by pmul and pmod, where _packed_slot finds no slot
+    for _Barrett's products.  _Barrett is its packed twin with the same
+    pack, unpack, mul, add and pow, so a caller holds one context per
+    modulus without asking which it got.  pack takes a residue (degree
+    below that of f)."""
 
     def __init__(self, F, f):
         self.F, self.f = F, f
@@ -671,8 +632,8 @@ class _Barrett(_Residues):
             self.units = _unit_slots(F)
         mu = pdivmod(F, _monomial(F, 2 * d - 1), f)[0]
         self.mu = self.pack(mu)
-        self.neg_f = self.pack(pneg(F, f))
-        self.one = self.pack((F.one,))
+        self.neg_f = _pack([-c % F.char for c in _slots(F, f)], slot)
+        self.one = 1  # the packed (F.one,)
 
     def pack(self, coeffs) -> int:
         return _pack(_slots(self.F, coeffs), self.slot)
@@ -682,7 +643,7 @@ class _Barrett(_Residues):
         words = _unpack(x, self.d * F._stride, self.slot)
         if isinstance(F, PrimeField):
             return ptrim(F, words)
-        rows = np.frombuffer(words, dtype=words.typecode).reshape(self.d, F._stride)
+        rows = np.frombuffer(words, dtype=self.slot[0]).reshape(self.d, F._stride)
         return ptrim(F, _elements(F, rows[:, self.units].tolist()))
 
     def _reduce(self, raw: int, n: int) -> int:
@@ -703,15 +664,12 @@ class _Barrett(_Residues):
 
 
 def _barrett(F, f):
-    """The arithmetic context modulo f over F: a _Barrett, or the
-    schoolbook _Residues below _BARRETT_MIN_DEGREE and where _packed_slot
-    finds no slot."""
+    """The arithmetic context modulo f over F: a _Barrett wherever
+    _packed_slot finds a slot for its products, else _Residues."""
     d = len(f) - 1
-    slot = _packed_slot(F, 2 * d - 1)
-    numpy_prime = isinstance(F, PrimeField) and not (slot and _int_reduces(F, slot))
-    if not slot or d < _BARRETT_MIN_DEGREE[numpy_prime]:
-        return _Residues(F, f)
-    return _Barrett(F, f)
+    if _packed_slot(F, 2 * d - 1):
+        return _Barrett(F, f)
+    return _Residues(F, f)
 
 
 def ppow_mod(F, base, e: int, mod):

@@ -72,6 +72,34 @@ def test_verify_deterministic_bytes(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_starts_no_more_workers_than_grid_points(capsys, monkeypatch):
+    # a fake pool records its size and maps in this process: no real
+    # process starts
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
+    args = ["verify", "--q", "2,3", "--n", "1..2"]
+    serial = run(capsys, *args, "--workers", "1")
+    assert sizes == []
+    assert run(capsys, *args, "--workers", "64") == serial
+    assert sizes == [4]
+    assert run(capsys, "verify", "--q", "2", "--n", "1", "--workers", "64")[0] == EXIT_OK
+    assert sizes == [4]
+
+
 def test_count_values(capsys):
     assert run(capsys, "count", "v", "--n", "7", "--q", "2") == (EXIT_OK, "49\n", "")
     assert run(capsys, "count", "nb", "--n", "4", "--q", "2") == (EXIT_OK, "2\n", "")

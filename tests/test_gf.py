@@ -267,10 +267,11 @@ def check_prime_kernel(F, a, b):
 
 
 def test_prime_kernel_fast_paths_match_naive_convolution(rng):
-    # pmul/pdivmod take an integer-specialized branch for prime fields,
-    # packed above a work crossover; pin both sides of it against a naive
-    # in-test schoolbook reference
-    shapes = [(1, 1), (3, 5), (8, 8), (9, 7), (12, 5), (64, 64), (70, 200), (300, 260), (257, 3)]
+    # pmul/pdivmod pack over every prime whose sums fit an 8-byte slot,
+    # from 1- and 2-step divisions up; pin them against a naive in-test
+    # schoolbook reference
+    shapes = [(1, 1), (2, 2), (3, 2), (4, 3), (9, 8), (3, 5), (8, 8), (9, 7), (12, 5)]
+    shapes += [(64, 64), (70, 200), (300, 260), (257, 3)]
     for p in KERNEL_PRIMES:
         F = gf.prime_field(p)
         for la, lb in shapes + [(rng.randrange(1, 300), rng.randrange(1, 300)) for _ in range(4)]:
@@ -283,8 +284,8 @@ def test_prime_kernel_fast_paths_match_naive_convolution(rng):
 
 
 def test_pgcd_over_a_prime_field_matches_the_dividing_euclid(rng):
-    # lengths on both sides of the packed Euclid's crossovers, with common
-    # factors of degree 0 to 6, and all-maximal operands
+    # short and long operands, with common factors of degree 0 to 6, and
+    # all-maximal operands
     for p in KERNEL_PRIMES:
         F = gf.prime_field(p)
         shapes = ((7, 6), (8, 8), (9, 3), (19, 19), (21, 20), (45, 30), (80, 79), (120, 2))
@@ -508,9 +509,8 @@ def max_element(F):
 
 
 def test_extension_kernel_matches_schoolbook_loop(rng):
-    # Shapes on both sides of the crossovers, and well above them, with
-    # random and with all-maximal operands, which fill every slot to its
-    # bound.
+    # Shapes from one coefficient up, with random and with all-maximal
+    # operands, which fill every slot to its bound.
     shapes = [(1, 1), (2, 2), (1, 4), (3, 2), (5, 5), (6, 5), (9, 9), (10, 3), (12, 8), (30, 17), (40, 40)]
     for F, L in kernel_fields():
         for la, lb in shapes + [(rng.randrange(1, 40), rng.randrange(1, 40))]:
@@ -585,20 +585,55 @@ def test_extension_kernel_property(operands):
 
 
 def test_pdivmod_inverts_only_a_non_monic_leading_coefficient(monkeypatch, rng):
-    F = gf.base_field(2, 2)
-    inversions = []
-    real_inv = F.inv
-    monkeypatch.setattr(F, "inv", lambda a: inversions.append(a) or real_inv(a))
-    # one shape below the packed crossover (the loop) and one above it
-    for la, lb in ((5, 3), (40, 12)):
-        a = tuple(F.random(rng) for _ in range(la - 1)) + (F.one,)
-        for lead in (F.one, F.from_index(3)):
-            b = tuple(F.random(rng) for _ in range(lb - 1)) + (lead,)
-            inversions.clear()
-            quo, rem = gf.pdivmod(F, a, b)
-            assert gf.padd(F, gf.pmul(F, quo, b), rem) == gf.ptrim(F, a)
-            assert len(rem) < lb
-            assert inversions == ([] if lead == F.one else [lead]), (la, lead)
+    # the packed division over F_4 and the loop over its loop_field
+    F4 = gf.base_field(2, 2)
+    for F in (F4, loop_field(F4)):
+        inversions = []
+        real_inv = F.inv
+        monkeypatch.setattr(F, "inv", lambda a: inversions.append(a) or real_inv(a))
+        for la, lb in ((5, 3), (40, 12)):
+            a = tuple(F.random(rng) for _ in range(la - 1)) + (F.one,)
+            for lead in (F.one, F.from_index(3)):
+                b = tuple(F.random(rng) for _ in range(lb - 1)) + (lead,)
+                inversions.clear()
+                quo, rem = gf.pdivmod(F, a, b)
+                assert gf.padd(F, gf.pmul(F, quo, b), rem) == gf.ptrim(F, a)
+                assert len(rem) < lb
+                assert inversions == ([] if lead == F.one else [lead]), (F, la, lead)
+
+
+def test_the_slot_alone_picks_the_packed_path(monkeypatch, rng):
+    # _barrett, pdivmod and pgcd pack exactly where _packed_slot finds a
+    # slot for their sums, down to 1-step divisions by moduli of degree 1
+    fields = [F for F, _ in kernel_fields()]
+    fields += [gf.prime_field(p) for p in (2, 3, 13, 251, 2**31 - 1, 2**61 - 1)]
+    calls = []  # (packed helper, the field it ran over)
+
+    def recorder(name, real):
+        return lambda F, *args: calls.append((name, F)) or real(F, *args)
+
+    for name in ("_pdivmod_packed", "_pgcd_packed", "_pgcd_ext_packed"):
+        monkeypatch.setattr(gf, name, recorder(name, getattr(gf, name)))
+    for F in fields:
+        p, prime = F.char, isinstance(F, gf.PrimeField)
+        for d in (1, 2, 3, 4):
+            # a non-monic modulus: pdivmod inverts its leading coefficient
+            f = tuple(F.random(rng) for _ in range(d)) + (max_element(F),)
+            slot = gf._packed_slot(F, 2 * d - 1)
+            assert isinstance(gf._barrett(F, f), gf._Barrett) == (slot is not None), (F, d)
+            for la in (d + 1, d + 2, 3 * d):
+                a = tuple(F.random(rng) for _ in range(la - 1)) + (F.one,)
+                calls.clear()
+                gf.pdivmod(F, a, f)
+                slot = gf._packed_slot(F, min(la - d, d + 1) if F.prime_dim * p > 2 else 0, p - 1)
+                assert (("_pdivmod_packed", F) in calls) == (slot is not None), (F, d, la)
+                calls.clear()
+                gf.pgcd(F, a, f)
+                if prime:
+                    name, slot = "_pgcd_packed", gf._packed_slot(F, d + 1 if p > 2 else 0, p - 1)
+                else:
+                    name, slot = "_pgcd_ext_packed", gf._packed_slot(F, p)
+                assert ((name, F) in calls) == (slot is not None), (F, d, la)
 
 
 def test_pdivmod_by_a_constant_is_a_scaling(monkeypatch, rng):

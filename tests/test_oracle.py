@@ -617,8 +617,8 @@ def _frobenius_fields():
         gf.extension(F4, 3), gf.extension(F9, 2), gf.extension(gf.field_of_order(16), 4),
         gf.extension(gf.extension(F4, 2), 3),  # a depth-3 tower
         gf.extension(F3, 4),  # a byte Barrett context over odd p
-        gf.extension(F2, 1), gf.extension(F9, 1), gf.extension(F4, 1),  # below _BARRETT_MIN_DEGREE
-        gf.extension(gf.prime_field(11), 3),  # below it where numpy reduces F_p
+        gf.extension(F2, 1), gf.extension(F9, 1), gf.extension(F4, 1),  # degree-1 _Barrett contexts
+        gf.extension(gf.prime_field(11), 3),  # a context where numpy reduces F_p's slots
         gf.base_field(65521, 2),
         gf.ExtensionField(gf.prime_field(2**61 - 1), (1, 0, 1)),  # no 8-byte slot
         gf.extension(gf.base_field(2**61 - 1, 2), 2),  # a base with no 8-byte slot
@@ -629,19 +629,21 @@ def test_frobenius_matrix_and_conjugates_match_frobenius():
     # the chain-built matrix against the matrix of ext.frobenius, pow(a, q),
     # and conjugate_matrix against iterated ext.frobenius
     rng = np.random.default_rng(15)
-    residues = 0
-    for ext in _frobenius_fields():
+    fields, residues = _frobenius_fields(), []
+    for ext in fields:
         mat = _linalg.frobenius_matrix(ext)
         want = linear_map_matrix(ext.frobenius, ext)
         assert mat.dtype == want.dtype and np.array_equal(mat, want), ext
-        residues += not isinstance(gf._barrett(ext.base, ext.modulus), gf._Barrett)
+        if not isinstance(gf._barrett(ext.base, ext.modulus), gf._Barrett):
+            residues.append(ext)
         for _ in range(4):
             a = ext.from_prime_coords(tuple(int(c) for c in rng.integers(0, ext.char, ext.prime_dim)))
             rows = [a]
             for _ in range(ext.degree - 1):
                 rows.append(ext.frobenius(rows[-1]))
             assert conjugate_matrix(a, ext) == rows, (ext, a)
-    assert residues >= 4
+    # _Residues runs exactly where no 8-byte slot holds the products
+    assert residues == fields[-2:]
     # past 64 bits the matrix holds Python ints
     ext = gf.ExtensionField(gf.prime_field(2**64 + 13), (3, 0, 1))
     assert _linalg.frobenius_matrix(ext).dtype == object
