@@ -8,8 +8,8 @@ products and a batched Gaussian elimination, which is what makes
 enumerating 2^20 elements practical in pure Python + numpy.  Every dtype
 of residues is picked here: dtype_for and exact_dtype store them, and
 matmul_mod multiplies matrices of them in the dtype of one rule, dot_dtype,
-which also types gf._reduce's fold.  Only gf._canon's packed read and the
-one-row chain of oracle._conjugate_coords multiply in dtypes of their own.
+which also types gf._reduce's fold.  Only the one-row chain of
+oracle._conjugate_coords multiplies in a dtype of its own.
 
 field_orbits is the one whole-field engine: Frobenius and the scalars of
 F_q* permute the elements, normality and every operator built from
@@ -105,7 +105,7 @@ def frobenius_matrix(ext) -> np.ndarray:
     return mat
 
 
-# Cached: rank over an extension base and each per-candidate _fold read it (21 us uncached).
+# Cached: gf.rank over an extension base reads it at every call (21 us uncached).
 @functools.lru_cache(maxsize=128)
 def basis_scalar_matrices(field) -> np.ndarray:
     """The k x k matrices of multiplication by each F_p-basis scalar u_j of

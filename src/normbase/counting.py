@@ -107,7 +107,9 @@ def _prime_power_root(q: int) -> tuple[int, int] | None:
     """(p, k) with q = p^k and p prime, or None; ValueError from is_prime
     (a probable prime too large to prove) passes through.  A q with a
     prime factor among _MR_BASES is a power of that prime or of none;
-    otherwise p >= 43, so k <= log_43(q)."""
+    otherwise p >= 43, so k <= log_43(q).  Roots come before is_prime
+    (seconds on 43^2000), at prime k alone: an r^k with k composite is
+    also a j-th power for each prime j | k, and a prime power iff r is."""
     if q < 2:
         return None
     for b in _MR_BASES:
@@ -116,13 +118,11 @@ def _prime_power_root(q: int) -> tuple[int, int] | None:
             while q % b == 0:
                 q, k = q // b, k + 1
             return (b, k) if q == 1 else None
-    if is_prime(q):
-        return q, 1
     for k in range(2, int(math.log(q, 43)) + 2):
-        r = _iroot(q, k)
-        if r**k == q and is_prime(r):
-            return r, k
-    return None
+        if is_prime(k) and (r := _iroot(q, k)) ** k == q:
+            split = _prime_power_root(r)
+            return None if split is None else (split[0], split[1] * k)
+    return (q, 1) if is_prime(q) else None
 
 
 def prime_power_split(q: int) -> tuple[int, int]:

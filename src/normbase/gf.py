@@ -161,13 +161,14 @@ class PrimeField:
 # 2k - 2) fits in place without reduction.  Polynomial coefficient i
 # starts at slot i * stride.
 # A slot is sized from the largest sum it will hold, so no slot ever
-# carries into the next.  A raw coefficient is brought back to canonical
-# form only when it is read: its slots mod p, then the F_p-linear map
-# ExtensionField._fold, which reduces mod every modulus of the tower.
-# Over F_p and F_p[y]/(f) (not towers) it stays in the int wherever the
-# slots allow (_reduce_int): a slot mod 2 is its low bit at every width,
-# 1-byte slots over odd p go mod p by one bytes.translate, and then a
-# Barrett quotient in y.  Wider slots over odd p keep numpy.
+# carries into the next.  Raw slots are brought back to canonical form by
+# _reduce, and canonical ones become elements by _read alone.  Over F_p
+# and F_p[y]/(f) (not towers) _reduce stays in the int wherever the slots
+# allow (_reduce_int): a slot mod 2 is its low bit at every width, 1-byte
+# slots over odd p go mod p by one bytes.translate, and then a Barrett
+# quotient in y.  Elsewhere it takes the slots mod p in numpy and, over
+# an extension, multiplies them by ExtensionField._unit_fold, the
+# F_p-linear map that reduces mod every modulus of the tower.
 _SLOT_CODES = tuple((code, 8 * array(code).itemsize) for code in "BHIQ")
 _SLOT_DTYPES = {code: np.dtype(code).newbyteorder("<") for code, _ in _SLOT_CODES}
 
@@ -233,22 +234,25 @@ def _unit_slots(F) -> list:
     return [i * F.base._stride + s for i in range(F.degree) for s in inner]
 
 
-def _canon(F, raw: int, count: int, slot):
-    """The canonical elements of F (list, array or bytes) that count raw
-    packed elements stand for (raw: count * F._stride unreduced slots)."""
-    p, n = F.char, count * F._stride
-    if _int_reduces(F, slot):
-        words = _unpack(_reduce_int(F, raw, count, slot), n, slot)
-        if isinstance(F, PrimeField):
-            return words
-        return [tuple(words[i : i + F.degree]) for i in range(0, n, F._stride)]
-    words = _unpack(raw, n, slot)
+def _read(F, x: int, count: int, slot):
+    """The count elements of F (list, array or bytes) packed canonically
+    in x: over F_p its words, over F_p[y]/(f) the first k slots of each
+    element's stride, and over a tower the slots of its prime coordinates
+    (_unit_slots)."""
+    n = count * F._stride
+    words = _unpack(x, n, slot)
     if isinstance(F, PrimeField):
-        return [c % p for c in words]
-    # Reduction is F_p-linear on the slots mod p, so one matrix product
-    # reduces every element at once.
-    slots = np.frombuffer(words, dtype=slot[0]).reshape(count, F._stride)
-    return _elements(F, (slots % p @ F._fold % p).tolist())
+        return words
+    if isinstance(F.base, PrimeField):
+        return [tuple(words[i : i + F.degree]) for i in range(0, n, F._stride)]
+    units = _unit_slots(F)
+    return _elements(F, [[words[i + u] for u in units] for i in range(0, n, F._stride)])
+
+
+def _canon(F, raw: int, count: int, slot):
+    """The canonical elements of F that count raw packed elements stand
+    for (raw: count * F._stride unreduced slots)."""
+    return _read(F, _reduce(F, raw, count, slot), count, slot)
 
 
 def _reduce(F, raw: int, n: int, slot) -> int:
@@ -445,7 +449,7 @@ def _pdivmod_packed(F, a, b, steps, slot):
         while (k := rem.bit_length() - bb.bit_length()) >= 0:
             rem ^= bb << k
             quo |= 1 << k
-        return tuple(_unpack(quo, steps, slot)), ptrim(F, _unpack(rem, lb - 1, slot))
+        return tuple(_read(F, quo, steps, slot)), ptrim(F, _read(F, rem, lb - 1, slot))
     width = F._stride * slot[1]
     mask = (1 << width) - 1
     p, zero, one = F.char, F.zero, F.one
@@ -526,7 +530,7 @@ def _pgcd_packed(F, a, b, slot) -> tuple:
             while (k := r0.bit_length() - r1.bit_length()) >= 0:
                 r0 ^= r1 << k
             r0, r1 = r1, r0
-        return (1,) if r1 else tuple(_unpack(r0, (r0.bit_length() + w - 1) // w, slot))
+        return (1,) if r1 else tuple(_read(F, r0, (r0.bit_length() + w - 1) // w, slot))
     if n0 < n1:
         r0, r1, n0, n1 = r1, r0, n1, n0
     while n1 > 0:
@@ -539,7 +543,7 @@ def _pgcd_packed(F, a, b, slot) -> tuple:
         r0 = _reduce(F, r0 & (1 << n1 * w) - 1, n1, slot)
         r0, r1, n0, n1 = r1, r0, n1, (r0.bit_length() - 1) // w
     # a constant remainder divides every polynomial
-    return (1,) if n1 == 0 else tuple(_unpack(r0, n0 + 1, slot))
+    return (1,) if n1 == 0 else tuple(_read(F, r0, n0 + 1, slot))
 
 
 def _pgcd_ext_packed(F, a, b, slot) -> tuple:
@@ -568,7 +572,7 @@ def _pgcd_ext_packed(F, a, b, slot) -> tuple:
         r, s, nr, ns = s, r, ns, nr
     if ns:  # a constant divides every polynomial
         r, nr = s, ns
-    return tuple(_canon(F, r, nr, slot))
+    return tuple(_read(F, r, nr, slot))
 
 
 class _Residues:
@@ -628,8 +632,6 @@ class _Barrett(_Residues):
         # over F_2 one AND cuts a product to n slots and takes them mod 2
         two = isinstance(F, PrimeField) and F.p == 2
         self.low_bits = two and {n: _mod_slots(F, m, n, slot[1]) for n, m in self.masks.items()}
-        if isinstance(F, ExtensionField):
-            self.units = _unit_slots(F)
         mu = pdivmod(F, _monomial(F, 2 * d - 1), f)[0]
         self.mu = self.pack(mu)
         self.neg_f = _pack([-c % F.char for c in _slots(F, f)], slot)
@@ -639,12 +641,7 @@ class _Barrett(_Residues):
         return _pack(_slots(self.F, coeffs), self.slot)
 
     def unpack(self, x: int):
-        F = self.F
-        words = _unpack(x, self.d * F._stride, self.slot)
-        if isinstance(F, PrimeField):
-            return ptrim(F, words)
-        rows = np.frombuffer(words, dtype=self.slot[0]).reshape(self.d, F._stride)
-        return ptrim(F, _elements(F, rows[:, self.units].tolist()))
+        return ptrim(self.F, _read(self.F, x, self.d, self.slot))
 
     def _reduce(self, raw: int, n: int) -> int:
         """The canonical packed form of the low n coefficients of raw."""
@@ -710,9 +707,9 @@ def pdistinct_degree(F, f):
     multiplied mod f and the block takes one gcd with f, and only a
     nontrivial block gcd is resolved, by gcd(h_k - x, g) for increasing k.
     Each of those is exactly the degree-k part, as every factor of degree
-    below s is already divided out.  While q^k < deg f, h_k is the monomial
-    x^(q^k) itself, and while q^k < 2 deg f it is one division of that
-    monomial by f, no longer than the one that builds a context; a context
+    below s is already divided out.  While q^k < 2 deg f, h_k is one
+    division of the monomial x^(q^k) by f (the monomial itself while
+    q^k < deg f), no longer than the one that builds a context; a context
     is built only at the first step that must raise a residue to the q-th
     power, so a candidate rejected before it builds none, and again only
     after a factor is divided out."""
@@ -725,9 +722,7 @@ def pdistinct_degree(F, f):
         parts = []  # h_k - x for k = s .. t
         while k < t:
             k += 1
-            if (e := q**k) < d:
-                h = _monomial(F, e)
-            elif e < 2 * d:
+            if (e := q**k) < 2 * d:
                 h = pdivmod(F, _monomial(F, e), f)[1]
             else:
                 if ctx is None:
@@ -908,35 +903,28 @@ class ExtensionField:
         return tuple(coeffs) + (self.base.zero,) * (self.degree - len(coeffs))
 
     @functools.cached_property
-    def _fold(self):
-        """The packed kernel's reduction, which is F_p-linear on the raw
-        slots taken mod p: row s of this (_stride x prime_dim) matrix holds
-        the prime coordinates of the element that a one in raw slot s
-        stands for.  The slots of coefficient j stand for x^j times the
-        base's fold rows: for j < n those rows at coordinate j, and after
-        that the rows of j - 1 times by_x, the prime-coordinate matrix of
-        multiplication by x."""
+    def _unit_fold(self):
+        """The packed kernel's reduction, F_p-linear on the raw slots mod
+        p: row s of this (_stride x _stride) matrix, in _linalg.dot_dtype,
+        holds at _unit_slots the prime coordinates of the element that a
+        one in raw slot s stands for.  The slots of coefficient j stand for
+        x^j times the base's fold rows: for j < n those rows at coordinate
+        j, after that the rows of j - 1 times by_x, the prime-coordinate
+        matrix of multiplication by x."""
         base, p, n, k = self.base, self.char, self.degree, self.base.prime_dim
         dim, dt = n * k, _linalg.exact_dtype(p)
         by_x = np.eye(dim, dim, k, dtype=dt)
         neg_f = np.array(self.prime_coords(pneg(base, self.modulus[:-1])), dtype=dt)
         by_x[dim - k :] = neg_f if k == 1 else _linalg.scale_by_basis(neg_f, base)
         low = np.zeros((n, base._stride, n, k), dtype=dt)
-        low[np.arange(n), :, np.arange(n)] = base._fold if k > 1 else 1
+        low[np.arange(n), :, np.arange(n)] = base._unit_fold[:, _unit_slots(base)] if k > 1 else 1
         rows = [low.reshape(-1, dim)]
         top = rows[0][-base._stride :]
         for _ in range(n - 1):
             top = _linalg.matmul_mod(top, by_x, p)
             rows.append(top)
-        return np.concatenate(rows).astype(np.uint64)
-
-    @functools.cached_property
-    def _unit_fold(self):
-        """_fold with its prime coordinates moved to their packed slots: the
-        (_stride x _stride) matrix that _reduce multiplies raw slots by, in
-        the dtype _linalg.dot_dtype picks for its sums."""
-        fold = np.zeros((self._stride, self._stride), _linalg.dot_dtype(self.char, self._stride))
-        fold[:, _unit_slots(self)] = self._fold
+        fold = np.zeros((self._stride, self._stride), _linalg.dot_dtype(p, self._stride))
+        fold[:, _unit_slots(self)] = np.concatenate(rows)
         return fold
 
     def validate(self, a) -> None:

@@ -227,11 +227,16 @@ def linear_map_matrix(func, ext) -> np.ndarray:
 
 
 def fold_by_pmod(ext) -> np.ndarray:
-    """ext._fold's matrix built one slot at a time: row (j, s) holds the
-    prime coordinates of x^j mod f times the element that a one in the
-    base's raw slot s stands for, by one pmod and one base product each."""
+    """ext._unit_fold's prime-coordinate columns built one slot at a time:
+    row (j, s) holds the prime coordinates of x^j mod f times the element
+    that a one in the base's raw slot s stands for, by one pmod and one
+    base product each."""
     base = ext.base
-    units = [base.one] if isinstance(base, gf.PrimeField) else gf._elements(base, base._fold.tolist())
+    if isinstance(base, gf.PrimeField):
+        units = [base.one]
+    else:
+        fold = base._unit_fold[:, gf._unit_slots(base)].astype(np.uint64)
+        units = gf._elements(base, fold.tolist())
     rows = []
     for j in range(2 * ext.degree - 1):
         xj = ext._pad(gf.pmod(base, gf._monomial(base, j), ext.modulus))

@@ -80,6 +80,22 @@ def test_prime_power_split_of_huge_q():
     assert time.perf_counter() - start < 2
 
 
+def test_prime_power_split_of_huge_q_with_a_large_base():
+    # no prime factor below 43: roots at prime exponents are taken before
+    # is_prime, which on 43^2000 alone took 2.7 s, and a root that hits is
+    # split again (43^2000 is the square of 43^1000, and so on)
+    start = time.perf_counter()
+    assert prime_power_split(43**2000) == (43, 2000)
+    assert prime_power_split(43**6) == (43, 6)
+    assert prime_power_split(47**35) == (47, 35)
+    assert prime_power_split(1009**12) == (1009, 12)
+    assert not is_prime_power((43 * 47) ** 2)
+    assert not is_prime_power(43**7 + 2)
+    assert time.perf_counter() - start < 2
+    with pytest.raises(ValueError, match="cannot prove"):
+        prime_power_split(2**127 - 1)
+
+
 def test_prime_power_split_matches_every_root():
     def every_root(q):
         if q < 2:

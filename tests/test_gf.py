@@ -412,8 +412,9 @@ def test_fold_matches_the_pmod_reference():
         gf.base_field(2**31 - 1, 2), gf.base_field(2**31 + 11, 2),
     ]
     for ext in fields:
-        want = fold_by_pmod(ext)
-        assert ext._fold.dtype == want.dtype and ext._fold.tobytes() == want.tobytes(), ext
+        want, fold = fold_by_pmod(ext), ext._unit_fold
+        assert fold.dtype == _linalg.dot_dtype(ext.char, ext._stride), ext
+        assert fold[:, gf._unit_slots(ext)].astype(np.uint64).tobytes() == want.tobytes(), ext
 
 
 def pcoprime_fields():
@@ -636,6 +637,28 @@ def test_the_slot_alone_picks_the_packed_path(monkeypatch, rng):
                 assert ((name, F) in calls) == (slot is not None), (F, d, la)
 
 
+def test_read_inverts_the_packed_layout(rng):
+    # _read of canonically packed elements gives them back, over every
+    # kernel field with a slot (towers of depth 2 and 3 gather their prime
+    # coordinates, F_p[y]/(m) slices each stride) and their prime fields,
+    # at every slot width from the narrowest that holds a product; and a
+    # _Barrett context unpacks a packed residue to it, trimmed
+    fields = [F for F, _ in kernel_fields() if F._read_slot]
+    fields += [gf.prime_field(p) for p in (2, 3, 251, 65521, 2**31 - 1)]
+    for F in fields:
+        elems = [max_element(F), F.zero] + [F.random(rng) for _ in range(5)]
+        for slot in gf._SLOT_CODES[gf._SLOT_CODES.index(F._read_slot) :]:
+            packed = gf._pack(gf._slots(F, elems), slot)
+            assert list(gf._read(F, packed, len(elems), slot)) == elems, (F, slot)
+        for d in (1, 2, 3):
+            if gf._packed_slot(F, 2 * d - 1) is None:
+                continue
+            f = tuple(F.random(rng) for _ in range(d)) + (F.one,)
+            ctx = gf._Barrett(F, f)
+            for a in (elems[:d], [max_element(F)] * (d - 1) + [F.zero], [F.zero] * d):
+                assert ctx.unpack(ctx.pack(a)) == gf.ptrim(F, a), (F, d, a)
+
+
 def test_pdivmod_by_a_constant_is_a_scaling(monkeypatch, rng):
     # A constant divisor c gives (a c^-1, ()), with no long division: the
     # packed division and the field's subtraction (the loop's inner step)
@@ -769,7 +792,7 @@ def check_int_reduce(F, n, slot, words):
     """_reduce and _canon on the int over F_p or F_p[y]/(f), on n raw packed
     elements (words: their slots), against the slots mod p and, over an
     extension, the _unit_fold product that towers and wider odd-p slots
-    reduce by, and the _fold matrix."""
+    reduce by, and the prime coordinates that product leaves."""
     assert gf._int_reduces(F, slot), (F, slot)
     p, raw = F.char, gf._pack(words, slot)
     dt = np.dtype(slot[0]).newbyteorder("<")
@@ -777,7 +800,8 @@ def check_int_reduce(F, n, slot, words):
     if isinstance(F, gf.PrimeField):
         want, coords = slots, slots
     else:
-        want, coords = slots @ F._unit_fold.astype(np.uint64) % p, slots @ F._fold % p
+        want = slots @ F._unit_fold.astype(np.uint64) % p
+        coords = want[:, gf._unit_slots(F)]
     assert gf._reduce(F, raw, n, slot) == int.from_bytes(want.astype(dt).tobytes(), "little"), (F, n, slot)
     assert list(gf._canon(F, raw, n, slot)) == [F.from_prime_coords(c) for c in coords.tolist()], (F, n)
 
