@@ -3,18 +3,20 @@
 Fields of order p^D are F_p-vector spaces; every F_q-linear map (Frobenius,
 scalar multiplication, any linearized operator) is also F_p-linear and so
 becomes a D x D integer matrix mod p, and a bijective one also permutes the
-element indices.  Whole-field scans then reduce to index gathers, matrix
-products and a batched Gaussian elimination, which is what makes
-enumerating 2^20 elements practical in pure Python + numpy.  Every dtype
+element indices.  Whole-field scans then reduce to index gathers and
+matrix products, which is what makes enumerating 2^20 elements practical
+in pure Python + numpy.  The batched Gaussian elimination,
+batched_rank_full, is the rank-based reference the tests hold those
+scans to; no scan of the library calls it.  Every dtype
 of residues is picked here: dtype_for and exact_dtype store them, and
 matmul_mod multiplies matrices of them in the dtype of one rule, dot_dtype,
 which also types gf._reduce's fold.  Only the one-row chain of
 oracle._conjugate_coords multiplies in a dtype of its own.
 
 field_orbits is the one whole-field engine: Frobenius and the scalars of
-F_q* permute the elements, normality and every operator built from
+F_q* permute the elements, and normality and every operator built from
 Frobenius with F_q coefficients are constant on their orbits, so the
-rank tests and operator evaluations run on one element per orbit.
+operator evaluations that decide normality run on one element per orbit.
 """
 
 from __future__ import annotations
@@ -133,16 +135,6 @@ def scale_by_basis(vectors: np.ndarray, field) -> np.ndarray:
 def apply_map(vectors: np.ndarray, mat: np.ndarray, p: int) -> np.ndarray:
     """(N, D) coordinate rows through a (D, D) map, reduced mod p."""
     return matmul_mod(vectors, mat.T, p)
-
-
-def independent_over_base(coords: np.ndarray, field) -> np.ndarray:
-    """For a (B, n, n*k) batch of n elements each of a degree-n extension of
-    field = F_q, q = p^k, given by prime coordinates, whether each member's
-    n elements are independent over F_q: full F_p-rank of the elements
-    scaled by every F_p-basis scalar of F_q, or over F_p of coords."""
-    if field.prime_dim > 1:
-        coords = scale_by_basis(coords, field).reshape(len(coords), coords.shape[2], coords.shape[2])
-    return batched_rank_full(coords, field.char)
 
 
 def index_coords(idx: np.ndarray, p: int, dim: int) -> np.ndarray:
@@ -270,36 +262,6 @@ def field_orbits(ext) -> tuple[np.ndarray, np.ndarray]:
     return rep, np.stack(conj, axis=1)
 
 
-def _rank_full_gf2_words(work: np.ndarray, m: int) -> np.ndarray:
-    """Rank-fullness over F_2 of a (B, m) batch of m x m matrices whose
-    rows are packed into uint32 words, column j at bit j: the elimination
-    step becomes one masked XOR per column.  work is overwritten."""
-    nbatch = len(work)
-    ok = np.ones(nbatch, dtype=bool)
-    bidx = np.arange(nbatch)
-    for c in range(m):
-        bits = (work[:, c:] >> np.uint32(c)) & np.uint32(1)
-        ok &= bits.any(axis=1)
-        piv = c + np.argmax(bits, axis=1)
-        row_c = work[bidx, c].copy()
-        row_p = work[bidx, piv].copy()
-        work[bidx, c] = row_p
-        work[bidx, piv] = row_c
-        if c + 1 < m:
-            sel = ((work[:, c + 1 :] >> np.uint32(c)) & np.uint32(1)).astype(bool)
-            work[:, c + 1 :] ^= np.where(sel, work[:, c, None], np.uint32(0))
-    return ok
-
-
-def independent_gf2_indices(idx: np.ndarray) -> np.ndarray:
-    """For a (B, m) batch of element indices of F_{2^m}, m <= 32, whether
-    each member's m elements are independent over F_2.  An index is its
-    element's coordinate row read as bits (most significant coordinate
-    first), and rank does not depend on the order of the columns, so the
-    indices go to the word kernel as they are, with no digit decoding."""
-    return _rank_full_gf2_words(idx.astype(np.uint32), idx.shape[1])
-
-
 def batched_rank_full(mats: np.ndarray, p: int) -> np.ndarray:
     """For a (B, m, m) batch of matrices over F_p, whether each has rank m.
 
@@ -308,19 +270,31 @@ def batched_rank_full(mats: np.ndarray, p: int) -> np.ndarray:
     inverse and keeps every rank.  The pivot for every batch member is the
     first nonzero entry in the current column (deterministic, and batch
     members that go singular are masked out via the returned flags rather
-    than aborting the elimination)."""
+    than aborting the elimination).  Over F_2 up to m = 32 the rows are
+    packed into uint32 words, column j at bit j, and the elimination step
+    becomes one masked XOR per column."""
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValueError("expected a (B, m, m) batch")
-    if p == 2 and mats.shape[1] <= 32:
-        m = mats.shape[1]
-        work = np.zeros(mats.shape[:2], dtype=np.uint32)
-        for j in range(m):
-            work |= (mats[:, :, j].astype(np.uint32) & np.uint32(1)) << np.uint32(j)
-        return _rank_full_gf2_words(work, m)
-    work = mats.astype(dtype_for(p, 2)) % p
-    nbatch, m, _ = work.shape
+    nbatch, m, _ = mats.shape
     ok = np.ones(nbatch, dtype=bool)
     bidx = np.arange(nbatch)
+    if p == 2 and m <= 32:
+        work = np.zeros((nbatch, m), dtype=np.uint32)
+        for j in range(m):
+            work |= (mats[:, :, j].astype(np.uint32) & np.uint32(1)) << np.uint32(j)
+        for c in range(m):
+            bits = (work[:, c:] >> np.uint32(c)) & np.uint32(1)
+            ok &= bits.any(axis=1)
+            piv = c + np.argmax(bits, axis=1)
+            row_c = work[bidx, c].copy()
+            row_p = work[bidx, piv].copy()
+            work[bidx, c] = row_p
+            work[bidx, piv] = row_c
+            if c + 1 < m:
+                sel = ((work[:, c + 1 :] >> np.uint32(c)) & np.uint32(1)).astype(bool)
+                work[:, c + 1 :] ^= np.where(sel, work[:, c, None], np.uint32(0))
+        return ok
+    work = mats.astype(dtype_for(p, 2)) % p
     for c in range(m):
         col = work[:, c:, c]
         nz = col != 0

@@ -199,10 +199,15 @@ def normal_element_count(n: int, q: int) -> int:
 
 def normal_basis_count(n: int, q: int) -> int:
     """normal_element_count / n; each basis is generated by exactly n elements."""
-    v = normal_element_count(n, q)
-    if v % n != 0:
-        raise VerificationError(f"normal-element count {v} not divisible by n = {n}")
-    return v // n
+    return _divided(normal_element_count(n, q), n, "normal-element count", "n")
+
+
+def _divided(num: int, den: int, what: str, den_name: str) -> int:
+    """num // den for a closed form whose division must be exact; raises
+    VerificationError naming both sides when it is not."""
+    if num % den != 0:
+        raise VerificationError(f"{what} {num} not divisible by {den_name} = {den}")
+    return num // den
 
 
 def _m_divisor_trace_sum(n: int, q: int) -> int:
@@ -222,10 +227,7 @@ def irr_count_trace(n: int, q: int, t: int = 1) -> int:
             "the per-trace formula needs t != 0; "
             "use zero_trace_irr_count for the trace-zero count"
         )
-    total = _m_divisor_trace_sum(n, q)
-    if total % (q * n) != 0:
-        raise VerificationError(f"trace sum {total} not divisible by q*n = {q * n}")
-    return total // (q * n)
+    return _divided(_m_divisor_trace_sum(n, q), q * n, "trace sum", "q*n")
 
 
 def nonzero_trace_irr_count(n: int, q: int) -> int:
@@ -254,11 +256,7 @@ def inequality_sides(n: int, q: int) -> tuple[int, int]:
 
     The division by q is exact because every summand has n/d >= 1."""
     lhs = normal_element_count(n, q)
-    total = _m_divisor_trace_sum(n, q)
-    if total % q != 0:
-        raise VerificationError(f"trace sum {total} not divisible by q = {q}")
-    rhs = (q - 1) * (total // q)
-    return lhs, rhs
+    return lhs, (q - 1) * _divided(_m_divisor_trace_sum(n, q), q, "trace sum", "q")
 
 
 def equality_predicate(n: int, q: int) -> bool:
@@ -372,10 +370,13 @@ def build_report(q: int, n: int) -> CountReport:
     """Closed-form report for one grid point, with the counting inequality's
     invariants enforced: lhs <= rhs always, and equality exactly on
     predicate-true points.  A violation raises VerificationError and means a
-    bug."""
+    bug.  Each closed form is evaluated once: lhs is also v, and the trace
+    sum gives both rhs and the nonzero-trace irreducibles."""
     p, _ = prime_power_split(q)
     s = split_n(n, p)
-    lhs, rhs = inequality_sides(n, q)
+    lhs = normal_element_count(n, q)
+    total = _m_divisor_trace_sum(n, q)
+    rhs = (q - 1) * _divided(total, q, "trace sum", "q")
     predicate = equality_predicate(n, q)
     if lhs > rhs:
         raise VerificationError(f"lhs {lhs} > rhs {rhs} at q={q}, n={n}")
@@ -384,8 +385,8 @@ def build_report(q: int, n: int) -> CountReport:
             f"equality is {lhs == rhs} but the classification says {predicate} "
             f"at q={q}, n={n}"
         )
-    nb = normal_basis_count(n, q)
-    irr_nonzero = nonzero_trace_irr_count(n, q)
+    nb = _divided(lhs, n, "normal-element count", "n")
+    irr_nonzero = (q - 1) * _divided(total, q * n, "trace sum", "q*n")
     if rhs != n * irr_nonzero:
         raise VerificationError(f"rhs {rhs} != n * irreducible count at q={q}, n={n}")
     return CountReport(

@@ -6,8 +6,11 @@ ordinary multiplication of associates and divisibility transfers the same
 way, so the expanded operator (degree q^deg) never needs to be built.
 Evaluation uses iterated Frobenius.  operator_matrix is an operator's F_p
 matrix, by Horner's rule on the field's one _linalg.frobenius_matrix, and
-whole-field root counting applies it to one element per orbit of
-<F_q*> x <Frobenius> (_linalg.field_orbits).
+nonzero_images applies it to one element per orbit of <F_q*> x
+<Frobenius> (_linalg.field_orbits).  Whole-field root counting asks it of
+an operator and its single-part-omitted cofactors, and the root census
+(oracle) decides normality with it: an element is normal exactly when no
+cofactor (x^n - 1)/f of x^n - 1 kills it.
 """
 
 from __future__ import annotations
@@ -214,6 +217,18 @@ def refine(fact: Factorization, part_index: int, g: Poly, h: Poly) -> Factorizat
     return Factorization(sorted(parts, key=lambda bm: bm[0].sort_key()), False)
 
 
+def nonzero_images(associates, ext, idx: np.ndarray) -> list[np.ndarray]:
+    """For each associate over ext's base field, whether its operator
+    sends each element of the given indices to a nonzero element: one
+    operator_matrix and one product of the elements' prime coordinates
+    through it per associate."""
+    coords = _linalg.index_coords(idx, ext.char, ext.prime_dim)
+    return [
+        _linalg.apply_map(coords, operator_matrix(QPoly(assoc), ext), ext.char).any(axis=1)
+        for assoc in associates
+    ]
+
+
 def _survivor_mask(fact: SymbolicFactorization, ext, budget=None):
     fact.validate()
     if ext.base != fact.field:
@@ -229,11 +244,8 @@ def _survivor_mask(fact: SymbolicFactorization, ext, budget=None):
     # scalars of F_q, so the mask is constant on orbits: apply each
     # operator's matrix to the representatives alone, and gather.
     rep, conj = _linalg.field_orbits(ext)
-    coords = _linalg.index_coords(conj[:, 0], ext.char, ext.prime_dim)
-    moved = [
-        _linalg.apply_map(coords, operator_matrix(QPoly(assoc), ext), ext.char).any(axis=1)
-        for assoc in [full] + [full // part.associate for part, _ in fact.parts]
-    ]
+    cofactors = [full // part.associate for part, _ in fact.parts]
+    moved = nonzero_images([full] + cofactors, ext, conj[:, 0])
     alive = ~moved[0] & np.logical_and.reduce(moved[1:])
     survives = np.zeros(ext.order, dtype=bool)
     survives[conj[:, 0]] = alive

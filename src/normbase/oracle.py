@@ -14,11 +14,15 @@ The whole-field counts come from the roots, up to the element budget
 Frobenius orbit of n elements of F_{q^n}, it is an N-polynomial when the
 orbit is normal, and its x^(n-1) coefficient is -Tr of a root.  So one
 pass over the orbits of <F_q*> x <Frobenius> (_linalg.field_orbits), with
-the rank predicate as batched F_p linear algebra on one representative
-per orbit, gives the normal elements, the N-polynomials and, through an
-index map of the trace, the irreducibles of each trace coefficient
-(root_census); count_normal_elements takes the normal elements alone and
-builds no trace map.
+normality as the annihilator criterion (no cofactor (x^n - 1)/f of an
+irreducible factor f kills the element) on one representative per orbit,
+the same linearized operators as linearized.root_count_by_enumeration,
+gives the normal elements, the N-polynomials and, through an index map
+of the trace, the irreducibles of each trace coefficient (root_census);
+count_normal_elements takes the normal elements alone and builds no
+trace map.  No elimination runs there: the rank criterion stays with
+is_normal, and the tests hold every whole-field count to a rank-based
+reference.
 
 The irreducibles themselves come from one lister, scan_irreducibles: a
 lazy walk over the monic candidates of one degree in lexicographic order,
@@ -129,9 +133,9 @@ def extension_for(q: int, n: int):
 
 
 def count_normal_elements(ext, budget=None) -> int:
-    """Exhaustive count of normal elements: the rank criterion as batched
-    elimination over F_p on one representative per orbit of <F_q*> x
-    <Frobenius>."""
+    """Exhaustive count of normal elements: the cofactor operators of
+    x^n - 1 applied to one representative per orbit of <F_q*> x
+    <Frobenius>, as in _orbit_census."""
     gf.check_element_budget(ext.order, budget)
     return _orbit_census(ext, traces=False).v
 
@@ -161,30 +165,33 @@ def _orbit_census(ext, traces: bool) -> RootCensus:
     element through its representative.  Without traces, trace_counts is
     None and no trace map is built.
 
+    An element is normal exactly when its Frobenius annihilator is
+    x^n - 1, that is, when no cofactor (x^n - 1)/f, f an irreducible
+    factor of x^n - 1, kills it; the cofactors are linearized operators,
+    applied to the representatives as root_count_by_enumeration applies
+    them (linearized.nonzero_images).  At n = p^e m the cofactor removes
+    one copy of f, not all p^e of them.
+
     Two facts are checked on the way, as they hold for every normal
     element: its Frobenius orbit has exactly n elements (a normal element
     has degree n), and its trace, the sum of its conjugates, is nonzero
     (the element-side form of the containment of N-polynomials among the
-    irreducibles of nonzero trace)."""
-    p, n, q = ext.char, ext.degree, ext.base.order
+    irreducibles of nonzero trace).  The -Tr matrix that checks the trace
+    also gives the trace map."""
+    p, n, q, F = ext.char, ext.degree, ext.base.order, ext.base
     rep, conj = _linalg.field_orbits(ext)
-    if q == 2 and n <= 32:
-        # an index is its element's F_2 coordinate row as bits, so a sum
-        # of elements is the XOR of their indices
-        normal = _linalg.independent_gf2_indices(conj[:, :n])
-        trace_nonzero = np.bitwise_xor.reduce(conj[normal, :n], axis=1) != 0
-    else:
-        rows = _linalg.index_coords(conj[:, :n], p, ext.prime_dim)
-        normal = _linalg.independent_over_base(rows, ext.base)
-        trace = rows[normal].sum(axis=1, dtype=_linalg.dtype_for(p, n))
-        trace_nonzero = _linalg.reduce_mod(trace, p).any(axis=1)
+    full = polyring.x_pow_minus_one(n, F)
+    cofactors = [full // f for f, _ in polyring.factor_xn_minus_1(n, F).flatten().parts]
+    normal = np.logical_and.reduce(linearized.nonzero_images(cofactors, ext, conj[:, 0]))
+    neg_trace = linearized.operator_matrix(linearized.QPoly(Poly(F, (F.neg(F.one),) * n)), ext)
     where = f"normal-element enumeration at q={q}, n={n}"
     fixed = conj[normal, 1:] == conj[normal, :1]
     if fixed[:, :-1].any() or not fixed[:, -1].all():
         raise VerificationError(
             f"{where}: a normal element's Frobenius orbit does not have {n} elements"
         )
-    if not trace_nonzero.all():
+    coords = _linalg.index_coords(conj[normal, 0], p, ext.prime_dim)
+    if not _linalg.apply_map(coords, neg_trace, p).any(axis=1).all():
         raise VerificationError(f"{where}: a normal element has zero trace")
     degree_n = np.ones(len(conj), dtype=bool)
     for r in counting.factorize(n):
@@ -194,23 +201,22 @@ def _orbit_census(ext, traces: bool) -> RootCensus:
     verdict[conj[:, 0]] = normal.astype(np.uint8) + degree_n
     verdict = verdict[rep]
     v = int(np.count_nonzero(verdict == 2))
-    trace_counts = _trace_counts(ext, verdict != 0) if traces else None
+    trace_counts = _trace_counts(ext, neg_trace, verdict != 0) if traces else None
     return RootCensus(v=v, npoly=v // n, trace_counts=trace_counts)
 
 
-def _trace_counts(ext, degree_n: np.ndarray) -> np.ndarray:
+def _trace_counts(ext, neg_trace: np.ndarray, degree_n: np.ndarray) -> np.ndarray:
     """Per encoded value c of F_q, the number of Frobenius orbits of
     degree-n elements (degree_n, a mask over every element) whose -Tr is
     c: the degree-n irreducibles with x^(n-1) coefficient c.
 
-    -Tr is the linearized operator with associate -(1 + x + .. + x^(n-1)),
-    so its matrix is linearized.operator_matrix's and its index map comes
-    from the same digit doubling as Frobenius.  Its image is F_q, the
-    elements whose F_q coordinates after the constant one are zero, so an
-    image index is the encoded value of F_q times q^(n-1)."""
-    p, n, q, F = ext.char, ext.degree, ext.base.order, ext.base
-    neg_trace = linearized.QPoly(Poly(F, (F.neg(F.one),) * n))
-    image = _linalg.index_map(linearized.operator_matrix(neg_trace, ext), p)
+    neg_trace is the F_p matrix of -Tr, the linearized operator with
+    associate -(1 + x + .. + x^(n-1)), and its index map comes from the
+    same digit doubling as Frobenius.  Its image is F_q, the elements
+    whose F_q coordinates after the constant one are zero, so an image
+    index is the encoded value of F_q times q^(n-1)."""
+    n, q = ext.degree, ext.base.order
+    image = _linalg.index_map(neg_trace, ext.char)
     value, low = np.divmod(image, q ** (n - 1))
     where = f"trace map at q={q}, n={n}"
     if low.any():

@@ -203,14 +203,24 @@ def _scan_chunk(field, n: int, smats, start: int, stop: int):
         for r in primes:
             g = mod(conj[n // r] - conj[0])
             rows = multiples(g, times_x, n).transpose(2, 0, 1)
-            irreducible &= _linalg.independent_over_base(rows, field)
+            irreducible &= independent_over_base(rows, field)
 
     # Normality of the canonical root: its conjugates are conj[0..n-1].
     rows = conj[..., irreducible].transpose(2, 0, 1)
-    normal = _linalg.independent_over_base(rows, field)
+    normal = independent_over_base(rows, field)
     digits = coeffs[irreducible].reshape(-1, n, k).astype(np.int64)
     encoded = digits @ (p ** np.arange(k - 1, -1, -1, dtype=np.int64))
     return encoded.astype(_linalg.dtype_for(field.order)), normal
+
+
+def independent_over_base(coords: np.ndarray, field) -> np.ndarray:
+    """For a (B, n, n*k) batch of n elements each of a degree-n extension of
+    field = F_q, q = p^k, given by prime coordinates, whether each member's
+    n elements are independent over F_q: full F_p-rank of the elements
+    scaled by every F_p-basis scalar of F_q, or over F_p of coords."""
+    if field.prime_dim > 1:
+        coords = _linalg.scale_by_basis(coords, field).reshape(len(coords), coords.shape[2], coords.shape[2])
+    return _linalg.batched_rank_full(coords, field.char)
 
 
 def linear_map_matrix(func, ext) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Closed-form counts, the inequality, and its equality classification."""
 
+import collections
 import contextlib
 import json
+import re
 import time
 from fractions import Fraction
 
@@ -32,6 +34,7 @@ from normbase.counting import (
     witness_lower_bound,
     zero_trace_irr_count,
 )
+from normbase.errors import VerificationError
 
 
 def test_moebius():
@@ -331,6 +334,54 @@ def test_build_report_fields():
     assert not r.equality and not r.predicate
     assert r.v == 49 and r.nb_count == 7 and r.irr_nonzero_trace == 9
     assert r.oracle_v is None
+
+
+def test_build_report_evaluates_each_closed_form_once(monkeypatch):
+    # v and the Moebius trace sum are each evaluated once per report, and
+    # the report still reads the public closed forms' values
+    calls = collections.Counter()
+    for name in ("normal_element_count", "_m_divisor_trace_sum"):
+        def counted(*args, _real=getattr(counting, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(counting, name, counted)
+    reports = {(q, n): build_report(q, n) for q, n in ((2, 7), (3, 6), (4, 5), (9, 1))}
+    assert calls == {"normal_element_count": 4, "_m_divisor_trace_sum": 4}
+    monkeypatch.undo()
+    for (q, n), r in reports.items():
+        assert (r.lhs, r.rhs) == inequality_sides(n, q)
+        assert r.v == counting.normal_element_count(n, q)
+        assert r.nb_count == counting.normal_basis_count(n, q)
+        assert r.irr_nonzero_trace == counting.nonzero_trace_irr_count(n, q)
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("_m_divisor_trace_sum", 127, "trace sum 127 not divisible by q = 2"),
+        ("normal_element_count", 64, "lhs 64 > rhs 63"),
+        ("normal_element_count", 63, "equality is True but the classification says False"),
+        ("normal_element_count", 48, "normal-element count 48 not divisible by n = 7"),
+        ("_m_divisor_trace_sum", 128, "trace sum 128 not divisible by q*n = 14"),
+    ],
+)
+def test_build_report_checks_its_closed_forms(monkeypatch, name, value, message):
+    # at (2, 7): v = 49, trace sum 126, rhs 63, 9 nonzero-trace irreducibles
+    monkeypatch.setattr(counting, name, lambda *args: value)
+    with pytest.raises(VerificationError, match=re.escape(message)):
+        build_report(2, 7)
+
+
+def test_build_report_checks_rhs_against_the_irreducibles(monkeypatch):
+    # n * (irreducibles of nonzero trace) = rhs holds whenever both exact
+    # divisions do, so only a wrong per-trace quotient can reach the check
+    real = counting._divided
+    monkeypatch.setattr(
+        counting, "_divided", lambda num, den, *names: 0 if den == 14 else real(num, den, *names)
+    )
+    with pytest.raises(VerificationError, match=re.escape("rhs 63 != n * irreducible count")):
+        build_report(2, 7)
 
 
 def test_report_serialization():

@@ -428,8 +428,9 @@ def test_root_census_checks_its_trace_map(monkeypatch):
     ext = extension_for(3, 2)
     one_root = np.zeros(ext.order, dtype=bool)
     one_root[ext.index(ext.gen)] = True
+    neg_trace = linearized.operator_matrix(linearized.QPoly(P(ext.base, 2, 2)), ext)
     with pytest.raises(VerificationError, match="trace map at q=3, n=2: a trace is not constant"):
-        oracle._trace_counts(ext, one_root)
+        oracle._trace_counts(ext, neg_trace, one_root)
     # with the identity as Frobenius, -Tr = -2 is the identity on F_9
     monkeypatch.setattr(_linalg, "frobenius_matrix", lambda ext: np.eye(ext.prime_dim, dtype=np.uint8))
     with pytest.raises(VerificationError, match="trace map at q=3, n=2: a trace lies outside F_3"):
@@ -657,21 +658,6 @@ def test_frobenius_matrix_rejects_writes():
     assert np.array_equal(mat, _linalg.frobenius_matrix(extension_for(3, 2)))
 
 
-def test_gf2_rank_from_indices_matches_the_decoded_rows():
-    # an index of F_{2^m} is its coordinate row as bits; every odd batch
-    # member has one index the XOR (the F_2 sum) of two others
-    rng = np.random.default_rng(20)
-    for m in (1, 2, 3, 8, 20, 32):
-        idx = rng.integers(0, 2**m, (64, m))
-        if m >= 3:
-            idx[1::2, 0] = idx[1::2, 1] ^ idx[1::2, 2]
-        want = _linalg.batched_rank_full(_linalg.index_coords(idx, 2, m), 2)
-        got = _linalg.independent_gf2_indices(idx)
-        assert np.array_equal(got, want), m
-        if m >= 3:
-            assert not got[1::2].any() and got.any(), m
-
-
 @settings(max_examples=10, deadline=None)
 @given(small_extensions(order=256), st.data())
 def test_orbit_engine_matches_per_element_paths(qn, data):
@@ -717,16 +703,21 @@ def test_orbit_engine_matches_per_element_paths(qn, data):
 
 
 def test_full_report_checks_normal_orbits(monkeypatch):
-    # every normal element has n conjugates and a nonzero trace; a rank
-    # test that passed other elements, or a Frobenius whose n-th power is
-    # not the identity, trips those checks
-    # F_2 conjugates are ranked as indices, any other field's as rows;
-    # each stand-in reads either form
-    def everything(rows, *_):
-        return np.ones(len(rows), dtype=bool)
+    # every normal element has n conjugates and a nonzero trace; a
+    # normality test that passed other elements, or a Frobenius whose n-th
+    # power is not the identity, trips those checks.  Each stand-in answers
+    # for every cofactor of x^n - 1 at once.
+    def everything(associates, ext, idx):
+        return [np.ones(len(idx), dtype=bool)] * len(associates)
 
-    def full_degree(rows, *_):
-        return np.array([len({r.tobytes() for r in m}) == len(m) for m in rows])
+    def full_degree(associates, ext, idx):
+        # n distinct conjugates under the Frobenius in use
+        sigma = _linalg.index_map(_linalg.frobenius_matrix(ext), ext.char)
+        conj = [idx]
+        for _ in range(ext.degree - 1):
+            conj.append(sigma[conj[-1]])
+        distinct = np.array([len(set(row)) == len(row) for row in np.stack(conj, axis=1).tolist()])
+        return [distinct] * len(associates)
 
     def times_x(ext):
         # x has order 5 or 15 in F_16*, so no x^t with 0 < t <= 4 is 1
@@ -738,11 +729,26 @@ def test_full_report_checks_normal_orbits(monkeypatch):
         (full_degree, frobenius, "zero trace"),
         (full_degree, times_x, "Frobenius orbit does not have 4"),
     )
-    for rank, frob, fact in cases:
-        monkeypatch.setattr(_linalg, "independent_over_base", rank)
-        monkeypatch.setattr(_linalg, "independent_gf2_indices", rank)
+    for normal, frob, fact in cases:
+        monkeypatch.setattr(linearized, "nonzero_images", normal)
         monkeypatch.setattr(_linalg, "frobenius_matrix", frob)
         with pytest.raises(VerificationError) as err:
             full_report(2, 4, with_oracle=True)
         assert "normal-element enumeration at q=2, n=4" in str(err.value)
         assert fact in str(err.value)
+
+
+def test_root_census_runs_no_elimination(monkeypatch):
+    # normality comes from the cofactor operators of x^n - 1, not from a
+    # rank test, so the census keeps its closed forms with batched
+    # elimination gone, at p | n too
+    def refuse(*_):
+        raise AssertionError("the root census ran a batched elimination")
+
+    monkeypatch.setattr(_linalg, "batched_rank_full", refuse)
+    for q, n in ((2, 6), (2, 8), (3, 4), (4, 3), (9, 2)):
+        census = root_census(n, q)
+        assert census.v == counting.normal_element_count(n, q), (q, n)
+        assert census.npoly == counting.normal_basis_count(n, q), (q, n)
+        assert int(census.trace_counts[0]) == counting.zero_trace_irr_count(n, q), (q, n)
+        assert int(census.trace_counts[1:].sum()) == counting.nonzero_trace_irr_count(n, q), (q, n)
