@@ -2,10 +2,9 @@
 
 Fields of order p^D are F_p-vector spaces; every F_q-linear map (Frobenius,
 scalar multiplication, any linearized operator) is also F_p-linear and so
-becomes a D x D integer matrix mod p, and a bijective one also permutes the
-element indices.  Whole-field scans then reduce to index gathers and
-matrix products, which is what makes enumerating 2^20 elements practical
-in pure Python + numpy.  The batched Gaussian elimination,
+becomes a D x D integer matrix mod p.  Whole-field scans then reduce to
+digit-table sums and matrix products, which is what makes enumerating 2^20
+elements practical in pure Python + numpy.  The batched Gaussian elimination,
 batched_rank_full, is the rank-based reference the tests hold those
 scans to; no scan of the library calls it.  Every dtype
 of residues is picked here: dtype_for and exact_dtype store them, and
@@ -13,10 +12,10 @@ matmul_mod multiplies matrices of them in the dtype of one rule, dot_dtype,
 which also types gf._reduce's fold.  Only the one-row chain of
 oracle._conjugate_coords multiplies in a dtype of its own.
 
-field_orbits is the one whole-field engine: Frobenius and the scalars of
-F_q* permute the elements, and normality and every operator built from
-Frobenius with F_q coefficients are constant on their orbits, so the
-operator evaluations that decide normality run on one element per orbit.
+map_images is the one whole-field engine: it applies the matrices of
+F_p-linear maps to every element index in blocks, by tables of the images
+of an index's low and high digits, and the whole-field counts read each
+verdict from those images element by element.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import functools
 
 import numpy as np
 
-from . import counting
 
 _UNSIGNED = tuple((np.dtype(t), int(np.iinfo(t).max)) for t in (np.uint8, np.uint16, np.uint32, np.uint64))
 _SIGNED = tuple((np.dtype(t), int(np.iinfo(t).max)) for t in (np.int16, np.int32, np.int64))
@@ -137,129 +135,89 @@ def apply_map(vectors: np.ndarray, mat: np.ndarray, p: int) -> np.ndarray:
     return matmul_mod(vectors, mat.T, p)
 
 
-def index_coords(idx: np.ndarray, p: int, dim: int) -> np.ndarray:
-    """Base-p digit rows (..., dim) of element indices, most significant
-    digit first: the prime coordinates of those elements of a field of
-    order p^dim, in the order of its from_index."""
-    out = np.empty(idx.shape + (dim,), dtype=dtype_for(p))
-    rest = idx.astype(np.int64)
-    for j in range(dim - 1, -1, -1):
-        nxt = rest // p
-        out[..., j] = rest - nxt * p
-        rest = nxt
-    return out
+# map_images' tables hold the images of the low digits of an index, at most
+# 2^LOW_BITS indices of them (one digit at least), and each block adds the
+# images of enough high digits to hold about BLOCK elements.
+LOW_BITS = 16
+BLOCK = 2**15
 
 
-def index_map(mat: np.ndarray, p: int) -> np.ndarray:
-    """The map of element indices [0, p^D) that an F_p-linear map with
-    (D, D) matrix mat induces: out[i] is the index of mat @ index_coords(i).
-    An invertible mat gives a permutation; a singular one, such as the
-    trace, is welcome too, as the doubling below uses only linearity.
+def _digit_bits(p: int) -> int:
+    """The width of one digit mod p in map_images' packed images: room for
+    p - 1 and a spare top bit."""
+    return (p - 1).bit_length() + 1
 
-    Built by digit doubling: the image of c*p^t + i (i < p^t) is the image
-    of i plus c times the image of the unit vector of weight p^t, added
-    digit by digit mod p, for every c at once.  The digits are packed into
-    one int64 with a spare top bit each: a digit sum x + y + 2^(b-1) - p
-    sets that bit exactly when x + y >= p and carries into no other
-    digit."""
-    dim = mat.shape[0]
-    bits = (p - 1).bit_length() + 1
+
+def map_images(mats, p: int):
+    """The whole-field engine: for each block of the element indices
+    [0, p^D) of a field of order p^D, in ascending order, a lazy iterator
+    over the block's images under each F_p-linear map of mats, (D, D)
+    matrices, in their order.  An image is packed into one int64, digit j
+    of mats[m] @ (the element's prime coordinates, most significant digit
+    first) at bit (D - 1 - j) * _digit_bits(p), so it is 0 exactly when the
+    image is the zero element.
+
+    A map is linear, so the image of index h*p^L + l (l < p^L) is the image
+    of h*p^L plus the image of l, added digit by digit mod p.  Each map
+    gets one table of the images of the p^L low-digit indices l and one of
+    the high-digit indices h*p^L, both built by digit doubling: the image
+    of c*p^t + i (i < p^t) is the image of i plus c times the image of the
+    t-th digit's unit vector, and the images for c in [s, 2s) come from
+    those for c < s by one digit-add.  A block's images are one sum of a
+    run of high-table entries and the whole low table.  A digit sum
+    x + y + 2^(b-1) - p sets the digit's spare top bit exactly when
+    x + y >= p, and carries into no other digit."""
+    dim = mats[0].shape[0]
+    bits = _digit_bits(p)
     if dim * bits > 63:
         raise ValueError(f"{p}^{dim} element indices do not pack into 64 bits")
     shifts = np.arange(dim - 1, -1, -1, dtype=np.int64) * bits
     ones = int(np.sum(np.int64(1) << shifts))
     bias = ((1 << bits - 1) - p) * ones
-    scalars = np.arange(1, p, dtype=np.int64)[:, None]
-    cols = mat.astype(np.int64)
-    out = np.zeros(p**dim, dtype=np.int64)
-    size = 1
-    for j in range(dim - 1, -1, -1):
-        steps = (scalars * cols[:, j] % p << shifts).sum(axis=1)
-        total = out[:size] + steps[:, None]
-        total -= ((total + bias) >> bits - 1 & ones) * p
-        out[size : p * size] = total.ravel()
-        size *= p
-    idx = np.zeros_like(out)
-    for s in shifts:
-        idx *= p
-        idx += out >> s & (1 << bits) - 1
-    return idx
+
+    def add(x, y, out=None):
+        out = np.add(x, y, out=out)
+        out -= ((out + bias) >> bits - 1 & ones) * p
+        return out
+
+    def table(cols):
+        """The images of every index of cols.shape[1] digits, by their columns."""
+        units = (cols << shifts[:, None]).sum(axis=0)  # images of the digits' unit vectors
+        out = np.zeros(p ** cols.shape[1], dtype=np.int64)
+        size = 1
+        for unit in units[::-1]:
+            done = size  # out[c*size + i] = out[i] + c*unit for c < done / size
+            while done < p * size:
+                step = min(done, p * size - done)
+                add(out[:step], add(out[done - size], unit), out=out[done : done + step])
+                done += step
+            size *= p
+        return out
+
+    low = 1
+    while low < dim and p ** (low + 1) <= 2**LOW_BITS:
+        low += 1
+    cols = [mat.astype(np.int64) for mat in mats]
+    if low == dim:  # one block: each map's table of every index, built when asked for
+        yield (table(c) for c in cols)
+        return
+    tables = [(table(c[:, : dim - low]), table(c[:, dim - low :])) for c in cols]
+    rows = max(1, BLOCK // p**low)
+    for h in range(0, p ** (dim - low), rows):
+        yield (add(hi[h : h + rows, None], lo).ravel() for hi, lo in tables)
 
 
-def _scalar_canon(field, n: int) -> np.ndarray:
-    """For every element of a degree-n extension of field = F_q, the index
-    of its multiple whose leading (most significant) nonzero F_q
-    coordinate is 1: one member of each orbit of F_q*.
-
-    The indices of [q^m, q^(m+1)) are the elements a*q^m + r with leading
-    coordinate a and r < q^m, whose canonical multiple is 1*q^m + r/a
-    (the index of 1 in F_q is p^(k-1), constant coordinate first).  The
-    coordinatewise scaling r -> r/a doubles up the same way, one
-    coordinate at a time: (d*q^m + r)/a = (d/a)*q^m + r/a."""
-    q = field.order
-    if q == 2:  # F_2* is trivial
-        return np.arange(2**n, dtype=np.int64)
-    if n > 1:
-        div = _division_table(field)
-    one = field.index(field.one)
-    scaled = np.zeros((q - 1, 1), dtype=np.int64)  # row a - 1: r -> r/a on [0, q^m)
-    parts = [np.zeros(1, dtype=np.int64)]
-    for m in range(n):
-        parts.append((one * q**m + scaled).ravel())
-        if m + 1 < n:
-            scaled = (div[:, :, None] * q**m + scaled[:, None, :]).reshape(q - 1, -1)
-    return np.concatenate(parts)
-
-
-def _division_table(field) -> np.ndarray:
-    """(q - 1, q) table of field indices: row a - 1, column d holds d/a,
-    from one log/antilog pair of a generator of F_q*."""
-    q = field.order
-    primes = counting.factorize(q - 1)
-    gen = next(
-        g
-        for g in map(field.from_index, range(2, q))
-        if all(field.pow(g, (q - 1) // r) != field.one for r in primes)
-    )
-    antilog = np.empty(q - 1, dtype=np.int64)
-    x = field.one
-    for t in range(q - 1):
-        antilog[t] = field.index(x)
-        x = field.mul(x, gen)
-    log = np.zeros(q, dtype=np.int64)
-    log[antilog] = np.arange(q - 1)
-    div = antilog[(log[None, :] - log[1:, None]) % (q - 1)]
-    div[:, 0] = 0
-    return div
-
-
-def field_orbits(ext) -> tuple[np.ndarray, np.ndarray]:
-    """The orbits of <F_q*> x <Frobenius> on ext, a degree-n extension of
-    F_q, over element indices: (rep, conj).  rep[i] is the representative
-    of element i's orbit, and conj[j, t] is the index of the t-th
-    conjugate (Frobenius applied t times, t = 0..n) of the j-th
-    representative, in ascending order.
-
-    A representative is the least scalar-canonical index (_scalar_canon)
-    over the Frobenius orbit, which is the same for every member of the
-    orbit because Frobenius commutes with the scalars of F_q.  The minimum
-    over n conjugates is taken over windows that double: after s rounds
-    rep[i] is the least over Frobenius powers 0 .. 2^s - 1 of i, so
-    ceil(log2 n) rounds cover a whole orbit."""
-    n = ext.degree
-    sigma = index_map(frobenius_matrix(ext), ext.char)
-    rep = _scalar_canon(ext.base, n)
-    power = sigma
-    span = 1
-    while span < n:
-        rep = np.minimum(rep, rep[power])
-        span *= 2
-        if span < n:
-            power = power[power]
-    conj = [np.flatnonzero(rep == np.arange(len(rep)))]
-    for _ in range(n):
-        conj.append(sigma[conj[-1]])
-    return rep, np.stack(conj, axis=1)
+def split_digits(images: np.ndarray, p: int, dim: int, digits: int):
+    """map_images' packed images of dim digits, split after the leading
+    `digits`: the integers those digits spell in base p, most significant
+    first, and whether every image's other digits are zero."""
+    bits = _digit_bits(p)
+    mask, tail = (1 << bits) - 1, (dim - digits) * bits
+    lead = images >> tail + (digits - 1) * bits & mask
+    for s in range(digits - 2, -1, -1):
+        lead *= p
+        lead += images >> tail + s * bits & mask
+    return lead, not tail or not (images & (1 << tail) - 1).any()
 
 
 def batched_rank_full(mats: np.ndarray, p: int) -> np.ndarray:

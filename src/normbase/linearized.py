@@ -6,10 +6,10 @@ ordinary multiplication of associates and divisibility transfers the same
 way, so the expanded operator (degree q^deg) never needs to be built.
 Evaluation uses iterated Frobenius.  operator_matrix is an operator's F_p
 matrix, by Horner's rule on the field's one _linalg.frobenius_matrix, and
-nonzero_images applies it to one element per orbit of <F_q*> x
-<Frobenius> (_linalg.field_orbits).  Whole-field root counting asks it of
-an operator and its single-part-omitted cofactors, and the root census
-(oracle) decides normality with it: an element is normal exactly when no
+the whole-field engine (_linalg.map_images) applies such matrices to every
+element.  Whole-field root counting reads the images of an operator and of
+its single-part-omitted cofactors from it, and the root census (oracle)
+decides normality the same way: an element is normal exactly when no
 cofactor (x^n - 1)/f of x^n - 1 kills it.
 """
 
@@ -217,18 +217,6 @@ def refine(fact: Factorization, part_index: int, g: Poly, h: Poly) -> Factorizat
     return Factorization(sorted(parts, key=lambda bm: bm[0].sort_key()), False)
 
 
-def nonzero_images(associates, ext, idx: np.ndarray) -> list[np.ndarray]:
-    """For each associate over ext's base field, whether its operator
-    sends each element of the given indices to a nonzero element: one
-    operator_matrix and one product of the elements' prime coordinates
-    through it per associate."""
-    coords = _linalg.index_coords(idx, ext.char, ext.prime_dim)
-    return [
-        _linalg.apply_map(coords, operator_matrix(QPoly(assoc), ext), ext.char).any(axis=1)
-        for assoc in associates
-    ]
-
-
 def _survivor_mask(fact: SymbolicFactorization, ext, budget=None):
     fact.validate()
     if ext.base != fact.field:
@@ -240,24 +228,23 @@ def _survivor_mask(fact: SymbolicFactorization, ext, budget=None):
             "the associate must divide x^n - 1 so that every operator root "
             "lies in the degree-n extension"
         )
-    # Every operator here is F_q-linear and commutes with Frobenius and the
-    # scalars of F_q, so the mask is constant on orbits: apply each
-    # operator's matrix to the representatives alone, and gather.
-    rep, conj = _linalg.field_orbits(ext)
     cofactors = [full // part.associate for part, _ in fact.parts]
-    moved = nonzero_images([full] + cofactors, ext, conj[:, 0])
-    alive = ~moved[0] & np.logical_and.reduce(moved[1:])
-    survives = np.zeros(ext.order, dtype=bool)
-    survives[conj[:, 0]] = alive
-    return survives[rep]
+    mats = [operator_matrix(QPoly(assoc), ext) for assoc in [full] + cofactors]
+    blocks = []
+    for images in _linalg.map_images(mats, ext.char):
+        alive = next(images) == 0
+        for image in images:
+            alive &= image != 0
+        blocks.append(alive)
+    return np.concatenate(blocks)
 
 
 def root_count_by_enumeration(fact: SymbolicFactorization, ext, budget=None) -> int:
     """Count, over every element of ext, the roots of the whole operator
-    killed by no single-part-omitted cofactor, evaluating the operators on
-    one element per orbit of <F_q*> x <Frobenius> (_survivor_mask).  Must
-    agree with root_count; the cofactor for each part removes exactly one
-    copy of that part's operator."""
+    killed by no single-part-omitted cofactor, read from the operators'
+    images of every element (_survivor_mask).  Must agree with root_count;
+    the cofactor for each part removes exactly one copy of that part's
+    operator."""
     return int(_survivor_mask(fact, ext, budget).sum())
 
 

@@ -13,16 +13,15 @@ The whole-field counts come from the roots, up to the element budget
 (2^20 by default).  A monic irreducible of degree n over F_q is a
 Frobenius orbit of n elements of F_{q^n}, it is an N-polynomial when the
 orbit is normal, and its x^(n-1) coefficient is -Tr of a root.  So one
-pass over the orbits of <F_q*> x <Frobenius> (_linalg.field_orbits), with
-normality as the annihilator criterion (no cofactor (x^n - 1)/f of an
-irreducible factor f kills the element) on one representative per orbit,
-the same linearized operators as linearized.root_count_by_enumeration,
-gives the normal elements, the N-polynomials and, through an index map
-of the trace, the irreducibles of each trace coefficient (root_census);
-count_normal_elements takes the normal elements alone and builds no
-trace map.  No elimination runs there: the rank criterion stays with
-is_normal, and the tests hold every whole-field count to a rank-based
-reference.
+pass of the whole-field engine (_linalg.map_images) over every element
+gives the normal elements, the N-polynomials and the irreducibles of each
+trace coefficient (root_census), each verdict read from an operator's
+image of the element: normality by the annihilator criterion (no cofactor
+(x^n - 1)/f of an irreducible factor f kills the element), the same
+linearized operators as linearized.root_count_by_enumeration; degree n by
+sigma^(n/r) - 1 for each prime r | n; the trace value by -Tr.  No
+elimination runs there: the rank criterion stays with is_normal, and the
+tests hold every whole-field count to a rank-based reference.
 
 The irreducibles themselves come from one lister, scan_irreducibles: a
 lazy walk over the monic candidates of one degree in lexicographic order,
@@ -134,10 +133,9 @@ def extension_for(q: int, n: int):
 
 def count_normal_elements(ext, budget=None) -> int:
     """Exhaustive count of normal elements: the cofactor operators of
-    x^n - 1 applied to one representative per orbit of <F_q*> x
-    <Frobenius>, as in _orbit_census."""
+    x^n - 1 applied to every element, as in _census."""
     gf.check_element_budget(ext.order, budget)
-    return _orbit_census(ext, traces=False).v
+    return _census(ext).v
 
 
 @dataclasses.dataclass
@@ -147,84 +145,76 @@ class RootCensus:
     of n elements of degree n, an N-polynomial is such an orbit of normal
     elements, and its x^(n-1) coefficient is -Tr(a) for each root a."""
 
-    v: int                        # normal elements
-    npoly: int                    # N-polynomials: normal orbits, so v / n
-    trace_counts: np.ndarray | None  # degree-n irreducibles per encoded x^(n-1) coefficient
+    v: int                     # normal elements
+    npoly: int                 # N-polynomials: normal orbits, so v / n
+    trace_counts: np.ndarray   # degree-n irreducibles per encoded x^(n-1) coefficient
 
 
 def root_census(n: int, q: int, budget=None) -> RootCensus:
     """The root census of F_{q^n}, whose q^n elements are held to the
     element budget."""
     gf.check_element_budget(q**n, budget)
-    return _orbit_census(extension_for(q, n), traces=True)
+    return _census(extension_for(q, n))
 
 
-def _orbit_census(ext, traces: bool) -> RootCensus:
-    """One pass over the <F_q*> x <Frobenius> orbits of ext: the normal
-    and degree-n verdicts of each representative, gathered to every
-    element through its representative.  Without traces, trace_counts is
-    None and no trace map is built.
+def _census(ext) -> RootCensus:
+    """One pass of the whole-field engine over ext: the normal and degree-n
+    verdicts and the -Tr value of every element, each read from the images
+    of one or more linearized operators.
 
     An element is normal exactly when its Frobenius annihilator is
     x^n - 1, that is, when no cofactor (x^n - 1)/f, f an irreducible
-    factor of x^n - 1, kills it; the cofactors are linearized operators,
-    applied to the representatives as root_count_by_enumeration applies
-    them (linearized.nonzero_images).  At n = p^e m the cofactor removes
-    one copy of f, not all p^e of them.
+    factor of x^n - 1, kills it, as root_count_by_enumeration asks.  At
+    n = p^e m the cofactor removes one copy of f, not all p^e of them.  It
+    has degree n when sigma^(n/r) - 1 moves it for each prime r | n.  -Tr,
+    the operator with associate -(1 + x + .. + x^(n-1)), has image F_q,
+    the elements whose F_q coordinates after the constant one are zero, so
+    the value of an image is its leading k prime digits, q = p^k.  The
+    degree-n elements of each -Tr value c are n times the degree-n
+    irreducibles with x^(n-1) coefficient c.
 
-    Two facts are checked on the way, as they hold for every normal
-    element: its Frobenius orbit has exactly n elements (a normal element
-    has degree n), and its trace, the sum of its conjugates, is nonzero
-    (the element-side form of the containment of N-polynomials among the
-    irreducibles of nonzero trace).  The -Tr matrix that checks the trace
-    also gives the trace map."""
-    p, n, q, F = ext.char, ext.degree, ext.base.order, ext.base
-    rep, conj = _linalg.field_orbits(ext)
+    The facts that hold for every normal element are checked on the way:
+    its Frobenius orbit has exactly n elements (sigma^n is the identity,
+    and a normal element has degree n) and its trace is nonzero (the
+    element-side form of the containment of N-polynomials among the
+    irreducibles of nonzero trace); so are the facts of the trace map:
+    its image lies in F_q and its values count whole orbits."""
+    p, n, F = ext.char, ext.degree, ext.base
+    q, k = F.order, F.prime_dim
     full = polyring.x_pow_minus_one(n, F)
     cofactors = [full // f for f, _ in polyring.factor_xn_minus_1(n, F).flatten().parts]
-    normal = np.logical_and.reduce(linearized.nonzero_images(cofactors, ext, conj[:, 0]))
-    neg_trace = linearized.operator_matrix(linearized.QPoly(Poly(F, (F.neg(F.one),) * n)), ext)
+    primes = counting.factorize(n)
+    neg_trace = Poly(F, (F.neg(F.one),) * n)
     where = f"normal-element enumeration at q={q}, n={n}"
-    fixed = conj[normal, 1:] == conj[normal, :1]
-    if fixed[:, :-1].any() or not fixed[:, -1].all():
+    orbit_error = f"{where}: a normal element's Frobenius orbit does not have {n} elements"
+    if linearized.operator_matrix(linearized.QPoly(full), ext).any():
+        raise VerificationError(orbit_error)
+    ops = cofactors + [polyring.x_pow_minus_one(n // r, F) for r in primes] + [neg_trace]
+    mats = [linearized.operator_matrix(linearized.QPoly(op), ext) for op in ops]
+    v, counts = 0, np.zeros(q + 1, dtype=np.int64)
+    for images in _linalg.map_images(mats, p):
+        normal = np.logical_and.reduce([next(images) != 0 for _ in cofactors])
+        degree_n = np.ones_like(normal)
+        for _ in primes:
+            degree_n &= next(images) != 0
+        trace = next(images)
+        if (normal & ~degree_n).any():
+            raise VerificationError(orbit_error)
+        if (normal & (trace == 0)).any():
+            raise VerificationError(f"{where}: a normal element has zero trace")
+        value, in_base = _linalg.split_digits(trace, p, ext.prime_dim, k)
+        if not in_base:
+            raise VerificationError(f"trace map at q={q}, n={n}: a trace lies outside F_{q}")
+        v += int(np.count_nonzero(normal))
+        value[~degree_n] = q  # counted apart, and dropped
+        counts += np.bincount(value, minlength=q + 1)
+    counts = counts[:q]
+    orbits = counts // n
+    if (orbits * n != counts).any():
         raise VerificationError(
-            f"{where}: a normal element's Frobenius orbit does not have {n} elements"
+            f"trace map at q={q}, n={n}: a trace is not constant on a Frobenius orbit"
         )
-    coords = _linalg.index_coords(conj[normal, 0], p, ext.prime_dim)
-    if not _linalg.apply_map(coords, neg_trace, p).any(axis=1).all():
-        raise VerificationError(f"{where}: a normal element has zero trace")
-    degree_n = np.ones(len(conj), dtype=bool)
-    for r in counting.factorize(n):
-        degree_n &= conj[:, n // r] != conj[:, 0]
-    # 2: normal (so of degree n), 1: of degree n, not normal, 0: lower degree
-    verdict = np.zeros(ext.order, dtype=np.uint8)
-    verdict[conj[:, 0]] = normal.astype(np.uint8) + degree_n
-    verdict = verdict[rep]
-    v = int(np.count_nonzero(verdict == 2))
-    trace_counts = _trace_counts(ext, neg_trace, verdict != 0) if traces else None
-    return RootCensus(v=v, npoly=v // n, trace_counts=trace_counts)
-
-
-def _trace_counts(ext, neg_trace: np.ndarray, degree_n: np.ndarray) -> np.ndarray:
-    """Per encoded value c of F_q, the number of Frobenius orbits of
-    degree-n elements (degree_n, a mask over every element) whose -Tr is
-    c: the degree-n irreducibles with x^(n-1) coefficient c.
-
-    neg_trace is the F_p matrix of -Tr, the linearized operator with
-    associate -(1 + x + .. + x^(n-1)), and its index map comes from the
-    same digit doubling as Frobenius.  Its image is F_q, the elements
-    whose F_q coordinates after the constant one are zero, so an image
-    index is the encoded value of F_q times q^(n-1)."""
-    n, q = ext.degree, ext.base.order
-    image = _linalg.index_map(neg_trace, ext.char)
-    value, low = np.divmod(image, q ** (n - 1))
-    where = f"trace map at q={q}, n={n}"
-    if low.any():
-        raise VerificationError(f"{where}: a trace lies outside F_{q}")
-    counts = np.bincount(value[degree_n], minlength=q)
-    if (counts % n).any():
-        raise VerificationError(f"{where}: a trace is not constant on a Frobenius orbit")
-    return counts // n
+    return RootCensus(v=v, npoly=v // n, trace_counts=orbits)
 
 
 # ---------------------------------------------------------------------------

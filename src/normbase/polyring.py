@@ -221,13 +221,6 @@ def poly_trace(f: Poly):
     return f.coeffs[len(f.coeffs) - 2]
 
 
-def monic_polys(field, degree: int):
-    """All monic polynomials of exact degree, in lexicographic order."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    return (Poly(field, coeffs) for coeffs in gf.monic_candidates(field, degree))
-
-
 @dataclasses.dataclass
 class Factorization:
     """Pairwise-coprime monic parts with multiplicities; when

@@ -165,7 +165,7 @@ def _scan_chunk(field, n: int, smats, start: int, stop: int):
 
     # Row i: prime coordinates of the low coefficients (a_0 .. a_{n-1}) of
     # the (start + i)-th monic candidate in lexicographic order.
-    coeffs = _linalg.index_coords(np.arange(start, stop), p, dim)
+    coeffs = index_coords(np.arange(start, stop), p, dim)
     neg_f = multiples(mod(-coeffs.T.astype(wide)), times_y, k)
     one, x = np.zeros((2, dim, len(coeffs)), dtype=wide)
     one[0] = x[k] = 1
@@ -221,6 +221,27 @@ def independent_over_base(coords: np.ndarray, field) -> np.ndarray:
     if field.prime_dim > 1:
         coords = _linalg.scale_by_basis(coords, field).reshape(len(coords), coords.shape[2], coords.shape[2])
     return _linalg.batched_rank_full(coords, field.char)
+
+
+def monic_polys(field, degree: int):
+    """All monic polynomials of exact degree, in lexicographic order: the
+    tests' lister over gf.monic_candidates."""
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    return (Poly(field, coeffs) for coeffs in gf.monic_candidates(field, degree))
+
+
+def index_coords(idx: np.ndarray, p: int, dim: int) -> np.ndarray:
+    """Base-p digit rows (..., dim) of element indices, most significant
+    digit first: the prime coordinates of those elements of a field of
+    order p^dim, in the order of its from_index."""
+    out = np.empty(idx.shape + (dim,), dtype=_linalg.dtype_for(p))
+    rest = idx.astype(np.int64)
+    for j in range(dim - 1, -1, -1):
+        nxt = rest // p
+        out[..., j] = rest - nxt * p
+        rest = nxt
+    return out
 
 
 def linear_map_matrix(func, ext) -> np.ndarray:

@@ -2,12 +2,19 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
-from normbase import cli, gf, oracle
+from normbase import cli, counting, gf, oracle
 from normbase.polyring import Poly
 from normbase.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main, parse_n_spec, parse_q_list
+
+
+# `verify --q Q --n 2..N --oracle --format csv` for every prime power
+# q <= 1024, N the largest n with q^N <= 2^20: one header, then the rows
+# in the order of q.
+VERIFY_2E20 = Path(__file__).parent / "data" / "verify_oracle_2e20.csv"
 
 
 def run(capsys, *argv):
@@ -313,3 +320,17 @@ def test_one_parser_per_process_matches_a_fresh_parser(capsys, monkeypatch):
     assert once == fresh
     assert [code for code, _, _ in once] == [0, 0, 2, 0, 2, 0, 2, 0, 0]
     assert once[0] == once[-1]
+
+
+def test_verify_replays_the_2e20_cells(capsys):
+    # the committed file holds every cell with n >= 2 and q^n <= 2^20; a
+    # spread of q, each at its largest n, is regenerated byte for byte
+    header, *rows = VERIFY_2E20.read_text().splitlines()
+    by_cell = {tuple(map(int, row.split(",")[:2])): row for row in rows}
+    cells = [(q, n) for q in counting.prime_powers_up_to(1024) for n in range(2, 21) if q**n <= 2**20]
+    assert list(by_cell) == cells and len(cells) == 296
+    for q in (2, 3, 4, 16, 17, 32, 251, 1021, 1024):
+        n = max(n for q_, n in cells if q_ == q)
+        code, out, _ = run(capsys, "verify", "--q", str(q), "--n", str(n), "--oracle", "--format", "csv")
+        assert code == EXIT_OK
+        assert out == f"{header}\n{by_cell[q, n]}\n", (q, n)

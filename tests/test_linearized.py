@@ -21,6 +21,8 @@ from normbase.linearized import (
 )
 from normbase.polyring import Factorization, Poly, factor, factor_xn_minus_1, x_pow_minus_one
 
+from conftest import index_coords
+
 
 def P(field, *coeffs):
     return Poly.of(field, coeffs)
@@ -88,7 +90,7 @@ def test_divisibility_matches_kernel_containment(f2, f3):
         for i in range(len(divs)):
             for j in range(i, len(divs)):
                 products.append(divs[i] if i == j else divs[i] * divs[j])
-        vecs = _linalg.index_coords(np.arange(ext.order), ext.char, ext.prime_dim)
+        vecs = index_coords(np.arange(ext.order), ext.char, ext.prime_dim)
         for a in products:
             for b in products:
                 ka = ~_linalg.apply_map(vecs, operator_matrix(QPoly(a), ext), ext.char).any(axis=1)

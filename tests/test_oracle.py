@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from normbase.oracle import (
 )
 from normbase.polyring import Poly, is_irreducible, poly_trace
 
-from conftest import coefficient_scan, linear_map_matrix
+from conftest import coefficient_scan, index_coords, linear_map_matrix
 
 
 def P(field, *coeffs):
@@ -423,14 +424,23 @@ def test_root_census_budget():
 
 
 def test_root_census_checks_its_trace_map(monkeypatch):
-    # a trace map whose image leaves F_q, or whose values split a
-    # Frobenius orbit, names its stage and the point
+    # a trace map whose values split a Frobenius orbit, or whose image
+    # leaves F_q, names its stage and the point
     ext = extension_for(3, 2)
-    one_root = np.zeros(ext.order, dtype=bool)
-    one_root[ext.index(ext.gen)] = True
-    neg_trace = linearized.operator_matrix(linearized.QPoly(P(ext.base, 2, 2)), ext)
+    matrix = linearized.operator_matrix
+
+    def last_coordinate(l, ext):
+        # -Tr = -(1 + x) read as the last prime coordinate, moved to the
+        # first: a value in F_3, which splits the 6 elements of degree 2
+        # into 0, 3 and 3
+        if l.associate == P(ext.base, 2, 2):
+            return np.array([[0, 1], [0, 0]], dtype=np.uint8)
+        return matrix(l, ext)
+
+    monkeypatch.setattr(linearized, "operator_matrix", last_coordinate)
     with pytest.raises(VerificationError, match="trace map at q=3, n=2: a trace is not constant"):
-        oracle._trace_counts(ext, neg_trace, one_root)
+        root_census(2, 3)
+    monkeypatch.undo()
     # with the identity as Frobenius, -Tr = -2 is the identity on F_9
     monkeypatch.setattr(_linalg, "frobenius_matrix", lambda ext: np.eye(ext.prime_dim, dtype=np.uint8))
     with pytest.raises(VerificationError, match="trace map at q=3, n=2: a trace lies outside F_3"):
@@ -485,7 +495,7 @@ def test_survivor_claims_exhaustive_to_spec_scale(rng):
             from normbase.linearized import _survivor_mask
 
             survivors = _survivor_mask(fact, ext)
-            vecs = _linalg.index_coords(np.arange(ext.order), p, ext.prime_dim)
+            vecs = index_coords(np.arange(ext.order), p, ext.prime_dim)
             trace_op = QPoly(Poly(field, (field.one,) * n))
             trace_nz = _linalg.apply_map(vecs, operator_matrix(trace_op, ext), p).any(axis=1)
             full_degree = np.ones(len(vecs), dtype=bool)
@@ -535,7 +545,7 @@ def test_linalg_kernels_agree_with_pure_rank(rng):
 def test_index_coords_matches_field_index_order():
     for q, n in ((2, 3), (3, 2), (4, 2)):
         ext = extension_for(q, n)
-        vecs = _linalg.index_coords(np.arange(ext.order), ext.char, ext.prime_dim)
+        vecs = index_coords(np.arange(ext.order), ext.char, ext.prime_dim)
         for i in (0, 1, ext.order // 2, ext.order - 1):
             assert tuple(int(v) for v in vecs[i]) == ext.prime_coords(ext.from_index(i))
 
@@ -560,42 +570,69 @@ def test_batched_oracles_match_pure_paths(qn):
     assert list(scan.npoly) == [is_n_polynomial(f) for f in slow]
 
 
-def test_index_map_matches_the_matrix_product():
+def _images_by_map(mats, p):
+    """Every element index's image under each map, from map_images' blocks,
+    as element indices."""
+    dim = mats[0].shape[0]
+    blocks = [list(images) for images in _linalg.map_images(mats, p)]
+    return [_linalg.split_digits(np.concatenate(col), p, dim, dim)[0] for col in zip(*blocks)]
+
+
+# (LOW_BITS, BLOCK): the defaults, then blocks of one to a few high digits
+# over small tables, whose last block is cut short at most p
+ENGINE_SHAPES = ((_linalg.LOW_BITS, _linalg.BLOCK), (3, 10), (2, 12), (10, 2500))
+
+
+def test_map_images_matches_the_matrix_product(monkeypatch):
+    # seeded random maps, one of them singular by a repeated row, and the
+    # trace, against apply_map on every element, for tables and blocks of
+    # every shape
+    rng = np.random.default_rng(31)
+    for p, dim in ((2, 7), (3, 5), (251, 2), (1021, 2), (2, 1), (1021, 1)):
+        ext = extension_for(p, dim)
+        F = ext.base
+        mats = [rng.integers(0, p, (dim, dim)) for _ in range(2)]
+        mats[1][0] = mats[1][-1]
+        mats.append(linearized.operator_matrix(linearized.QPoly(Poly(F, (F.one,) * dim)), ext))
+        vecs = index_coords(np.arange(p**dim), p, dim)
+        want = [_linalg.apply_map(vecs, mat, p).astype(np.int64) @ p ** np.arange(dim - 1, -1, -1) for mat in mats]
+        for low_bits, block in ENGINE_SHAPES:
+            monkeypatch.setattr(_linalg, "LOW_BITS", low_bits)
+            monkeypatch.setattr(_linalg, "BLOCK", block)
+            got = _images_by_map(mats, p)
+            for m, (g, w) in enumerate(zip(got, want)):
+                assert np.array_equal(g, w), (p, dim, low_bits, block, m)
+    # an invertible map permutes the element indices
     for p, dim in ((2, 6), (3, 4), (5, 3), (131, 2), (257, 2)):
         rng = np.random.default_rng(p)
         while True:
             mat = rng.integers(0, p, (dim, dim))
             if _linalg.batched_rank_full(mat[None], p)[0]:
                 break
-        vecs = _linalg.index_coords(np.arange(p**dim), p, dim)
-        image = vecs.astype(np.int64) @ mat.T % p
-        want = image @ p ** np.arange(dim - 1, -1, -1)
-        got = _linalg.index_map(mat, p)
-        assert np.array_equal(got, want), (p, dim)
-        assert np.array_equal(np.sort(got), np.arange(p**dim))
+        (got,) = _images_by_map([mat], p)
+        assert np.array_equal(np.sort(got), np.arange(p**dim)), (p, dim)
 
 
-def test_index_map_of_a_singular_map():
+def test_map_images_of_a_singular_map():
     # the digit doubling needs only linearity: the trace of F_{2^4},
     # F_{3^3} and F_{4^2}, whose image is F_q, at every element
     for q, n in ((2, 4), (3, 3), (4, 2)):
         ext = extension_for(q, n)
-        p, dim = ext.char, ext.prime_dim
+        p = ext.char
         frob = _linalg.frobenius_matrix(ext).astype(np.int64)
         trace = sum(np.linalg.matrix_power(frob, t) for t in range(n)) % p
         field = ext.base
         trace_op = linearized.QPoly(Poly(field, (field.one,) * n))
         assert np.array_equal(linearized.operator_matrix(trace_op, ext), trace), (q, n)
         assert not _linalg.batched_rank_full(trace[None], p)[0]
-        image = _linalg.apply_map(_linalg.index_coords(np.arange(p**dim), p, dim), trace, p)
-        want = image.astype(np.int64) @ p ** np.arange(dim - 1, -1, -1)
-        assert np.array_equal(_linalg.index_map(trace, p), want), (q, n)
-        assert not (want % q ** (n - 1)).any(), (q, n)
+        (got,) = _images_by_map([trace], p)
+        assert not (got % q ** (n - 1)).any(), (q, n)
+        assert set((got // q ** (n - 1)).tolist()) == set(range(q)), (q, n)
 
 
 def test_frobenius_matrix_is_built_once_per_field():
-    # the orbit pass, the trace map and every operator matrix of the root
-    # census and the operator-root count, and the conjugates of the
+    # every operator matrix of the root census and the operator-root
+    # count, the trace map among them, and the conjugates of the
     # per-element normality test, share one Frobenius matrix
     q, n = 4, 3
     ext = extension_for(q, n)
@@ -664,24 +701,6 @@ def test_orbit_engine_matches_per_element_paths(qn, data):
     q, n = qn
     ext = extension_for(q, n)
     F = ext.base
-    rep, conj = _linalg.field_orbits(ext)
-    # the representatives, ascending, with their conjugates 0..n
-    assert np.array_equal(conj[:, 0], np.flatnonzero(rep == np.arange(ext.order)))
-    for row in conj[:: max(1, len(conj) // 8)]:
-        a = ext.from_index(int(row[0]))
-        for t in range(n + 1):
-            assert ext.index(a) == row[t]
-            a = ext.frobenius(a)
-    # each element's representative lies in its <F_q*> x <Frobenius> orbit
-    # and is shared by the whole orbit
-    scalars = [ext.embed(F.from_index(i)) for i in range(1, q)]
-    for i in data.draw(st.lists(st.integers(0, ext.order - 1), min_size=1, max_size=12)):
-        a, orbit = ext.from_index(i), set()
-        for _ in range(n):
-            orbit.update(ext.index(ext.mul(c, a)) for c in scalars)
-            a = ext.frobenius(a)
-        assert rep[i] in orbit, (q, n, i)
-        assert {int(rep[j]) for j in orbit} == {int(rep[i])}, (q, n, i)
     assert count_normal_elements(ext) == sum(1 for a in ext.elements() if is_normal(a, ext))
     # operator roots, for the whole of x^n - 1 or a part of its factors
     parts = polyring.factor_xn_minus_1(n, F).flatten().parts
@@ -705,32 +724,31 @@ def test_orbit_engine_matches_per_element_paths(qn, data):
 def test_full_report_checks_normal_orbits(monkeypatch):
     # every normal element has n conjugates and a nonzero trace; a
     # normality test that passed other elements, or a Frobenius whose n-th
-    # power is not the identity, trips those checks.  Each stand-in answers
-    # for every cofactor of x^n - 1 at once.
-    def everything(associates, ext, idx):
-        return [np.ones(len(idx), dtype=bool)] * len(associates)
+    # power is not the identity, trips those checks.  The normality tests
+    # come from stand-in factors of x^4 - 1 over F_2 = (x + 1)^4.
+    F = gf.field_of_order(2)
 
-    def full_degree(associates, ext, idx):
-        # n distinct conjugates under the Frobenius in use
-        sigma = _linalg.index_map(_linalg.frobenius_matrix(ext), ext.char)
-        conj = [idx]
-        for _ in range(ext.degree - 1):
-            conj.append(sigma[conj[-1]])
-        distinct = np.array([len(set(row)) == len(row) for row in np.stack(conj, axis=1).tolist()])
-        return [distinct] * len(associates)
+    def factored_as(*parts):
+        fact = polyring.Factorization([(P(F, *f), mult) for f, mult in parts])
+        return lambda n, field: types.SimpleNamespace(flatten=lambda: fact)
+
+    # x^4 - 1 as one factor: its cofactor 1 passes every nonzero element
+    everything = factored_as(((1, 0, 0, 0, 1), 1))
+    # (x^2 + 1)^2: its cofactor sigma^2 - 1 passes the elements of degree 4
+    full_degree = factored_as(((1, 0, 1), 2))
 
     def times_x(ext):
         # x has order 5 or 15 in F_16*, so no x^t with 0 < t <= 4 is 1
         return linear_map_matrix(lambda a: ext.mul(a, ext.gen), ext)
 
-    frobenius = _linalg.frobenius_matrix
+    factor, frobenius = polyring.factor_xn_minus_1, _linalg.frobenius_matrix
     cases = (
         (everything, frobenius, "Frobenius orbit does not have 4"),
         (full_degree, frobenius, "zero trace"),
-        (full_degree, times_x, "Frobenius orbit does not have 4"),
+        (factor, times_x, "Frobenius orbit does not have 4"),
     )
-    for normal, frob, fact in cases:
-        monkeypatch.setattr(linearized, "nonzero_images", normal)
+    for factors, frob, fact in cases:
+        monkeypatch.setattr(polyring, "factor_xn_minus_1", factors)
         monkeypatch.setattr(_linalg, "frobenius_matrix", frob)
         with pytest.raises(VerificationError) as err:
             full_report(2, 4, with_oracle=True)

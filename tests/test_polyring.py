@@ -23,12 +23,13 @@ from normbase.polyring import (
     factor_xn_minus_1,
     gcd,
     is_irreducible,
-    monic_polys,
     poly_trace,
     product,
     squarefree_decomposition,
     x_pow_minus_one,
 )
+
+from conftest import monic_polys
 
 
 def P(field, *coeffs):
