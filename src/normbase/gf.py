@@ -71,11 +71,7 @@ class PrimeField:
         self.degree = 1
         self.base = None
         self.prime_dim = 1
-        # packed-kernel layout: slots per element (see _slots); _read_slot,
-        # the slot of one product of two elements, is None where the kernel
-        # does not pack over this field
-        self._stride = 1
-        self._read_slot = _slot((p - 1) ** 2)
+        self._stride = 1  # packed-kernel layout: slots per element (see _slots)
         self._bits = {} if p == 2 else None  # over F_2, _mod_slots's masks
         if 2 < p < 16:  # 1-byte slots: _mod_slots's table of i mod p
             self._bits = {8: bytes(range(p)) * (256 // p) + bytes(range(256 % p))}
@@ -140,7 +136,7 @@ class PrimeField:
 
 
 # ---------------------------------------------------------------------------
-# Raw polynomial kernel over an arbitrary field object.
+# Raw polynomial kernel over PrimeField, ExtensionField and their towers.
 #
 # A polynomial is a little-endian tuple of field elements with no trailing
 # zeros (the zero polynomial is the empty tuple).  The public Poly class in
@@ -154,47 +150,51 @@ class PrimeField:
 # are packed into one Python int of fixed-width slots, one slot per prime
 # coordinate (Kronecker substitution), so that the O(n^2) coefficient
 # loops of pmul and pdivmod (and of rank, over F_p) run inside
-# CPython's big-int arithmetic.  An element of F_p takes one slot; an
-# element of a degree-k extension takes (2k - 1) times its base field's
-# stride, its k base coordinates at the first k base strides and the
-# rest zero, so the product of two canonical elements (y-degree up to
-# 2k - 2) fits in place without reduction.  Polynomial coefficient i
-# starts at slot i * stride.
+# CPython's big-int arithmetic, at every prime: a Python int has no slot
+# limit.  An element of F_p takes one slot; an element of a degree-k
+# extension takes (2k - 1) times its base field's stride, its k base
+# coordinates at the first k base strides and the rest zero, so the
+# product of two canonical elements (y-degree up to 2k - 2) fits in place
+# without reduction.  Polynomial coefficient i starts at slot i * stride.
 # A slot is sized from the largest sum it will hold, so no slot ever
-# carries into the next.  Raw slots are brought back to canonical form by
-# _reduce, and canonical ones become elements by _read alone.  Over F_p
+# carries into the next: 1, 2, 4 or 8 bytes read through array, and past
+# 8 bytes as many whole bytes as the sum needs, read slot by slot.  Raw
+# slots are brought back to canonical form by _reduce, and canonical ones
+# become elements by _read alone.  Over F_p
 # and F_p[y]/(f) (not towers) _reduce stays in the int wherever the slots
 # allow (_reduce_int): a slot mod 2 is its low bit at every width, 1-byte
 # slots over odd p go mod p by one bytes.translate, and then a Barrett
-# quotient in y.  Elsewhere it takes the slots mod p in numpy and, over
-# an extension, multiplies them by ExtensionField._unit_fold, the
-# F_p-linear map that reduces mod every modulus of the tower.
+# quotient in y.  Elsewhere it takes the slots mod p (in numpy up to 8
+# bytes, one by one past them) and, over an extension, multiplies them by
+# ExtensionField._unit_fold, the F_p-linear map that reduces mod every
+# modulus of the tower.
 _SLOT_CODES = tuple((code, 8 * array(code).itemsize) for code in "BHIQ")
 _SLOT_DTYPES = {code: np.dtype(code).newbyteorder("<") for code, _ in _SLOT_CODES}
 
 
 def _slot(bound: int):
     """(array typecode, bit width) of the narrowest slot holding values up
-    to bound, or None when no 8-byte slot is wide enough."""
+    to bound: 1, 2, 4 or 8 bytes, and past 8 bytes (None, the width of the
+    fewest whole bytes that hold bound)."""
     for code, w in _SLOT_CODES:
         if bound >> w == 0:
             return code, w
-    return None
+    return None, -(-bound.bit_length() // 8) * 8
 
 
 def _packed_slot(F, terms: int, extra: int = 0):
     """The slot of a packed pmul or pdivmod over F whose slots sum up to
     terms products of prime coordinates per y-power of every level, plus
-    extra; or None when the loop of field operations runs instead: when
-    no 8-byte slot fits, and for field objects the kernel does not know."""
-    if not isinstance(F, (PrimeField, ExtensionField)) or F._read_slot is None:
-        return None
+    extra."""
     return _slot(extra + terms * F.prime_dim * (F.char - 1) ** 2)
 
 
 def _pack(coeffs, slot) -> int:
     if slot[1] == 8:
         return int.from_bytes(bytes(coeffs), "little")
+    if slot[0] is None:
+        size = slot[1] // 8
+        return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in coeffs), "little")
     words = array(slot[0], coeffs)
     if sys.byteorder == "big":
         words.byteswap()
@@ -203,9 +203,13 @@ def _pack(coeffs, slot) -> int:
 
 def _unpack(x: int, n: int, slot):
     """The n slots of x, lowest first, as unreduced integers (bytes for
-    1-byte slots, else an array)."""
+    1-byte slots, a list past 8 bytes, else an array)."""
     if slot[1] == 8:
         return x.to_bytes(n, "little")
+    if slot[0] is None:
+        size = slot[1] // 8
+        data = x.to_bytes(n * size, "little")
+        return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
     words = array(slot[0])
     words.frombytes(x.to_bytes(n * slot[1] // 8, "little"))
     if sys.byteorder == "big":
@@ -259,12 +263,20 @@ def _reduce(F, raw: int, n: int, slot) -> int:
     """The canonical packed form of raw, n packed coefficients over F in
     the given slots: _reduce_int where _int_reduces, else every slot mod p,
     and over an extension field one product with its _unit_fold, mod p
-    again.  Zero is canonical and costs nothing."""
+    again.  Past 8 bytes the slots are taken mod p one by one and the fold
+    is one _linalg.matmul_mod.  Zero is canonical and costs nothing."""
     if not raw:
         return 0
     if _int_reduces(F, slot):
         return _reduce_int(F, raw, n, slot)
-    p, dt = F.char, _SLOT_DTYPES[slot[0]]
+    p = F.char
+    if slot[0] is None:
+        words = [w % p for w in _unpack(raw, n * F._stride, slot)]
+        if isinstance(F, ExtensionField):
+            fold = _linalg.matmul_mod(np.array(words, dtype=object).reshape(n, F._stride), F._unit_fold, p)
+            words = fold.ravel().tolist()
+        return _pack(words, slot)
+    dt = _SLOT_DTYPES[slot[0]]
     words = np.frombuffer(raw.to_bytes(n * F._stride * dt.itemsize, "little"), dt) % p
     if isinstance(F, ExtensionField):
         words = _linalg.reduce_mod(words.reshape(n, F._stride) @ F._unit_fold, p)
@@ -373,19 +385,12 @@ def pneg(F, a):
 def pmul(F, a, b):
     if not a or not b:
         return ()
+    # Kronecker substitution: each product slot holds an exact convolution
+    # sum, so one big-int product does every step.
     la, lb = len(a), len(b)
-    if slot := _packed_slot(F, min(la, lb)):
-        # Kronecker substitution: each product slot holds an exact
-        # convolution sum, so one big-int product does every step.
-        prod = _pack(_slots(F, a), slot) * _pack(_slots(F, b), slot)
-        return ptrim(F, _canon(F, prod, la + lb - 1, slot))
-    out = [F.zero] * (la + lb - 1)
-    for i, x in enumerate(a):
-        if x == F.zero:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return ptrim(F, out)
+    slot = _packed_slot(F, min(la, lb))
+    prod = _pack(_slots(F, a), slot) * _pack(_slots(F, b), slot)
+    return ptrim(F, _canon(F, prod, la + lb - 1, slot))
 
 
 def pscale(F, a, s):
@@ -412,27 +417,12 @@ def pdivmod(F, a, b):
         return (a if b[0] == F.one else pscale(F, a, F.inv(b[0]))), ()
     if len(a) < len(b):
         return (), a
-    la, lb = len(a), len(b)
-    steps = la - lb + 1
-    D, p = F.prime_dim, F.char
+    steps = len(a) - len(b) + 1
+    p = F.char
     # over F_2 a step is one XOR, which sums nothing: 1-byte slots at
     # every length
-    terms = min(steps, lb) if D * p > 2 else 0
-    if slot := _packed_slot(F, terms, p - 1):
-        return _pdivmod_packed(F, a, b, steps, slot)
-    # a monic divisor, the common case, needs no inversion
-    inv_lead = F.one if b[-1] == F.one else F.inv(b[-1])
-    rem = list(a)
-    quo = [F.zero] * steps
-    for shift in range(steps - 1, -1, -1):
-        coef = rem[shift + lb - 1]
-        if coef == F.zero:
-            continue
-        fac = F.mul(coef, inv_lead)
-        quo[shift] = fac
-        for i, y in enumerate(b):
-            rem[shift + i] = F.sub(rem[shift + i], F.mul(fac, y))
-    return ptrim(F, quo), ptrim(F, rem)
+    terms = min(steps, len(b)) if F.prime_dim * p > 2 else 0
+    return _pdivmod_packed(F, a, b, steps, _packed_slot(F, terms, p - 1))
 
 
 def _pdivmod_packed(F, a, b, steps, slot):
@@ -481,8 +471,7 @@ def pgcd(F, a, b):
     on packed operands (_pgcd_ext_packed), and the only inversion is
     pmonic's, none for a constant gcd or in pcoprime.  Over F_p, where an
     inversion is one pow, it divides at each step, on operands that stay
-    packed (_pgcd_packed, by XOR over F_2); where _packed_slot finds no
-    slot it divides by pmod."""
+    packed (_pgcd_packed, by XOR over F_2)."""
     return pmonic(F, _pgcd_unit(F, a, b))
 
 
@@ -503,15 +492,10 @@ def _pgcd_unit(F, a, b) -> tuple:
         return a or b
     if len(a) == 1 or len(b) == 1:  # a constant divides every polynomial
         return (F.one,)
-    if isinstance(F, ExtensionField) and (slot := _packed_slot(F, F.char)):
-        return _pgcd_ext_packed(F, a, b, slot)
-    if isinstance(F, PrimeField):
-        # over F_2, one XOR per step, as in pdivmod
-        if slot := _packed_slot(F, min(len(a), len(b)) if F.p > 2 else 0, F.p - 1):
-            return _pgcd_packed(F, a, b, slot)
-    while b:
-        a, b = b, pmod(F, a, b)
-    return a
+    if isinstance(F, ExtensionField):
+        return _pgcd_ext_packed(F, a, b, _packed_slot(F, F.char))
+    # over F_2, one XOR per step, as in pdivmod
+    return _pgcd_packed(F, a, b, _packed_slot(F, min(len(a), len(b)) if F.p > 2 else 0, F.p - 1))
 
 
 def _pgcd_packed(F, a, b, slot) -> tuple:
@@ -575,46 +559,11 @@ def _pgcd_ext_packed(F, a, b, slot) -> tuple:
     return tuple(_read(F, r, nr, slot))
 
 
-class _Residues:
-    """Arithmetic modulo one polynomial f over F on residues held as
-    coefficient tuples, by pmul and pmod, where _packed_slot finds no slot
-    for _Barrett's products.  _Barrett is its packed twin with the same
-    pack, unpack, mul, add and pow, so a caller holds one context per
-    modulus without asking which it got.  pack takes a residue (degree
-    below that of f)."""
-
-    def __init__(self, F, f):
-        self.F, self.f = F, f
-        self.one = pmod(F, (F.one,), f)  # () when f is a constant
-
-    def pack(self, coeffs):
-        return ptrim(self.F, coeffs)
-
-    def unpack(self, a):
-        return a
-
-    def mul(self, a, b):
-        return pmod(self.F, pmul(self.F, a, b), self.f)
-
-    def add(self, a, b):
-        return padd(self.F, a, b)
-
-    def pow(self, a, e: int):
-        """a^e, square and multiply from the top bit of e."""
-        if not e:
-            return self.one
-        result = a
-        for bit in bin(e)[3:]:
-            result = self.mul(result, result)
-            if bit == "1":
-                result = self.mul(result, a)
-        return result
-
-
-class _Barrett(_Residues):
+class _Barrett:
     """Arithmetic modulo one polynomial f of degree d >= 1 with a unit
     leading coefficient, on residues packed as in pmul (coefficient i at
-    slot i * stride, every slot canonical).
+    slot i * stride, every slot canonical).  pack takes a residue (degree
+    below d).
 
     mul is polynomial Barrett reduction.  With mu = floor(x^(2d-1) / f),
     t = a * b (degree <= 2d - 2) and hi = floor(t / x^d), the quotient
@@ -659,21 +608,26 @@ class _Barrett(_Residues):
     def add(self, a: int, b: int) -> int:
         return self._reduce(a + b, self.d)
 
-
-def _barrett(F, f):
-    """The arithmetic context modulo f over F: a _Barrett wherever
-    _packed_slot finds a slot for its products, else _Residues."""
-    d = len(f) - 1
-    if _packed_slot(F, 2 * d - 1):
-        return _Barrett(F, f)
-    return _Residues(F, f)
+    def pow(self, a: int, e: int) -> int:
+        """a^e, square and multiply from the top bit of e."""
+        if not e:
+            return self.one
+        result = a
+        for bit in bin(e)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
+        return result
 
 
 def ppow_mod(F, base, e: int, mod):
     if e < 0:
         raise ValueError("negative exponent")
-    ctx = _barrett(F, mod)
-    return ctx.unpack(ctx.pow(ctx.pack(pmod(F, base, mod)), e))
+    base = pmod(F, base, mod)
+    if len(mod) == 1:  # every residue mod a constant is zero
+        return ()
+    ctx = _Barrett(F, mod)
+    return ctx.unpack(ctx.pow(ctx.pack(base), e))
 
 
 def pinv_mod(F, a, mod):
@@ -726,7 +680,7 @@ def pdistinct_degree(F, f):
                 h = pdivmod(F, _monomial(F, e), f)[1]
             else:
                 if ctx is None:
-                    ctx = _barrett(F, f)
+                    ctx = _Barrett(F, f)
                     packed = ctx.pack(h)
                 packed = ctx.pow(packed, q)
                 h = ctx.unpack(packed)
@@ -781,9 +735,7 @@ def rank(rows, F) -> int:
     row at each of at most len(rows) steps, and an entry is reduced mod p
     only when it is read.  Over an extension base F_q, q = p^k, the
     F_q-span of the rows is the F_p-span of their prime coordinates
-    scaled by each F_p-basis scalar of F_q, which has k times the F_q-rank.
-    Primes whose sums fit no 8-byte slot, and fields the kernel does not
-    know, run the loop of field operations."""
+    scaled by each F_p-basis scalar of F_q, which has k times the F_q-rank."""
     ncols = len(rows[0]) if rows else 0
     if isinstance(F, ExtensionField):
         k, p, dt = F.prime_dim, F.char, _linalg.exact_dtype(F.char)
@@ -797,39 +749,23 @@ def rank(rows, F) -> int:
                 v ^= b
             basis[v.bit_length()] = v
         return len(basis) - 1
-    r = 0
-    if isinstance(F, PrimeField) and (slot := _slot((F.p - 1) + len(rows) * (F.p - 1) ** 2)):
-        p, w = F.p, slot[1]
-        mask = (1 << w) - 1
-        work = [_pack(row, slot) for row in rows]
-        for c in range(ncols):
-            at = c * w
-            piv = next((i for i in range(r, len(work)) if (work[i] >> at & mask) % p), None)
-            if piv is None:
-                continue
-            work[r], work[piv] = work[piv], work[r]
-            row = _unpack(work[r], ncols, slot)
-            inv = pow(row[c], -1, p)
-            pivot = _pack([x * inv % p for x in row], slot)
-            for i in range(r + 1, len(work)):
-                if fac := (work[i] >> at & mask) % p:
-                    work[i] += (p - fac) * pivot
-            r += 1
-        return r
-    work = [list(row) for row in rows]
+    p, r = F.p, 0
+    slot = _slot((p - 1) + len(rows) * (p - 1) ** 2)
+    w = slot[1]
+    mask = (1 << w) - 1
+    work = [_pack(row, slot) for row in rows]
     for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][c] != F.zero), None)
+        at = c * w
+        piv = next((i for i in range(r, len(work)) if (work[i] >> at & mask) % p), None)
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        inv = F.inv(work[r][c])
-        # columns up to c are no longer read in the rows below r
-        pivot = work[r][c + 1 :]
+        row = _unpack(work[r], ncols, slot)
+        inv = pow(row[c], -1, p)
+        pivot = _pack([x * inv % p for x in row], slot)
         for i in range(r + 1, len(work)):
-            if work[i][c] != F.zero:
-                fac = F.mul(work[i][c], inv)
-                tail = zip(work[i][c + 1 :], pivot)
-                work[i][c + 1 :] = [F.sub(x, F.mul(fac, y)) for x, y in tail]
+            if fac := (work[i] >> at & mask) % p:
+                work[i] += (p - fac) * pivot
         r += 1
     return r
 
@@ -887,12 +823,7 @@ class ExtensionField:
         self.char = base.char
         self.order = base.order**degree
         self.prime_dim = degree * base.prime_dim
-        # packed-kernel layout as in PrimeField; _read_slot is None when
-        # the kernel cannot pack over this field (p too large for 8-byte
-        # slots, or a base field of another kind)
-        self._stride = (2 * degree - 1) * base._stride
-        known = isinstance(base, (PrimeField, ExtensionField)) and base._read_slot
-        self._read_slot = _slot(self._stride * (self.char - 1) ** 2) if known else None
+        self._stride = (2 * degree - 1) * base._stride  # as in PrimeField
         # over F_p itself, _reduce_int's masks, mu and -f per slot width
         self._bits = {} if isinstance(base, PrimeField) and base._bits is not None else None
         self.zero = (base.zero,) * degree
@@ -955,7 +886,7 @@ class ExtensionField:
     def _ctx(self):
         """The arithmetic context modulo the modulus, shared by mul, pow and
         x_q_powers."""
-        return _barrett(self.base, self.modulus)
+        return _Barrett(self.base, self.modulus)
 
     def mul(self, a, b):
         ctx = self._ctx

@@ -63,10 +63,10 @@ def _conjugate_coords(a, ext) -> np.ndarray:
 
 
 def rank_over_field(rows, field) -> int:
-    """Rank of a list of rows over an arbitrary field, by gf.rank's
-    elimination (over F_p, also for an extension base): the per-element
-    rank criterion, and the reference _linalg.batched_rank_full is tested
-    against."""
+    """Rank of a list of rows over F_p, an extension field or a tower of
+    them, by gf.rank's elimination (over F_p, also for an extension base):
+    the per-element rank criterion, and the reference
+    _linalg.batched_rank_full is tested against."""
     return gf.rank(rows, field)
 
 

@@ -334,7 +334,7 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
         if u.degree == d:
             out.append(u)
             continue
-        ctx = gf._barrett(F, u.coeffs)  # shared by the retries on u
+        ctx = gf._Barrett(F, u.coeffs)  # shared by the retries on u
         while True:
             h = Poly(F, tuple(F.random(rng) for _ in range(int(u.degree))))
             if h.degree is NEG_INF or h.degree < 1:

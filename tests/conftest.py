@@ -223,6 +223,114 @@ def independent_over_base(coords: np.ndarray, field) -> np.ndarray:
     return _linalg.batched_rank_full(coords, field.char)
 
 
+class Schoolbook:
+    """The packed kernel's reference: polynomials over a field F of the
+    kernel (little-endian coefficient tuples, as in gf) and F's own
+    products, by loops of field operations.  Over an extension field its
+    elements multiply by these loops over the base's Schoolbook, mod the
+    modulus, so no level of the tower packs.  gf's helpers that only add,
+    scale or trim (ptrim, padd, psub, pscale, pmonic) take it as a field."""
+
+    def __init__(self, F):
+        self.F, self.zero, self.one, self.order = F, F.zero, F.one, F.order
+        # F's own sums, coordinate by coordinate, and over F_p its products
+        self.add, self.sub = F.add, F.sub
+        self.base = None
+        if isinstance(F, gf.PrimeField):
+            self.mul, self.inv = F.mul, F.inv
+        else:
+            self.base, self.products = Schoolbook(F.base), {}
+
+    def mul(self, a, b):
+        """Kept per instance: the lower levels of a tower repeat few products."""
+        if (a, b) not in self.products:
+            x, y = gf.ptrim(self.base, a), gf.ptrim(self.base, b)
+            self.products[a, b] = self.F._pad(self.base.pmod(self.base.pmul(x, y), self.F.modulus))
+        return self.products[a, b]
+
+    def pow(self, a, e: int):
+        """a^e for e >= 0, square and multiply."""
+        out = self.one
+        for bit in bin(e)[2:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, a)
+        return out
+
+    def inv(self, a):
+        """By the extended Euclid with the modulus."""
+        if a == self.zero:
+            raise ZeroDivisionError("inverse of zero")
+        base, r0, r1 = self.base, gf.ptrim(self.base, a), self.F.modulus
+        s0, s1 = (base.one,), ()
+        while r1:
+            q, r = base.pdivmod(r0, r1)
+            r0, r1, s0, s1 = r1, r, s1, gf.psub(base, s0, base.pmul(q, s1))
+        return self.F._pad(gf.pscale(base, s0, base.inv(r0[0])))
+
+    def pmul(self, a, b):
+        if not a or not b:
+            return ()
+        out = [self.zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x != self.zero:
+                for j, y in enumerate(b):
+                    out[i + j] = self.add(out[i + j], self.mul(x, y))
+        return gf.ptrim(self, out)
+
+    def pdivmod(self, a, b):
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        if len(a) < len(b):
+            return (), a
+        inv_lead, lb = self.one if b[-1] == self.one else self.inv(b[-1]), len(b)
+        rem, quo = list(a), [self.zero] * (len(a) - lb + 1)
+        for shift in reversed(range(len(quo))):
+            if rem[shift + lb - 1] != self.zero:
+                quo[shift] = fac = self.mul(rem[shift + lb - 1], inv_lead)
+                for i, y in enumerate(b):
+                    rem[shift + i] = self.sub(rem[shift + i], self.mul(fac, y))
+        return gf.ptrim(self, quo), gf.ptrim(self, rem)
+
+    def pmod(self, a, b):
+        return self.pdivmod(a, b)[1]
+
+    def pgcd(self, a, b):
+        """The monic gcd by the dividing Euclid."""
+        while b:
+            a, b = b, self.pmod(a, b)
+        return gf.pmonic(self, a)
+
+    def pcoprime(self, a, bs) -> bool:
+        for b in bs:
+            a = self.pgcd(a, b)
+        return len(a) == 1
+
+    def ppow_mod(self, base, e: int, f):
+        out, base = self.pmod((self.one,), f), self.pmod(base, f)
+        for bit in bin(e)[2:]:
+            out = self.pmod(self.pmul(out, out), f)
+            if bit == "1":
+                out = self.pmod(self.pmul(out, base), f)
+        return out
+
+    def rank(self, rows) -> int:
+        """Gaussian elimination with first-nonzero pivots."""
+        work, r = [list(row) for row in rows], 0
+        for c in range(len(rows[0]) if rows else 0):
+            piv = next((i for i in range(r, len(work)) if work[i][c] != self.zero), None)
+            if piv is None:
+                continue
+            work[r], work[piv] = work[piv], work[r]
+            inv = self.inv(work[r][c])
+            for i in range(r + 1, len(work)):
+                if work[i][c] != self.zero:
+                    fac = self.mul(work[i][c], inv)
+                    work[i] = [self.sub(x, self.mul(fac, y)) for x, y in zip(work[i], work[r])]
+            r += 1
+        return r
+
+
 def monic_polys(field, degree: int):
     """All monic polynomials of exact degree, in lexicographic order: the
     tests' lister over gf.monic_candidates."""

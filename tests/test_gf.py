@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from normbase import _linalg, gf
 from normbase.errors import BudgetExceeded
 
-from conftest import coefficient_scan, fold_by_pmod
+from conftest import Schoolbook, coefficient_scan, fold_by_pmod
 
 
 def sample_fields():
@@ -238,9 +238,11 @@ def test_field_equality_and_hash():
 
 
 # One prime per slot width of the packed kernel (1, 2, 4 and 8 bytes, by
-# operand length) and 2^32 + 15 and 2^61 - 1, whose products fit no 8-byte
-# slot; 5, 7 and 13 also take their 1-byte slots mod p by bytes.translate.
-KERNEL_PRIMES = (2, 3, 5, 7, 13, 181, 251, 257, 65521, 2**32 + 15, 2**61 - 1)
+# operand length), 2^31 - 1, whose slots pass 8 bytes at 5 terms, and
+# 2^32 + 15, 2^61 - 1 and 2^64 + 13, whose products fit no 8-byte slot
+# (9, 16 and 17 bytes wide); 5, 7 and 13 also take their 1-byte slots mod
+# p by bytes.translate.
+KERNEL_PRIMES = (2, 3, 5, 7, 13, 181, 251, 257, 65521, 2**31 - 1, 2**32 + 15, 2**61 - 1, 2**64 + 13)
 
 
 def naive_convolution(a, b, p):
@@ -257,20 +259,24 @@ def check_prime_kernel(F, a, b):
     assert gf.psub_x(F, a) == gf.psub(F, a, (0, 1))
     if a and b:
         assert gf.pmul(F, a, b) == gf.ptrim(F, naive_convolution(a, b, p))
-    if len(a) * len(b) <= 2500:  # the loop gcd is the slowest reference
-        assert gf.pgcd(F, a, b) == gf.pgcd(OpaqueField(F), a, b)
+    small = len(a) * len(b) <= 2500  # the Schoolbook is the slowest reference
+    if small:
+        assert gf.pgcd(F, a, b) == Schoolbook(F).pgcd(a, b)
     if b:
         q, r = gf.pdivmod(F, a, b)
+        assert not small or (q, r) == Schoolbook(F).pdivmod(a, b)
         assert all(0 <= c < p for c in q + r)
         assert gf.padd(F, gf.pmul(F, q, b), r) == a
         assert gf.pdeg(r) < gf.pdeg(b)
 
 
 def test_prime_kernel_fast_paths_match_naive_convolution(rng):
-    # pmul/pdivmod pack over every prime whose sums fit an 8-byte slot,
-    # from 1- and 2-step divisions up; pin them against a naive in-test
-    # schoolbook reference
-    shapes = [(1, 1), (2, 2), (3, 2), (4, 3), (9, 8), (3, 5), (8, 8), (9, 7), (12, 5)]
+    # pmul/pdivmod pack over every prime, from 1- and 2-step divisions up;
+    # pin them against a naive in-test schoolbook reference.  (4, 4),
+    # (5, 5), (8, 5) and (9, 5) put 4 and 5 terms in a slot: over
+    # F_(2^31 - 1) the last 8-byte slot and the first 9-byte one.
+    assert [gf._packed_slot(gf.prime_field(2**31 - 1), t) for t in (4, 5)] == [("Q", 64), (None, 72)]
+    shapes = [(1, 1), (2, 2), (3, 2), (4, 3), (4, 4), (5, 5), (8, 5), (9, 5), (9, 8), (3, 5), (8, 8), (9, 7), (12, 5)]
     shapes += [(64, 64), (70, 200), (300, 260), (257, 3)]
     for p in KERNEL_PRIMES:
         F = gf.prime_field(p)
@@ -295,7 +301,7 @@ def test_pgcd_over_a_prime_field_matches_the_dividing_euclid(rng):
             b = [rng.randrange(p) for _ in range(lb - 1)] + [rng.randrange(1, p)]
             a, b = gf.pmul(F, a, g), gf.pmul(F, b, g)
             for x, y in ((a, b), (b, a), ((p - 1,) * la, (p - 1,) * lb)):
-                assert gf.pgcd(F, x, y) == gf.pgcd(OpaqueField(F), x, y), (p, la, lb)
+                assert gf.pgcd(F, x, y) == Schoolbook(F).pgcd(x, y), (p, la, lb)
         # quotient digits 1 by an all-maximal divisor: every step adds
         # (p - 1)^2 to the middle slots of the first round
         top = (p - 1,) * 120
@@ -316,27 +322,12 @@ def test_prime_kernel_property(operands):
     check_prime_kernel(gf.prime_field(p), a, b)
 
 
-class OpaqueField:
-    """A field behind an object that is neither a PrimeField nor an
-    ExtensionField, so that the kernel runs its generic loops on it."""
-
-    def __init__(self, F):
-        self.F = F
-        self.zero, self.one = F.zero, F.one
-
-    def __getattr__(self, name):
-        # stored on first lookup, so later lookups skip this method
-        value = getattr(self.F, name)
-        setattr(self, name, value)
-        return value
-
-
 def test_row_reduce_packed_matches_generic_loop(rng):
     # Rank-deficient products (nrows x r) @ (r x ncols), ranked by the
     # packed prime-field path (over F_2 the XOR basis on byte rows) and by
-    # the generic loop; every F_p shape packs, down to no rows and 1 x 1.
-    # Widths 8, 9, 64 and 65 put a row's top entry on both sides of a word
-    # boundary of the int.
+    # the schoolbook elimination, down to no rows and 1 x 1.  Widths 8, 9,
+    # 64 and 65 put a row's top entry on both sides of a word boundary of
+    # the int.
     shapes = (
         (60, 60, 45), (60, 40, 12), (25, 60, 20), (9, 8, 5), (12, 8, 8), (10, 9, 9),
         (70, 64, 50), (64, 64, 64), (66, 65, 65), (20, 65, 7),
@@ -352,7 +343,7 @@ def test_row_reduce_packed_matches_generic_loop(rng):
                 for row in left
             ]
             got = gf.rank(rows, F)
-            assert got == gf.rank(rows, OpaqueField(F)), (p, nrows, ncols)
+            assert got == Schoolbook(F).rank(rows), (p, nrows, ncols)
             assert got <= r
     # over F_2: all-zero rows, and rows that repeat, also after a zero row
     F = gf.prime_field(2)
@@ -360,7 +351,7 @@ def test_row_reduce_packed_matches_generic_loop(rng):
         rows = [[rng.randrange(2) for _ in range(ncols - 1)] + [1] for _ in range(3)]
         zero = [0] * ncols
         for case in ([zero] * 4, rows * 3, [zero] + rows + [zero] + rows[::-1], [rows[0]] * 5):
-            assert gf.rank(case, F) == gf.rank(case, OpaqueField(F)), (ncols, case)
+            assert gf.rank(case, F) == Schoolbook(F).rank(case), (ncols, case)
         assert gf.rank([zero] * 4, F) == 0 and gf.rank([rows[0]] * 5, F) == 1
 
 
@@ -380,8 +371,8 @@ def random_product(F, nrows, ncols, r, rng):
 
 def test_rank_over_extension_bases_matches_generic_loop(rng):
     # The F_q-rank from the F_p-rank of the prime coordinates scaled by
-    # each basis scalar, against the loop of field operations; F_{(2^61-1)^2}
-    # has no 8-byte slot, so its scaled rows run the loop over F_p.
+    # each basis scalar, against the schoolbook elimination; the scaled rows
+    # of F_{(2^61-1)^2} fit no 8-byte slot, so they are packed wider.
     F4 = gf.base_field(2, 2)
     fields = [F4, gf.base_field(2, 3), gf.base_field(3, 2), gf.base_field(2, 4)]
     fields += [gf.extension(gf.extension(F4, 3), 2), gf.base_field(251, 2), gf.base_field(2**61 - 1, 2)]
@@ -390,7 +381,7 @@ def test_rank_over_extension_bases_matches_generic_loop(rng):
         for nrows, ncols, r in shapes:
             rows = random_product(F, nrows, ncols, r, rng)
             got = gf.rank(rows, F)
-            assert got == gf.rank(rows, OpaqueField(F)), (F, nrows, ncols)
+            assert got == Schoolbook(F).rank(rows), (F, nrows, ncols)
             assert got <= r
         # a row and its multiples by every scalar span one dimension
         row = [F.random(rng) for _ in range(5)] + [F.one]
@@ -418,13 +409,12 @@ def test_fold_matches_the_pmod_reference():
 
 
 def pcoprime_fields():
-    """One field per path of _pgcd_unit: F_p packed and in the loop (no
-    8-byte slot at 2^61 - 1), extensions with multiplication matrices, one
-    without them, and an opaque field."""
+    """Fields of both paths of _pgcd_unit, F_p and extensions, in slots of
+    up to 8 bytes and wider (at 2^61 - 1 and 2^31 + 11)."""
     F4 = gf.base_field(2, 2)
     fields = [gf.prime_field(p) for p in (2, 3, 251, 2**61 - 1)]
     fields += [F4, gf.base_field(3, 2), gf.base_field(2, 4), gf.extension(gf.extension(F4, 3), 2)]
-    return fields + [gf.base_field(2**31 + 11, 2), OpaqueField(F4)]
+    return fields + [gf.base_field(2**31 + 11, 2)]
 
 
 def test_pcoprime_is_a_gcd_of_degree_zero(rng):
@@ -444,22 +434,13 @@ def test_pcoprime_is_a_gcd_of_degree_zero(rng):
                 assert gf.pcoprime(F, x, (y, z)) == want, (F, x, y, z)
 
 
-def loop_field(F):
-    """F rebuilt with an opaque field at every level of its tower, so that
-    pmul and pdivmod over it, and its own multiplications, all run the
-    schoolbook loops."""
-    if isinstance(F, gf.PrimeField):
-        return OpaqueField(F)
-    return OpaqueField(gf.ExtensionField(loop_field(F.base), F.modulus))
-
-
 @functools.lru_cache(maxsize=None)
 def kernel_fields():
     """Extension fields for the packed kernel: 1-, 2-, 4- and 8-byte slots,
-    towers of depth 2 and 3, and F_{(2^61-1)^2}, whose slots fit in no 8
-    bytes (loop fallback).  F_{(2^31-1)^2} packs, but the gcd's slots fit
-    in no 8 bytes (pgcd's pmod Euclid); F_{(2^31+11)^2} does not pack.
-    Each is paired with its loop_field."""
+    towers of depth 2 and 3, F_{(2^31-1)^2}, whose products fit 8 bytes and
+    whose gcd's slots do not, and F_{(2^31+11)^2} and F_{(2^61-1)^2}, whose
+    products fit no 8 bytes (and the last, no fold in uint64 either).
+    Each is paired with its Schoolbook reference."""
     F4 = gf.base_field(2, 2)
     F64 = gf.extension(F4, 3)
     fields = [
@@ -476,18 +457,18 @@ def kernel_fields():
         # modulus x^2 + 1 (see test_default_modulus_over_a_huge_prime)
         gf.base_field(2**61 - 1, 2),
     ]
-    return [(F, loop_field(F)) for F in fields]
+    return [(F, Schoolbook(F)) for F in fields]
 
 
 def check_extension_kernel(F, L, a, b, e):
-    """pmul, pdivmod and pgcd over F against the loops over L (the same
-    field); for each coefficient pair, F's products, powers (to q and to
-    e) and inverses in its context against L's."""
+    """pmul, pdivmod and pgcd over F against the Schoolbook L of F; for
+    each coefficient pair, F's products, powers (to q and to e) and
+    inverses in its context against L's."""
     a, b = gf.ptrim(F, a), gf.ptrim(F, b)
-    assert gf.pmul(F, a, b) == gf.pmul(L, a, b)
+    assert gf.pmul(F, a, b) == L.pmul(a, b)
     assert gf.psub_x(F, a) == gf.psub(L, a, (F.zero, F.one))
     if len(a) * len(b) * F.prime_dim <= 400:  # the loop gcd is the slowest reference
-        assert gf.pgcd(F, a, b) == gf.pgcd(L, a, b)
+        assert gf.pgcd(F, a, b) == L.pgcd(a, b)
     for i, (x, y) in enumerate(dict.fromkeys(zip(a, b))):  # all-maximal operands repeat one pair
         assert F.mul(x, y) == L.mul(x, y), (F, x, y)
         assert F.pow(x, F.base.order) == L.pow(x, F.base.order), (F, x)
@@ -497,11 +478,11 @@ def check_extension_kernel(F, L, a, b, e):
                 assert F.inv(x) == L.inv(x), (F, x)
     if b:
         q, r = gf.pdivmod(F, a, b)
-        assert (q, r) == gf.pdivmod(L, a, b)
+        assert (q, r) == L.pdivmod(a, b)
         for c in q + r:
             F.validate(c)
         assert gf.pdeg(r) < gf.pdeg(b)
-        assert gf.padd(L, gf.pmul(L, q, b), r) == a
+        assert gf.padd(L, L.pmul(q, b), r) == a
 
 
 def max_element(F):
@@ -529,7 +510,7 @@ def test_extension_kernel_matches_schoolbook_loop(rng):
             check_extension_kernel(F, L, a, (), e)
             if la * lb * F.prime_dim <= 200:
                 g = [F.random(rng), top, F.one]
-                check_extension_kernel(F, L, gf.pmul(L, a, g), gf.pmul(L, gf.ptrim(F, b), g), e)
+                check_extension_kernel(F, L, L.pmul(a, g), L.pmul(gf.ptrim(F, b), g), e)
 
 
 def test_extension_kernel_at_slot_boundaries():
@@ -552,7 +533,7 @@ def test_extension_kernel_at_slot_boundaries():
             assert gf.pmul(F, (top,) * n, (top,) * n) == gf.ptrim(F, want), (F, n)
         for n in ((255 - (p - 1)) // per_term, (255 - (p - 1)) // per_term + 1):
             b, q = (top,) * (n + 1), (F.neg(top),) * n
-            qb = gf.pmul(L, q, b)
+            qb = L.pmul(q, b)
             a = (top,) * n + qb[n:]
             want = (q, gf.psub(L, a[:n], qb[:n]))
             assert gf.pdivmod(F, a, b) == want, (F, n)
@@ -562,12 +543,12 @@ def test_extension_kernel_at_slot_boundaries():
     # 252 for F_{3^21}, in 1-byte slots, and 264 for F_{3^22}
     for D, width in ((21, 8), (22, 16)):
         F = gf.base_field(3, D)
-        L, top = loop_field(F), max_element(F)
+        L, top = Schoolbook(F), max_element(F)
         assert gf._packed_slot(F, 3)[1] == width
         for m, n in ((6, 4), (5, 3)):
             r, s = (top,) * m, (top,) * n
-            assert gf.pgcd(F, r, s) == gf.pgcd(L, r, s), (F, m, n)
-            assert gf.pcoprime(F, r, (s,)) == gf.pcoprime(L, r, (s,)), (F, m, n)
+            assert gf.pgcd(F, r, s) == L.pgcd(r, s), (F, m, n)
+            assert gf.pcoprime(F, r, (s,)) == L.pcoprime(r, (s,)), (F, m, n)
 
 
 @st.composite
@@ -586,32 +567,39 @@ def test_extension_kernel_property(operands):
 
 
 def test_pdivmod_inverts_only_a_non_monic_leading_coefficient(monkeypatch, rng):
-    # the packed division over F_4 and the loop over its loop_field
-    F4 = gf.base_field(2, 2)
-    for F in (F4, loop_field(F4)):
-        inversions = []
-        real_inv = F.inv
-        monkeypatch.setattr(F, "inv", lambda a: inversions.append(a) or real_inv(a))
-        for la, lb in ((5, 3), (40, 12)):
-            a = tuple(F.random(rng) for _ in range(la - 1)) + (F.one,)
-            for lead in (F.one, F.from_index(3)):
-                b = tuple(F.random(rng) for _ in range(lb - 1)) + (lead,)
-                inversions.clear()
-                quo, rem = gf.pdivmod(F, a, b)
-                assert gf.padd(F, gf.pmul(F, quo, b), rem) == gf.ptrim(F, a)
-                assert len(rem) < lb
-                assert inversions == ([] if lead == F.one else [lead]), (F, la, lead)
+    F = gf.base_field(2, 2)
+    inversions = []
+    real_inv = F.inv
+    monkeypatch.setattr(F, "inv", lambda a: inversions.append(a) or real_inv(a))
+    for la, lb in ((5, 3), (40, 12)):
+        a = tuple(F.random(rng) for _ in range(la - 1)) + (F.one,)
+        for lead in (F.one, F.from_index(3)):
+            b = tuple(F.random(rng) for _ in range(lb - 1)) + (lead,)
+            inversions.clear()
+            quo, rem = gf.pdivmod(F, a, b)
+            assert gf.padd(F, gf.pmul(F, quo, b), rem) == gf.ptrim(F, a)
+            assert len(rem) < lb
+            assert inversions == ([] if lead == F.one else [lead]), (la, lead)
 
 
 def test_the_slot_alone_picks_the_packed_path(monkeypatch, rng):
-    # _barrett, pdivmod and pgcd pack exactly where _packed_slot finds a
-    # slot for their sums, down to 1-step divisions by moduli of degree 1
+    # pdivmod and pgcd pack at every field and size, down to 1-step
+    # divisions by moduli of degree 1, in the slot _packed_slot sizes from
+    # their sums: a slot of 1 to 8 bytes while the sums fit 64 bits, and
+    # past that the fewest whole bytes that hold them
     fields = [F for F, _ in kernel_fields()]
-    fields += [gf.prime_field(p) for p in (2, 3, 13, 251, 2**31 - 1, 2**61 - 1)]
-    calls = []  # (packed helper, the field it ran over)
+    fields += [gf.prime_field(p) for p in (2, 3, 13, 251, 2**31 - 1, 2**61 - 1, 2**64 + 13)]
+    calls = []  # (packed helper, the field it ran over, its slot)
 
     def recorder(name, real):
-        return lambda F, *args: calls.append((name, F)) or real(F, *args)
+        return lambda F, *args: calls.append((name, F, args[-1])) or real(F, *args)
+
+    def sized(F, terms, extra=0):
+        bound = extra + terms * F.prime_dim * (F.char - 1) ** 2
+        slot = gf._packed_slot(F, terms, extra)
+        assert slot[1] >= bound.bit_length() and (slot[0] is None) == (bound >> 64 > 0), (F, bound, slot)
+        assert slot[0] is not None or slot[1] - 8 < bound.bit_length(), (F, bound, slot)
+        return slot
 
     for name in ("_pdivmod_packed", "_pgcd_packed", "_pgcd_ext_packed"):
         monkeypatch.setattr(gf, name, recorder(name, getattr(gf, name)))
@@ -620,39 +608,38 @@ def test_the_slot_alone_picks_the_packed_path(monkeypatch, rng):
         for d in (1, 2, 3, 4):
             # a non-monic modulus: pdivmod inverts its leading coefficient
             f = tuple(F.random(rng) for _ in range(d)) + (max_element(F),)
-            slot = gf._packed_slot(F, 2 * d - 1)
-            assert isinstance(gf._barrett(F, f), gf._Barrett) == (slot is not None), (F, d)
+            assert gf._Barrett(F, f).slot == sized(F, 2 * d - 1), (F, d)
             for la in (d + 1, d + 2, 3 * d):
                 a = tuple(F.random(rng) for _ in range(la - 1)) + (F.one,)
                 calls.clear()
                 gf.pdivmod(F, a, f)
-                slot = gf._packed_slot(F, min(la - d, d + 1) if F.prime_dim * p > 2 else 0, p - 1)
-                assert (("_pdivmod_packed", F) in calls) == (slot is not None), (F, d, la)
+                slot = sized(F, min(la - d, d + 1) if F.prime_dim * p > 2 else 0, p - 1)
+                assert ("_pdivmod_packed", F, slot) in calls, (F, d, la)
                 calls.clear()
                 gf.pgcd(F, a, f)
                 if prime:
-                    name, slot = "_pgcd_packed", gf._packed_slot(F, d + 1 if p > 2 else 0, p - 1)
+                    name, slot = "_pgcd_packed", sized(F, d + 1 if p > 2 else 0, p - 1)
                 else:
-                    name, slot = "_pgcd_ext_packed", gf._packed_slot(F, p)
-                assert ((name, F) in calls) == (slot is not None), (F, d, la)
+                    name, slot = "_pgcd_ext_packed", sized(F, p)
+                assert (name, F, slot) in calls, (F, d, la)
 
 
 def test_read_inverts_the_packed_layout(rng):
     # _read of canonically packed elements gives them back, over every
-    # kernel field with a slot (towers of depth 2 and 3 gather their prime
-    # coordinates, F_p[y]/(m) slices each stride) and their prime fields,
-    # at every slot width from the narrowest that holds a product; and a
-    # _Barrett context unpacks a packed residue to it, trimmed
-    fields = [F for F, _ in kernel_fields() if F._read_slot]
-    fields += [gf.prime_field(p) for p in (2, 3, 251, 65521, 2**31 - 1)]
+    # kernel field (towers of depth 2 and 3 gather their prime coordinates,
+    # F_p[y]/(m) slices each stride) and their prime fields, at every slot
+    # width from the narrowest that holds a product, past 8 bytes too; and
+    # a _Barrett context unpacks a packed residue to it, trimmed
+    fields = [F for F, _ in kernel_fields()]
+    fields += [gf.prime_field(p) for p in (2, 3, 251, 65521, 2**31 - 1, 2**61 - 1, 2**64 + 13)]
     for F in fields:
         elems = [max_element(F), F.zero] + [F.random(rng) for _ in range(5)]
-        for slot in gf._SLOT_CODES[gf._SLOT_CODES.index(F._read_slot) :]:
+        for slot in gf._SLOT_CODES + ((None, 72), (None, 136), (None, 200)):
+            if slot[1] < gf._packed_slot(F, 1)[1]:
+                continue
             packed = gf._pack(gf._slots(F, elems), slot)
             assert list(gf._read(F, packed, len(elems), slot)) == elems, (F, slot)
         for d in (1, 2, 3):
-            if gf._packed_slot(F, 2 * d - 1) is None:
-                continue
             f = tuple(F.random(rng) for _ in range(d)) + (F.one,)
             ctx = gf._Barrett(F, f)
             for a in (elems[:d], [max_element(F)] * (d - 1) + [F.zero], [F.zero] * d):
@@ -661,12 +648,11 @@ def test_read_inverts_the_packed_layout(rng):
 
 def test_pdivmod_by_a_constant_is_a_scaling(monkeypatch, rng):
     # A constant divisor c gives (a c^-1, ()), with no long division: the
-    # packed division and the field's subtraction (the loop's inner step)
-    # are never called.  Over F_2, F_5, F_4, F_9, a depth-2 tower and the
-    # loop field, for c = 1 and c != 1, and for a = ().
+    # packed division and the field's subtraction are never called.  Over
+    # F_2, F_5, F_4, F_9 and a depth-2 tower, for c = 1 and c != 1, and
+    # for a = ().
     F4 = gf.base_field(2, 2)
     fields = [gf.prime_field(2), gf.prime_field(5), F4, gf.base_field(3, 2), gf.extension(F4, 3)]
-    fields.append(loop_field(F4))
     real_packed, divided = gf._pdivmod_packed, []
     monkeypatch.setattr(gf, "_pdivmod_packed", lambda F, *args: divided.append(F) or real_packed(F, *args))
     for F in fields:
@@ -681,20 +667,20 @@ def test_pdivmod_by_a_constant_is_a_scaling(monkeypatch, rng):
 
 
 def test_extension_gcd_at_large_primes(rng):
-    # F_{65521^2} runs the packed gcd; F_{(2^31-1)^2}, the largest of these
-    # whose products the kernel packs, and F_{(2^31+11)^2}, where it packs
-    # nothing, run the pmod Euclid, as their gcd slots fit in no 8 bytes
+    # The fraction-free gcd over F_{65521^2} in 8-byte slots, and over
+    # F_{(2^31-1)^2}, whose products fit 8 bytes, and F_{(2^31+11)^2},
+    # whose products do not, in 12-byte ones
     fields = [(F, L) for F, L in kernel_fields() if F.char in (65521, 2**31 - 1, 2**31 + 11)]
-    assert [gf._packed_slot(F, F.char) is not None for F, _ in fields] == [True, False, False]
+    assert [gf._packed_slot(F, F.char) for F, _ in fields] == [("Q", 64), (None, 96), (None, 96)]
     for F, L in fields:
         for la, lb in ((7, 5), (4, 4), (9, 2)):
             a = [F.random(rng) for _ in range(la)]
             b = [F.random(rng) for _ in range(lb)]
             g = (F.random(rng), max_element(F), F.one)
-            for x, y in ((a, b), (gf.pmul(L, a, g), gf.pmul(L, b, g))):
+            for x, y in ((a, b), (L.pmul(a, g), L.pmul(b, g))):
                 x, y = gf.ptrim(F, x), gf.ptrim(F, y)
-                assert gf.pgcd(F, x, y) == gf.pgcd(L, x, y), (F, x, y)
-                assert gf.pcoprime(F, x, (y,)) == gf.pcoprime(L, x, (y,)), (F, x, y)
+                assert gf.pgcd(F, x, y) == L.pgcd(x, y), (F, x, y)
+                assert gf.pcoprime(F, x, (y,)) == L.pcoprime(x, (y,)), (F, x, y)
 
 
 def test_pgcd_over_an_extension_inverts_at_most_once(monkeypatch, rng):
@@ -715,31 +701,34 @@ def test_pgcd_over_an_extension_inverts_at_most_once(monkeypatch, rng):
 
 
 # Fields for the Barrett context and the Frobenius chain: F_2 (slot mod 2
-# by one AND), odd primes and extension fields (numpy reductions), and a
-# depth-3 tower.
+# by one AND), odd primes and extension fields (numpy reductions), a
+# depth-3 tower, and slots past 8 bytes: over F_(2^31 - 1) from degree 3
+# (5 terms), over F_(2^64 + 13) 17 bytes, and over F_((2^61 - 1)^2) with a
+# fold in Python ints.
 @functools.lru_cache(maxsize=None)
 def barrett_fields():
     F4 = gf.base_field(2, 2)
     fields = [gf.prime_field(2), gf.prime_field(3), gf.prime_field(251), F4]
     fields += [gf.base_field(3, 2), gf.base_field(2, 4), gf.extension(gf.extension(F4, 3), 2)]
-    return [(F, loop_field(F)) for F in fields]
+    fields += [gf.prime_field(2**31 - 1), gf.prime_field(2**64 + 13), gf.base_field(2**61 - 1, 2)]
+    return [(F, Schoolbook(F)) for F in fields]
 
 
 def check_barrett(F, L, f, operands):
     """The context's products mod f and ppow_mod over F against the
-    schoolbook loops over L, the same field."""
+    Schoolbook L of F."""
     ctx = gf._Barrett(F, f)
     for a, b in operands:
         a, b = gf.ptrim(F, a), gf.ptrim(F, b)
-        want = gf.pmod(L, gf.pmul(L, a, b), f)
+        want = L.pmod(L.pmul(a, b), f)
         assert ctx.unpack(ctx.mul(ctx.pack(a), ctx.pack(b))) == want, (F, f, a, b)
     d, q = len(f) - 1, F.order
     exponents = (0, 1, q, q**d) if d * F.prime_dim <= 12 else (0, 1, q)
     base = operands[0][0]
     for e in exponents:
-        want = gf.ppow_mod(L, base, e, f)
+        want = L.ppow_mod(base, e, f)
         assert gf.ppow_mod(F, base, e, f) == want, (F, f, e)
-        assert ctx.unpack(ctx.pow(ctx.pack(gf.pmod(L, base, f)), e)) == want, (F, f, e)
+        assert ctx.unpack(ctx.pow(ctx.pack(L.pmod(base, f)), e)) == want, (F, f, e)
 
 
 def test_barrett_matches_schoolbook_loop(rng):
@@ -748,7 +737,7 @@ def test_barrett_matches_schoolbook_loop(rng):
     for F, L in barrett_fields():
         top = max_element(F)
         for d in (1, 2, 3, 5, 8, 13):
-            if d * F.prime_dim > 26:
+            if d * F.prime_dim > (26 if F.order < 2**16 else 4):
                 continue  # the loop reference is slow on the larger fields
             for lead in (F.one, top):
                 f = tuple(F.random(rng) for _ in range(d)) + (lead,)
@@ -756,7 +745,7 @@ def test_barrett_matches_schoolbook_loop(rng):
                 operands = [(residue, [F.random(rng) for _ in range(d)]), ([top] * d, [top] * d), ((), [top] * d)]
                 check_barrett(F, L, f, operands)
                 longer = gf.ptrim(F, [F.random(rng) for _ in range(2 * d + 3)] + [top])
-                assert gf.ppow_mod(F, longer, F.order, f) == gf.ppow_mod(L, longer, F.order, f)
+                assert gf.ppow_mod(F, longer, F.order, f) == L.ppow_mod(longer, F.order, f)
 
 
 def test_barrett_at_slot_boundaries():
@@ -771,7 +760,7 @@ def test_barrett_at_slot_boundaries():
                 ctx = gf._Barrett(F, f)
                 assert ctx.slot[1] == (8 if d == d_max else 16), (F, d)
                 a = (top,) * d
-                want = gf.pmod(L, gf.pmul(L, a, a), f)
+                want = L.pmod(L.pmul(a, a), f)
                 assert ctx.unpack(ctx.mul(ctx.pack(a), ctx.pack(a))) == want, (F, d)
 
 
@@ -783,9 +772,9 @@ def test_barrett_where_the_fold_product_needs_uint64(rng):
     assert F._unit_fold.dtype == np.uint64
     top = max_element(F)
     f = (F.random(rng), top, F.one)
-    assert isinstance(gf._barrett(F, f), gf._Barrett)
+    assert gf._Barrett(F, f).slot == ("Q", 64)
     operands = [([top] * 2, [top] * 2), ([F.random(rng), top], [F.random(rng), F.random(rng)])]
-    check_barrett(F, loop_field(F), f, operands)
+    check_barrett(F, Schoolbook(F), f, operands)
 
 
 def check_int_reduce(F, n, slot, words):
@@ -870,7 +859,7 @@ def test_char2_euclid_and_division_by_xor(rng):
     # _pgcd_packed and _pdivmod_packed over F_2, one XOR per step, against
     # the schoolbook loops, in 1- and 2-byte slots: constant, equal-degree
     # and dividing operands, a == b, and zero through pgcd and pdivmod
-    F, L = gf.prime_field(2), loop_field(gf.prime_field(2))
+    F, L = gf.prime_field(2), Schoolbook(gf.prime_field(2))
 
     def poly(n):
         return tuple(rng.randrange(2) for _ in range(n - 1)) + (1,)
@@ -880,14 +869,14 @@ def test_char2_euclid_and_division_by_xor(rng):
         pairs = [(a, b), (gf.pmul(F, a, b), b), (a, a), (gf.pmul(F, a, poly(3)), gf.pmul(F, b, poly(3)))]
         for x, y in pairs:
             for slot in (("B", 8), ("H", 16)):
-                assert gf._pgcd_packed(F, x, y, slot) == gf._pgcd_unit(L, x, y), (x, y, slot)
+                assert gf._pgcd_packed(F, x, y, slot) == L.pgcd(x, y), (x, y, slot)
                 if len(x) >= len(y):
                     got = gf._pdivmod_packed(F, x, y, len(x) - len(y) + 1, slot)
-                    assert got == gf.pdivmod(L, x, y), (x, y, slot)
-            assert gf.pgcd(F, x, y) == gf.pgcd(L, x, y), (x, y)
-            assert gf.pdivmod(F, x, y) == gf.pdivmod(L, x, y), (x, y)
+                    assert got == L.pdivmod(x, y), (x, y, slot)
+            assert gf.pgcd(F, x, y) == L.pgcd(x, y), (x, y)
+            assert gf.pdivmod(F, x, y) == L.pdivmod(x, y), (x, y)
         for x in (a, ()):
-            assert gf.pgcd(F, x, ()) == gf.pgcd(F, (), x) == gf.pgcd(L, x, ()), x
+            assert gf.pgcd(F, x, ()) == gf.pgcd(F, (), x) == L.pgcd(x, ()), x
             assert gf.pdivmod(F, (), x or (1,)) == ((), ())
 
 
@@ -895,7 +884,7 @@ def test_char2_xor_slots_stay_one_byte(monkeypatch, rng):
     # Over F_2 the Euclid and the division XOR and never sum, so pgcd and
     # pdivmod pack 1-byte slots also past the 255 coefficients from which
     # a summing slot would need 2 bytes
-    F, L = gf.prime_field(2), loop_field(gf.prime_field(2))
+    F, L = gf.prime_field(2), Schoolbook(gf.prime_field(2))
     slots = []
     for name in ("_pgcd_packed", "_pdivmod_packed"):
         real = getattr(gf, name)
@@ -905,8 +894,8 @@ def test_char2_xor_slots_stay_one_byte(monkeypatch, rng):
         b = tuple(rng.randrange(2) for _ in range(n - 2)) + (1,)
         ab = gf.pmul(F, a, b)
         for x, y in ((a, b), (ab, a), (ab, gf.pmul(F, b, (1, 1)))):
-            assert gf.pgcd(F, x, y) == gf.pgcd(L, x, y), (n, x, y)
-            assert gf.pdivmod(F, x, y) == gf.pdivmod(L, x, y), (n, x, y)
+            assert gf.pgcd(F, x, y) == L.pgcd(x, y), (n, x, y)
+            assert gf.pdivmod(F, x, y) == L.pdivmod(x, y), (n, x, y)
     assert len(slots) == 12 and set(slots) == {("B", 8)}
 
 
@@ -926,16 +915,16 @@ def test_rank_reads_prime_coordinates_in_one_array(monkeypatch, rng):
         assert seen[0].tolist() == want, F
 
 
-def test_ppow_mod_and_pirreducible_without_a_packed_slot(rng):
-    # F_{(2^61-1)^2} has no 8-byte slot: ppow_mod and pirreducible run the
-    # schoolbook loops of the unpacked context
+def test_ppow_mod_and_pirreducible_in_wide_slots(rng):
+    # F_{(2^61-1)^2} has no 8-byte slot: ppow_mod and pirreducible run in
+    # a context of 16-byte slots, against the Schoolbook
     F, L = kernel_fields()[-1]
     x, q = (F.zero, F.one), F.order
     for d in (2, 3):
         f = tuple(F.random(rng) for _ in range(d)) + (F.one,)
-        assert not isinstance(gf._barrett(F, f), gf._Barrett)
+        assert gf._Barrett(F, f).slot == (None, 128)
         for e in (0, 1, q, q**2):
-            assert gf.ppow_mod(F, x, e, f) == gf.ppow_mod(L, x, e, f), (d, e)
+            assert gf.ppow_mod(F, x, e, f) == L.ppow_mod(x, e, f), (d, e)
         assert gf.pirreducible(F, f) == rabin_reference(L, f)
 
 
@@ -968,8 +957,13 @@ def test_an_extension_field_builds_one_context(monkeypatch, rng):
         gf.extension(gf.base_field(2, 2), 3), gf.base_field(3, 2),
     ]
     built = []
-    real = gf._barrett
-    monkeypatch.setattr(gf, "_barrett", lambda F, f: built.append((F, f)) or real(F, f))
+
+    class Counting(gf._Barrett):
+        def __init__(self, F, f):
+            built.append((F, f))
+            super().__init__(F, f)
+
+    monkeypatch.setattr(gf, "_Barrett", Counting)
     for ext in fields:
         a, b = ext.random(rng), ext.random(rng)
         ext.mul(a, b)
@@ -982,15 +976,15 @@ def test_an_extension_field_builds_one_context(monkeypatch, rng):
 
 
 def rabin_reference(L, f) -> bool:
-    """Rabin's test with schoolbook arithmetic over a loop field L, each
-    power of x computed from x."""
+    """Rabin's test with the arithmetic of a Schoolbook L, each power of x
+    computed from x."""
     d, x = len(f) - 1, (L.zero, L.one)
     if d == 1:
         return True
-    if gf.ppow_mod(L, x, L.order**d, f) != x:
+    if L.ppow_mod(x, L.order**d, f) != x:
         return False
     for r in (r for r in range(2, d + 1) if d % r == 0 and all(r % s for s in range(2, r))):
-        if len(gf.pgcd(L, gf.psub(L, gf.ppow_mod(L, x, L.order ** (d // r), f), x), f)) > 1:
+        if len(L.pgcd(gf.psub(L, L.ppow_mod(x, L.order ** (d // r), f), x), f)) > 1:
             return False
     return True
 
@@ -1018,7 +1012,7 @@ def irreducibility_operands(draw):
     by k = d/2, with no check at k = d: g^2 h, a product of two
     irreducibles of degree d/2, and x h."""
     F5 = gf.prime_field(5)
-    F, L = draw(st.sampled_from(barrett_fields()[:6] + [(F5, loop_field(F5))]))
+    F, L = draw(st.sampled_from(barrett_fields()[:6] + [(F5, Schoolbook(F5))]))
     d = draw(st.integers(1, 12 if F.prime_dim <= 2 else 4))
     rng = draw(st.randoms(use_true_random=False))
 

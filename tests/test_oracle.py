@@ -667,21 +667,21 @@ def test_frobenius_matrix_and_conjugates_match_frobenius():
     # the chain-built matrix against the matrix of ext.frobenius, pow(a, q),
     # and conjugate_matrix against iterated ext.frobenius
     rng = np.random.default_rng(15)
-    fields, residues = _frobenius_fields(), []
+    fields, wide = _frobenius_fields(), []
     for ext in fields:
         mat = _linalg.frobenius_matrix(ext)
         want = linear_map_matrix(ext.frobenius, ext)
         assert mat.dtype == want.dtype and np.array_equal(mat, want), ext
-        if not isinstance(gf._barrett(ext.base, ext.modulus), gf._Barrett):
-            residues.append(ext)
+        if gf._Barrett(ext.base, ext.modulus).slot[0] is None:
+            wide.append(ext)
         for _ in range(4):
             a = ext.from_prime_coords(tuple(int(c) for c in rng.integers(0, ext.char, ext.prime_dim)))
             rows = [a]
             for _ in range(ext.degree - 1):
                 rows.append(ext.frobenius(rows[-1]))
             assert conjugate_matrix(a, ext) == rows, (ext, a)
-    # _Residues runs exactly where no 8-byte slot holds the products
-    assert residues == fields[-2:]
+    # the context's slots pass 8 bytes exactly where its products do
+    assert wide == fields[-2:]
     # past 64 bits the matrix holds Python ints
     ext = gf.ExtensionField(gf.prime_field(2**64 + 13), (3, 0, 1))
     assert _linalg.frobenius_matrix(ext).dtype == object
